@@ -17,7 +17,7 @@ from scipy.special import gammaln
 
 from .errors import BracketNotFoundError, InvalidParameterError
 from .functional import MTParams
-from .maximize import MaximizeOptions, MaximizerReport, maximize_d, maximize_gn
+from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, maximize_d
 from .radial import critical_exponent
 
 __all__ = [
@@ -309,7 +309,7 @@ def bracket_alpha_star(
     if not (0 < alpha_lo < alpha_hi <= a_N):
         raise InvalidParameterError("alpha bracket range must satisfy 0 < min < max <= alpha_N")
     alphas = np.linspace(alpha_lo, alpha_hi, opts.count)
-    bgn = maximize_gn(N).bgn_estimate if opts.use_g_test else None
+    bgn = cached_gn_report(N, opts.maximize_opts.cell_order).bgn_estimate if opts.use_g_test else None
 
     certified: list[bool] = []
     chained: list = []

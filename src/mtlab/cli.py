@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,7 +27,7 @@ from .functional import (
     mt_integral,
     mt_integral_series,
 )
-from .maximize import GNOptions, MaximizeOptions, maximize_d, maximize_gn, project_to_constraint
+from .maximize import MaximizeOptions, maximize_d, maximize_gn, project_to_constraint
 from .radial import (
     build_grid,
     critical_exponent,
@@ -44,16 +43,6 @@ DISCLAIMER = (
     "note: reported values are certified lower bounds from feasible profiles; "
     "numerics never certify non-attainment."
 )
-
-
-def _default_threads() -> int:
-    env = os.environ.get("MT_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _add_param_args(sp, with_ab: bool = True):
@@ -78,7 +67,6 @@ def _add_grid_args(sp):
 def _add_common_args(sp):
     sp.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
     sp.add_argument("--restarts", type=int, default=12, help="multi-start count (default 12)")
-    sp.add_argument("--threads", type=int, default=None, help="worker threads (default: all cores)")
     sp.add_argument("--format", choices=["json", "csv", "human"], default="json")
     sp.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
 
@@ -112,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--allow-infinite-regime",
         action="store_true",
-        help="evaluate even at alpha = alpha_N with b >= N (infinite supremum)",
+        help="evaluate even at alpha = alpha_N with b > N (infinite supremum)",
     )
     _add_common_args(sp)
 
@@ -211,7 +199,6 @@ def _make_options(args, allow_infinite: bool = False) -> MaximizeOptions:
         scheme=args.grid_scheme,
         restarts=args.restarts,
         seed=args.seed,
-        threads=args.threads or _default_threads(),
         allow_infinite_regime=allow_infinite,
     )
 
@@ -274,7 +261,7 @@ def _cmd_maximize(args) -> int:
 
 
 def _cmd_bgn(args) -> int:
-    report = maximize_gn(args.N, GNOptions(seed=args.seed))
+    report = maximize_gn(args.N)
     payload = report.to_json_dict()
     if args.profile_out:
         with open(args.profile_out, "w", encoding="utf-8") as fh:
@@ -292,7 +279,7 @@ def _cmd_bgn(args) -> int:
 
 def _cmd_g_test(args) -> int:
     p = _validate_params(args)
-    bgn = args.bgn if args.bgn is not None else maximize_gn(args.N, GNOptions(seed=args.seed)).bgn_estimate
+    bgn = args.bgn if args.bgn is not None else maximize_gn(args.N).bgn_estimate
     report = g_function_test(p.alpha, p.a, p.b, p.N, bgn)
     payload = report.to_json_dict()
     human = [
@@ -311,7 +298,7 @@ def _cmd_alpha0(args) -> int:
     if gn_c is None:
         # A valid interpolation constant derived from the computed GN bound;
         # any valid C yields a valid alpha0, smaller C a sharper one.
-        gn_c = max(1.0, 1.0 / maximize_gn(args.N, GNOptions(seed=args.seed)).bgn_estimate)
+        gn_c = max(1.0, 1.0 / maximize_gn(args.N).bgn_estimate)
     try:
         report = alpha0_nonexistence(args.a, args.b, args.N, gn_c)
     except InvalidParameterError as exc:
@@ -406,7 +393,6 @@ def _cmd_sweep(args) -> int:
             axes=(AxisSpec(args.axis, args.min, args.max, args.count, args.spacing),),
             fixed=fixed,
             seed=args.seed,
-            threads=args.threads or _default_threads(),
             options=_make_options(args),
         )
     except InvalidParameterError as exc:
@@ -422,7 +408,6 @@ def _cmd_phase_map(args) -> int:
             alpha=args.alpha,
             N=args.N,
             seed=args.seed,
-            threads=args.threads or _default_threads(),
             options=_make_options(args),
         )
     except InvalidParameterError as exc:

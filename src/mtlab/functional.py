@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from .errors import DegenerateProfileError, InvalidParameterError, SeriesOverflowError
 from .radial import RadialProfile, critical_exponent, grad_norm_pow, lp_norm_pow
@@ -44,7 +44,7 @@ EXP_ARG_LIMIT = 700.0
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for the exponential series."""
+    """Truncation policy for the series of norms in `mt_integral_series`."""
 
     rel_tol: float = 1e-14
     max_terms: int = 512
@@ -106,12 +106,12 @@ class MTParams:
         return {"N": self.N, "alpha": self.alpha, "a": self.a, "b": self.b}
 
 
-def _phi_tail(t, k: int, ctl: SeriesControl = DEFAULT_SERIES):
-    """sum_{j >= k} t^j / j! for t >= 0, vectorized.
+def _phi_tail(t, k: int):
+    """sum_{j >= k} t^j / j! = e^t P(k, t) for t >= 0, vectorized.
 
-    Small arguments use the tail series directly (every term positive, no
-    cancellation); once the head is negligible against e^t the closed
-    form e^t - head takes over.
+    P is the regularized lower incomplete gamma function, so the tail is
+    a single closed-form evaluation with no truncation: e^t for k = 0,
+    expm1(t) for k = 1 and e^t * gammainc(k, t) beyond.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
@@ -120,46 +120,24 @@ def _phi_tail(t, k: int, ctl: SeriesControl = DEFAULT_SERIES):
         raise SeriesOverflowError(f"series argument exceeds {EXP_ARG_LIMIT:g}; e^t overflows")
     if k == 0:
         return np.exp(t)
-    out = np.zeros_like(t)
-    direct = t >= max(k, 1.0)
-    if np.any(direct):
-        td = t[direct]
-        head = np.zeros_like(td)
-        term = np.ones_like(td)
-        for j in range(k):
-            head += term
-            term *= td / (j + 1)
-        out[direct] = np.exp(td) - head
-    series = ~direct
-    if np.any(series):
-        ts = t[series]
-        term = np.exp(k * np.log(np.where(ts > 0, ts, 1.0)) - gammaln(k + 1))
-        term = np.where(ts > 0, term, 0.0)
-        acc = term.copy()
-        j = k
-        while j < k + ctl.max_terms:
-            j += 1
-            term = term * ts / j
-            acc += term
-            if np.all(term <= ctl.rel_tol * np.maximum(acc, 1e-300)):
-                break
-        out[series] = acc
-    return out
+    if k == 1:
+        return np.expm1(t)
+    return np.exp(t) * gammainc(k, t)
 
 
-def phi(t, N: int, ctl: SeriesControl = DEFAULT_SERIES):
+def phi(t, N: int):
     """Phi_N(t) = sum_{j >= N-1} t^j / j!, for t >= 0."""
     if N < 2 or N != int(N):
         raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
-    result = _phi_tail(t, N - 1, ctl)
+    result = _phi_tail(t, N - 1)
     return float(result[0]) if np.ndim(t) == 0 else result
 
 
-def psi(s, N: int, ctl: SeriesControl = DEFAULT_SERIES):
+def psi(s, N: int):
     """Psi_N(s) = Phi_N(s) - s^{N-1}/(N-1)! = sum_{j >= N} s^j / j!."""
     if N < 2 or N != int(N):
         raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
-    result = _phi_tail(s, N, ctl)
+    result = _phi_tail(s, N)
     return float(result[0]) if np.ndim(s) == 0 else result
 
 
@@ -172,12 +150,12 @@ def _series_arguments(u: RadialProfile, p: MTParams) -> np.ndarray:
     return t
 
 
-def mt_integral(u: RadialProfile, p: MTParams, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def mt_integral(u: RadialProfile, p: MTParams) -> float:
     """int Phi_N(alpha |u|^{N'}) dx by pointwise quadrature of the integrand."""
     if u.grid.N != p.N:
         raise InvalidParameterError("profile grid dimension does not match params")
     t = _series_arguments(u, p)
-    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(t, p.N - 1, ctl)))
+    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(t, p.N - 1)))
 
 
 def mt_integral_series(u: RadialProfile, p: MTParams, ctl: SeriesControl = DEFAULT_SERIES) -> float:
@@ -230,9 +208,7 @@ def j_truncated(u: RadialProfile, p: MTParams) -> float:
     return c1 * lp_norm_pow(u, N) + c2 * lp_norm_pow(u, N * p.n_prime)
 
 
-def adachi_tanaka_ratio(
-    u: RadialProfile, alpha: float, N: int, ctl: SeriesControl = DEFAULT_SERIES
-) -> float:
+def adachi_tanaka_ratio(u: RadialProfile, alpha: float, N: int) -> float:
     """Scale-invariant ratio F(u / ||grad u||_N) / ||u / ||grad u||_N||_N^N.
 
     Invariant under both u -> c u and u -> u(lambda .): the gradient
@@ -244,4 +220,4 @@ def adachi_tanaka_ratio(
         raise DegenerateProfileError("gradient norm vanishes; ratio undefined")
     v = u.scaled(gn ** (-1.0 / N))
     params = MTParams(N=N, alpha=alpha, a=1.0, b=1.0)
-    return mt_integral(v, params, ctl) / lp_norm_pow(v, N)
+    return mt_integral(v, params) / lp_norm_pow(v, N)

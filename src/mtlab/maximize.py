@@ -22,7 +22,8 @@ Each ascent step preconditions the nodal gradient by the radial masses
 iterates), projects back onto the monotone cone and the constraint, and
 is accepted only if the objective improves.  A dilation line search
 along t -> beta_star(t) u_t finishes each restart, since a plain nodal
-ascent is slow to translate profiles across scales.
+ascent is slow to translate profiles across scales; it scores each t by
+the scaling laws of `scaling.py` and builds only the winning profile.
 
 `maximize_gn` runs the analogous ascent for the scale-invariant
 Gagliardo-Nirenberg ratio and returns a maximizer normalized to
@@ -31,7 +32,6 @@ Gagliardo-Nirenberg ratio and returns a maximizer normalized to
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,14 +44,9 @@ from .errors import (
     InvalidParameterError,
     SeriesOverflowError,
 )
-from .functional import (
-    DEFAULT_SERIES,
-    MTParams,
-    SeriesControl,
-    _phi_tail,
-    mt_integral,
-)
+from .functional import EXP_ARG_LIMIT, MTParams, _phi_tail, mt_integral
 from .radial import (
+    MAX_RADIUS,
     RadialGrid,
     RadialProfile,
     build_grid,
@@ -71,6 +66,7 @@ __all__ = [
     "project_to_constraint",
     "maximize_d",
     "maximize_gn",
+    "cached_gn_report",
     "gn_ratio",
     "diagnose_mode",
 ]
@@ -100,8 +96,6 @@ class MaximizeOptions:
     vanish_eps: float = 0.05
     conc_eps: float = 0.05
     concentration_guard: float = 0.999
-    threads: int = 1
-    series: SeriesControl = DEFAULT_SERIES
     allow_infinite_regime: bool = False
     dilation_scan: bool = True
 
@@ -141,7 +135,7 @@ class MaximizerReport:
         }
 
 
-def functional_gradient(u: RadialProfile, p: MTParams, ctl: SeriesControl = DEFAULT_SERIES) -> np.ndarray:
+def functional_gradient(u: RadialProfile, p: MTParams) -> np.ndarray:
     """Nodal gradient of the discretized objective.
 
     Component i is d/du_i of omega sum_k m_k Phi_N(alpha u_k^{N'}), i.e.
@@ -150,9 +144,7 @@ def functional_gradient(u: RadialProfile, p: MTParams, ctl: SeriesControl = DEFA
     if u.grid.N != p.N:
         raise InvalidParameterError("profile grid dimension does not match params")
     t = p.alpha * u.values ** p.n_prime
-    if np.any(t > 700.0):
-        raise SeriesOverflowError("gradient argument exceeds the floating range of e^t")
-    tail = _phi_tail(t, p.N - 2, ctl)
+    tail = _phi_tail(t, p.N - 2)
     return u.grid.omega * u.grid.mass * p.alpha * p.n_prime * u.values ** (p.n_prime - 1.0) * tail
 
 
@@ -187,68 +179,90 @@ def diagnose_mode(report: "MaximizerReport", eps_v: float = 0.05, eps_c: float =
     return _mode_label(report.best_profile, report.params, eps_v, eps_c)
 
 
-def _dilation_line_search(u: RadialProfile, p: MTParams, value: float, ctl: SeriesControl):
-    """Best beta_star(t) u_t over a geometric t scan with local refinement."""
-    best_value, best_profile = value, u
+def _dilation_curve(u: RadialProfile, p: MTParams):
+    """t -> F(beta_star(t) u_t) by the scaling laws, for monotone u.
+
+    beta_star(t) u_t needs no rearrangement; its gradient term is
+    t ||grad u||_N^N, its N-norm that of u, its nodal masses m_k / t and its
+    values beta_star t^{1/N} u_k.  So each t costs one amplitude solve and
+    one Phi_N sweep over the nodes.  A t whose rescaled grid leaves
+    (0, MAX_RADIUS] or whose series argument exceeds EXP_ARG_LIMIT scores
+    -inf: that profile cannot be built or evaluated.
+    """
+    N = p.N
+    grad = grad_norm_pow(u)
+    l_term = lp_norm_pow(u, N) ** (p.b / N)
+    powers = u.values ** p.n_prime
+
+    def value(t: float) -> float:
+        r_max = u.grid.r_max * t ** (-1.0 / N)
+        if not (np.isfinite(r_max) and 0.0 < r_max <= MAX_RADIUS):
+            return -np.inf
+        beta = solve_amplitude((t * grad) ** (p.a / N), l_term, p.a, p.b)
+        args = p.alpha * (beta * t ** (1.0 / N)) ** p.n_prime * powers
+        if np.max(args) > EXP_ARG_LIMIT:
+            return -np.inf
+        return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, N - 1))) / t
+
+    return value
+
+
+def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
+    """Best beta_star(t) u_t over a geometric t scan with local refinement.
+
+    Only the best-scoring t is built; it replaces u only if its own value
+    beats `value`, so the returned value is mt_integral of the returned
+    profile.
+    """
+    curve = _dilation_curve(u, p)
     ts = np.geomspace(1e-4, 1e4, 33)
-    scan_vals = []
-    for t in ts:
-        try:
-            prof = project_to_constraint(dilate(u, float(t)), p)
-            val = mt_integral(prof, p, ctl)
-        except (SeriesOverflowError, DegenerateProfileError, InvalidParameterError, GridOverflowError):
-            scan_vals.append(-np.inf)
-            continue
-        scan_vals.append(val)
-        if val > best_value:
-            best_value, best_profile = val, prof
+    scan_vals = [curve(float(t)) for t in ts]
+    k = int(np.argmax(scan_vals))
+    best_t, best_f = float(ts[k]), scan_vals[k]
+    if not np.isfinite(best_f):
+        return value, u
     # golden-section refinement around the best scan point
-    k = int(np.argmax(scan_vals)) if scan_vals else -1
-    if k >= 0 and np.isfinite(scan_vals[k]):
-        lo = ts[max(k - 1, 0)]
-        hi = ts[min(k + 1, len(ts) - 1)]
-        phi_g = (np.sqrt(5.0) - 1.0) / 2.0
-        a_, b_ = np.log(lo), np.log(hi)
-        x1 = b_ - phi_g * (b_ - a_)
-        x2 = a_ + phi_g * (b_ - a_)
+    phi_g = (np.sqrt(5.0) - 1.0) / 2.0
+    a_, b_ = np.log(ts[max(k - 1, 0)]), np.log(ts[min(k + 1, len(ts) - 1)])
+    x1 = b_ - phi_g * (b_ - a_)
+    x2 = a_ + phi_g * (b_ - a_)
 
-        def val_at(x):
-            try:
-                prof = project_to_constraint(dilate(u, float(np.exp(x))), p)
-                return mt_integral(prof, p, ctl), prof
-            except (SeriesOverflowError, DegenerateProfileError, InvalidParameterError, GridOverflowError):
-                return -np.inf, None
+    def val_at(x):
+        return curve(float(np.exp(x)))
 
-        f1, p1 = val_at(x1)
-        f2, p2 = val_at(x2)
-        for _ in range(40):
-            if f1 >= f2:
-                b_, x2, f2, p2 = x2, x1, f1, p1
-                x1 = b_ - phi_g * (b_ - a_)
-                f1, p1 = val_at(x1)
-            else:
-                a_, x1, f1, p1 = x1, x2, f2, p2
-                x2 = a_ + phi_g * (b_ - a_)
-                f2, p2 = val_at(x2)
-            if b_ - a_ < 1e-10:
-                break
-        for fv, pv in ((f1, p1), (f2, p2)):
-            if pv is not None and fv > best_value:
-                best_value, best_profile = fv, pv
-    return best_value, best_profile
+    f1, f2 = val_at(x1), val_at(x2)
+    for _ in range(40):
+        if f1 >= f2:
+            b_, x2, f2 = x2, x1, f1
+            x1 = b_ - phi_g * (b_ - a_)
+            f1 = val_at(x1)
+        else:
+            a_, x1, f1 = x1, x2, f2
+            x2 = a_ + phi_g * (b_ - a_)
+            f2 = val_at(x2)
+        if b_ - a_ < 1e-10:
+            break
+    for fv, xv in ((f1, x1), (f2, x2)):
+        if fv > best_f:
+            best_t, best_f = float(np.exp(xv)), fv
+    try:
+        prof = project_to_constraint(dilate(u, best_t), p)
+        val = mt_integral(prof, p)
+    except (SeriesOverflowError, GridOverflowError):
+        return value, u
+    return (val, prof) if val > value else (value, u)
 
 
 def _ascend(start: RadialProfile, p: MTParams, opts: MaximizeOptions):
     """Projected gradient ascent from one start; returns (value, profile, iters)."""
-    ctl = opts.series
     u = project_to_constraint(start, p)
-    value = mt_integral(u, p, ctl)
+    value = mt_integral(u, p)
     history = [value]
     eta = 0.25
     iters = 0
     for _ in range(opts.max_iters):
         iters += 1
-        g = functional_gradient(u, p, ctl)
+        g = functional_gradient(u, p)
         direction = g / (u.grid.omega * u.grid.mass)
         dmax = float(np.max(np.abs(direction)))
         if dmax < opts.grad_tol:
@@ -260,7 +274,7 @@ def _ascend(start: RadialProfile, p: MTParams, opts: MaximizeOptions):
             trial = RadialProfile(u.grid, u.values + eta * step_scale * direction)
             try:
                 prof = project_to_constraint(trial, p)
-                val = mt_integral(prof, p, ctl)
+                val = mt_integral(prof, p)
             except (SeriesOverflowError, DegenerateProfileError):
                 eta *= 0.4
                 continue
@@ -279,7 +293,7 @@ def _ascend(start: RadialProfile, p: MTParams, opts: MaximizeOptions):
             if value - history[-opts.stall_iters - 1] < opts.stall_rtol * max(1.0, value):
                 break
     if opts.dilation_scan:
-        value, u = _dilation_line_search(u, p, value, ctl)
+        value, u = _dilation_line_search(u, p, value)
     return value, u, iters
 
 
@@ -306,8 +320,6 @@ def _vanishing(grid: RadialGrid, p: MTParams, depth: float) -> RadialProfile:
     """
     base = project_to_constraint(_gaussian(grid, grid.r_max / 8.0), p)
     t = depth ** (p.N / p.a)
-    from .radial import MAX_RADIUS
-
     t_min = (grid.r_max / (0.5 * MAX_RADIUS)) ** p.N
     return dilate(base, max(t, t_min))
 
@@ -351,14 +363,14 @@ def maximize_d(
 ) -> MaximizerReport:
     """Multi-start maximization; reports a certified lower bound for the supremum."""
     opts = opts or MaximizeOptions()
-    if p.is_critical and p.b >= p.N and not opts.allow_infinite_regime:
+    if not p.finite_supremum and not opts.allow_infinite_regime:
         raise InvalidParameterError(
-            "alpha = alpha_N with b >= N is the infinite-supremum regime; "
+            "alpha = alpha_N with b > N is the infinite-supremum regime; "
             "pass allow_infinite_regime=True to evaluate anyway"
         )
     grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme, opts.cell_order, opts.grading)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    gn_profile = _cached_gn_profile(p.N, opts).maximizer_profile if opts.restarts >= 3 else None
+    gn_profile = cached_gn_report(p.N, opts.cell_order).maximizer_profile if opts.restarts >= 3 else None
     starts = _candidate_starts(p, opts, grid, gn_profile, rng)
     starts = list(starts) + [c for c in extra_candidates]
 
@@ -371,11 +383,7 @@ def maximize_d(
             return (np.nan, None, 0)
         return _ascend(projected, p, opts)
 
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
+    results = [run(s) for s in starts]
 
     best_idx = -1
     best_value = -np.inf
@@ -424,7 +432,6 @@ class GNOptions:
     n_nodes: int = 1536
     cell_order: int = 3
     max_iters: int = 800
-    seed: int = 1
     residual_tol: float = 1e-4
 
 
@@ -552,10 +559,11 @@ def maximize_gn(N: int, opts: GNOptions | None = None) -> GNReport:
     )
 
 
-def _cached_gn_profile(N: int, opts: MaximizeOptions) -> GNReport:
-    key = (N, opts.cell_order)
+def cached_gn_report(N: int, cell_order: int = 3) -> GNReport:
+    """maximize_gn(N) at default options and this cell order, computed once per process."""
+    key = (N, cell_order)
     report = _GN_CACHE.get(key)
     if report is None:
-        report = maximize_gn(N, GNOptions(cell_order=opts.cell_order))
+        report = maximize_gn(N, GNOptions(cell_order=cell_order))
         _GN_CACHE[key] = report
     return report

@@ -3,7 +3,7 @@
 A sweep is a cartesian grid over one or two parameter axes with the
 remaining problem parameters fixed.  Each cell runs the maximizer with a
 seed derived stably from (global seed, cell index), so reruns are
-byte-identical and cells can execute in parallel.
+byte-identical.  Cells run one after another in a single thread.
 
 Cells along an alpha axis are chained: the best profile found at a lower
 alpha is injected as a candidate at the next one.  Evaluating a fixed
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -75,7 +74,6 @@ class SweepPlan:
     axes: tuple[AxisSpec, ...]
     fixed: dict
     seed: int = 1
-    threads: int = 1
     margin: float = 1e-6
     options: MaximizeOptions = field(default_factory=MaximizeOptions)
 
@@ -120,7 +118,6 @@ class SweepPlan:
             ],
             "fixed": self.fixed,
             "seed": self.seed,
-            "threads": self.threads,
             "margin": self.margin,
             "options": {
                 "r_max": self.options.r_max,
@@ -158,24 +155,22 @@ def _cell_seed(global_seed: int, index: int) -> int:
 def _run_cell(plan: SweepPlan, index: int, cell: dict, extra) -> tuple[SweepRow, object]:
     params_dict = dict(plan.fixed)
     params_dict.update(cell)
-    a_N = critical_exponent(plan.N)
-    alpha = params_dict["alpha"]
     seed = _cell_seed(plan.seed, index)
-    if alpha >= a_N * (1 - 1e-12) and params_dict["b"] > plan.N:
-        row = SweepRow(
-            index=index,
-            params=params_dict,
-            best_value=None,
-            lower_bound=None,
-            margin=None,
-            verdict="infinite-sup-regime",
-            mode="",
-            iterations=0,
-            seed=seed,
-        )
-        return row, None
     try:
-        p = MTParams(N=plan.N, alpha=alpha, a=params_dict["a"], b=params_dict["b"])
+        p = MTParams(N=plan.N, alpha=params_dict["alpha"], a=params_dict["a"], b=params_dict["b"])
+        if not p.finite_supremum:
+            row = SweepRow(
+                index=index,
+                params=params_dict,
+                best_value=None,
+                lower_bound=None,
+                margin=None,
+                verdict="infinite-sup-regime",
+                mode="",
+                iterations=0,
+                seed=seed,
+            )
+            return row, None
         opts = replace(plan.options, seed=seed)
         report = maximize_d(p, opts, extra_candidates=extra)
         verdict = (
@@ -209,7 +204,7 @@ def _run_cell(plan: SweepPlan, index: int, cell: dict, extra) -> tuple[SweepRow,
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Execute the plan; rows come back in cell-grid order regardless of threads."""
+    """Execute the plan serially; rows come back in cell-grid order."""
     cells = plan.cells()
     names = plan.axis_names()
     # Group cells into alpha-chains: cells that differ only in alpha are
@@ -225,22 +220,14 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     else:
         group_list = [[(idx, cell)] for idx, cell in enumerate(cells)]
 
-    def run_group(group):
-        rows = []
+    rows = []
+    for group in group_list:
         extra: tuple = ()
         for idx, cell in group:
             row, best_profile = _run_cell(plan, idx, cell, extra)
             rows.append(row)
             if best_profile is not None:
                 extra = (best_profile,)
-        return rows
-
-    if plan.threads > 1 and len(group_list) > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            nested = list(pool.map(run_group, group_list))
-    else:
-        nested = [run_group(g) for g in group_list]
-    rows = [row for group_rows in nested for row in group_rows]
     rows.sort(key=lambda r: r.index)
     return SweepResult(plan=plan, rows=tuple(rows))
 
@@ -251,7 +238,6 @@ def phase_map(
     alpha: float,
     N: int,
     seed: int = 1,
-    threads: int = 1,
     options: MaximizeOptions | None = None,
 ) -> SweepResult:
     """Attainment map over (a, b) at fixed alpha."""
@@ -260,7 +246,6 @@ def phase_map(
         axes=(a_axis, b_axis),
         fixed={"alpha": alpha},
         seed=seed,
-        threads=threads,
         options=options or MaximizeOptions(),
     )
     return run_sweep(plan)

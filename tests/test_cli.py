@@ -58,14 +58,14 @@ class TestMaximize:
     def test_json_report_and_api_equivalence(self, capsys, tmp_path):
         args = [
             "maximize", "--N", "2", "--alpha", "3", "--a", "3", "--b", "2",
-            "--seed", "7", "--restarts", "8", "--n-nodes", "256", "--threads", "1",
+            "--seed", "7", "--restarts", "8", "--n-nodes", "256",
         ]
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
         payload = json.loads(out)
         api = mtlab.maximize_d(
             mtlab.MTParams(N=2, alpha=3.0, a=3.0, b=2.0),
-            mtlab.MaximizeOptions(restarts=8, n_nodes=256, seed=7, threads=1),
+            mtlab.MaximizeOptions(restarts=8, n_nodes=256, seed=7),
         )
         assert payload["best_value"] == api.best_value
         assert payload["seed"] == 7
@@ -74,7 +74,7 @@ class TestMaximize:
     def test_human_disclaimer(self, capsys):
         code, out, _ = run_cli(
             capsys, "maximize", "--N", "2", "--alpha", "3", "--a", "3", "--b", "2",
-            "--restarts", "6", "--n-nodes", "256", "--threads", "1", "--format", "human",
+            "--restarts", "6", "--n-nodes", "256", "--format", "human",
         )
         assert code == 0
         assert "never certify non-attainment" in out
@@ -83,7 +83,7 @@ class TestMaximize:
         out_path = tmp_path / "best.csv"
         code, _, _ = run_cli(
             capsys, "maximize", "--N", "2", "--alpha", "2", "--a", "3", "--b", "2",
-            "--restarts", "6", "--n-nodes", "256", "--threads", "1",
+            "--restarts", "6", "--n-nodes", "256",
             "--profile-out", str(out_path),
         )
         assert code == 0
@@ -124,7 +124,7 @@ class TestBounds:
         code, out, _ = run_cli(
             capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "8",
             "--alpha-min", "2.0", "--alpha-max", "6.0", "--count", "5",
-            "--restarts", "6", "--n-nodes", "256", "--threads", "1",
+            "--restarts", "6", "--n-nodes", "256",
         )
         assert code == 0
         payload = json.loads(out)
@@ -135,7 +135,7 @@ class TestBounds:
         code, _, err = run_cli(
             capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "2",
             "--alpha-min", "0.01", "--alpha-max", "0.05", "--count", "3",
-            "--restarts", "4", "--n-nodes", "256", "--threads", "1",
+            "--restarts", "4", "--n-nodes", "256",
         )
         assert code == 1
 
@@ -146,7 +146,7 @@ class TestSweepCommands:
         args = [
             "sweep", "--N", "2", "--axis", "alpha", "--min", "0.5", "--max", "2.0",
             "--count", "3", "--a", "3", "--b", "2", "--format", "csv",
-            "--restarts", "6", "--n-nodes", "256", "--threads", "1", "--seed", "4",
+            "--restarts", "6", "--n-nodes", "256", "--seed", "4",
             "--out", str(out_path),
         ]
         code, _, _ = run_cli(capsys, *args)
@@ -171,23 +171,11 @@ class TestSweepCommands:
             capsys, "phase-map", "--N", "2", "--alpha", "3",
             "--a-min", "2.5", "--a-max", "3.0", "--a-count", "2",
             "--b-min", "1.0", "--b-max", "2.0", "--b-count", "2",
-            "--restarts", "6", "--n-nodes", "256", "--threads", "1",
+            "--restarts", "6", "--n-nodes", "256",
         )
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 4
-
-
-class TestThreadsDefault:
-    def test_env_var_fallback(self, monkeypatch):
-        from mtlab.cli import _default_threads
-
-        monkeypatch.setenv("MT_LAB_THREADS", "3")
-        assert _default_threads() == 3
-        monkeypatch.setenv("MT_LAB_THREADS", "garbage")
-        assert _default_threads() >= 1
-        monkeypatch.delenv("MT_LAB_THREADS")
-        assert _default_threads() >= 1
 
 
 class TestVerifyAppendix:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,18 @@ class TestPhiPsi:
         for N in (2, 3):
             s = 1e-5
             assert psi(s, N) / s ** (N - 1) < 1e-4
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_against_high_precision_reference(self, N):
+        # Phi_N(t) = e^t P(N-1, t) and Psi_N(t) = e^t P(N, t), referenced at 40 digits
+        ts = np.concatenate([[1e-50, 1e-12, 5e-11], np.geomspace(1e-10, 630.0, 64)])
+        with mpmath.workdps(40):
+            for func, k in ((phi, N - 1), (psi, N)):
+                assert func(0.0, N) == 0.0
+                got = func(ts, N)
+                for t, value in zip(ts, got):
+                    ref = mpmath.exp(t) * mpmath.gammainc(k, 0, t, regularized=True)
+                    assert abs(mpmath.mpf(float(value)) / ref - 1) <= 5e-14, (func.__name__, t)
 
     def test_overflow(self):
         with pytest.raises(SeriesOverflowError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtlab
 from mtlab import (
@@ -26,6 +28,7 @@ from mtlab import (
     sphere_area,
 )
 from mtlab.appendix import gn_ratio_radial
+from mtlab.maximize import _dilation_curve
 from mtlab.scaling import rescale_to_norms
 from conftest import random_monotone_profile
 
@@ -104,14 +107,23 @@ class TestMaximizeD:
         assert r1.restart_values == r2.restart_values
         assert np.array_equal(r1.best_profile.values, r2.best_profile.values)
 
-    def test_threads_do_not_change_results(self, fast_opts):
-        from dataclasses import replace
-
-        p = MTParams(N=2, alpha=1.5, a=2.0, b=2.0)
-        r1 = maximize_d(p, fast_opts)
-        r2 = maximize_d(p, replace(fast_opts, threads=4))
-        assert r1.best_value == r2.best_value
-        assert r1.restart_values == r2.restart_values
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.floats(0.05, 0.9),
+        st.floats(0.5, 8.0),
+        st.floats(0.5, 8.0),
+        st.floats(-3.0, 3.0),
+    )
+    def test_dilation_scan_scaling_law(self, seed, N, frac, a, b, log_t):
+        # the scan scores beta_star(t) u_t without building it; the built profile must agree
+        grid = build_grid(N, 20.0, 128)
+        u = random_monotone_profile(grid, np.random.default_rng(seed))
+        p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
+        t = 10.0 ** log_t
+        built = mtlab.mt_integral(project_to_constraint(mtlab.dilate(u, t), p), p)
+        assert _dilation_curve(u, p)(t) == pytest.approx(built, rel=1e-12)
 
     def test_critical_gate(self):
         a2 = critical_exponent(2)
