@@ -1,10 +1,17 @@
 """Closed-form bounds, attainment criteria and threshold bracketing.
 
 Certification is one-sided throughout: a feasible profile whose value
-exceeds the universal lower bound alpha^{N-1}/(N-1)! certifies that the
-supremum exceeds it (and hence is attained, in the subcritical range);
-no numerical computation here ever claims non-attainment.  Verdicts
-encode that asymmetry explicitly.
+exceeds the universal lower bound alpha^{N-1}/(N-1)! by more than
+CERTIFY_MARGIN certifies that the supremum exceeds it (and hence is
+attained, in the subcritical range); no numerical computation here ever
+claims non-attainment.  Verdicts encode that asymmetry explicitly.
+
+The bound and the margin are defined in `functional.py` and re-exported
+here; the verdict strings are defined here and nowhere else.  A
+maximize_d run certifies iff its report's `exceeds_lower_bound` is set,
+the rule `attainment_test` applies to a bare value, and
+`bracket_alpha_star` feeds the g-test the ratio of
+`maximize.cached_gn_report`.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import BracketNotFoundError, InvalidParameterError
-from .functional import MTParams
-from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, maximize_d
+from .functional import CERTIFY_MARGIN, MTParams, alpha_in_range, universal_lower_bound
+from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, golden_section_max, maximize_d
 from .radial import critical_exponent
 
 __all__ = [
@@ -60,28 +67,19 @@ class BoundReport:
         }
 
 
-def universal_lower_bound(alpha: float, N: int) -> float:
-    """alpha^{N-1}/(N-1)!, valid for every (a, b): the vanishing-family value."""
-    if N < 2 or N != int(N):
-        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
-    if not (0 < alpha <= critical_exponent(N) * (1 + 1e-12)):
-        raise InvalidParameterError(f"alpha must lie in (0, alpha_N], got {alpha}")
-    return float(alpha ** (N - 1) / math.exp(gammaln(N)))
-
-
-def attainment_test(best_value: float, alpha: float, N: int, margin: float = 1e-6) -> BoundReport:
-    """Certified verdict iff a feasible value strictly exceeds the lower bound.
+def attainment_test(best_value: float, alpha: float, N: int) -> BoundReport:
+    """Certified verdict iff a feasible value exceeds the lower bound by more than CERTIFY_MARGIN.
 
     Values at or below the bound yield no verdict: equality with the
     bound is exactly what non-attained parameters produce, and numerics
     cannot distinguish it from a barely-attained supremum.
     """
     lower = universal_lower_bound(alpha, N)
-    exceeded = best_value > lower + margin
+    margin = best_value - lower
     return BoundReport(
         kind="universal-lower",
-        values={"best_value": best_value, "lower_bound": lower, "margin": best_value - lower},
-        verdict=VERDICT_CERTIFIED if exceeded else VERDICT_NONE,
+        values={"best_value": best_value, "lower_bound": lower, "margin": margin},
+        verdict=VERDICT_CERTIFIED if margin > CERTIFY_MARGIN else VERDICT_NONE,
         provenance="universal-lower:vanishing-family-limit",
     )
 
@@ -120,28 +118,8 @@ def g_function_test(
     ts = np.linspace(0.0, 1.0, samples)
     gs = g_function(ts, alpha, a, b, N, bgn)
     k = int(np.argmax(gs))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, samples - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1 = float(g_function(x1, alpha, a, b, N, bgn))
-    f2 = float(g_function(x2, alpha, a, b, N, bgn))
-    for _ in range(80):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = float(g_function(x1, alpha, a, b, N, bgn))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = float(g_function(x2, alpha, a, b, N, bgn))
-        if hi - lo < 1e-14:
-            break
-    if f1 >= f2:
-        t_best, g_best = x1, f1
-    else:
-        t_best, g_best = x2, f2
+    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, samples - 1)]
+    t_best, g_best = golden_section_max(lambda t: float(g_function(t, alpha, a, b, N, bgn)), lo, hi, 80, 1e-14)
     if float(gs[k]) > g_best:
         t_best, g_best = float(ts[k]), float(gs[k])
     gprime_at_1 = N / b - alpha * bgn / N
@@ -242,7 +220,6 @@ class BracketOptions:
     alpha_max: float | None = None
     count: int = 12
     bisect_iters: int = 0
-    margin: float = 1e-6
     use_g_test: bool = True
     maximize_opts: MaximizeOptions = field(default_factory=MaximizeOptions)
 
@@ -286,7 +263,7 @@ def _certify_cell(p: MTParams, opts: BracketOptions, bgn: float | None, extra) -
         if g_report.verdict == VERDICT_CERTIFIED:
             return True, None
     report = maximize_d(p, opts.maximize_opts, extra_candidates=extra)
-    return report.margin > opts.margin, report
+    return report.exceeds_lower_bound, report
 
 
 def bracket_alpha_star(
@@ -306,10 +283,10 @@ def bracket_alpha_star(
     a_N = critical_exponent(N)
     alpha_lo = opts.alpha_min if opts.alpha_min is not None else a_N / 50.0
     alpha_hi = opts.alpha_max if opts.alpha_max is not None else a_N * (1.0 - 1.0 / 50.0)
-    if not (0 < alpha_lo < alpha_hi <= a_N):
+    if not (alpha_in_range(alpha_lo, N) and alpha_in_range(alpha_hi, N) and alpha_lo < alpha_hi):
         raise InvalidParameterError("alpha bracket range must satisfy 0 < min < max <= alpha_N")
     alphas = np.linspace(alpha_lo, alpha_hi, opts.count)
-    bgn = cached_gn_report(N, opts.maximize_opts.cell_order).bgn_estimate if opts.use_g_test else None
+    bgn = cached_gn_report(N).bgn_estimate if opts.use_g_test else None
 
     certified: list[bool] = []
     chained: list = []

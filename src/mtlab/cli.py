@@ -22,12 +22,13 @@ from .bounds import (
 from .errors import BracketNotFoundError, InvalidParameterError, MTLabError
 from .functional import (
     MTParams,
+    alpha_in_range,
     constraint_value,
     j_truncated,
     mt_integral,
     mt_integral_series,
 )
-from .maximize import MaximizeOptions, maximize_d, maximize_gn, project_to_constraint
+from .maximize import MaximizeOptions, cached_gn_report, maximize_d, project_to_constraint
 from .radial import (
     build_grid,
     critical_exponent,
@@ -64,10 +65,13 @@ def _add_grid_args(sp):
     )
 
 
-def _add_common_args(sp):
+def _add_common_args(sp, restarts: bool = False, csv: bool = False):
+    """--seed, --format and --out; --restarts only where maximize_d runs, csv only for tables."""
     sp.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
-    sp.add_argument("--restarts", type=int, default=12, help="multi-start count (default 12)")
-    sp.add_argument("--format", choices=["json", "csv", "human"], default="json")
+    if restarts:
+        sp.add_argument("--restarts", type=int, default=12, help="multi-start count (default 12)")
+    formats = ["json", "csv", "human"] if csv else ["json", "human"]
+    sp.add_argument("--format", choices=formats, default="json")
     sp.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
 
 
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="evaluate even at alpha = alpha_N with b > N (infinite supremum)",
     )
-    _add_common_args(sp)
+    _add_common_args(sp, restarts=True)
 
     sp = sub.add_parser("bgn", help="lower-bound the Gagliardo-Nirenberg best constant")
     sp.add_argument("--N", type=int, required=True)
@@ -130,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=12)
     sp.add_argument("--bisect", type=int, default=0, help="bisection refinements after the scan")
     _add_grid_args(sp)
-    _add_common_args(sp)
+    _add_common_args(sp, restarts=True)
 
     sp = sub.add_parser("sweep", help="1D parameter sweep with the remaining parameters fixed")
     sp.add_argument("--N", type=int, required=True)
@@ -143,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--b", type=float, default=None)
     _add_grid_args(sp)
-    _add_common_args(sp)
+    _add_common_args(sp, restarts=True, csv=True)
 
     sp = sub.add_parser("phase-map", help="attainment map over (a, b) at fixed alpha")
     sp.add_argument("--N", type=int, required=True)
@@ -155,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b-max", type=float, required=True)
     sp.add_argument("--b-count", type=int, required=True)
     _add_grid_args(sp)
-    _add_common_args(sp)
+    _add_common_args(sp, restarts=True, csv=True)
 
     sp = sub.add_parser("verify-appendix", help="exact verification of the closed-form computations")
     sp.add_argument("--n-max", type=int, default=1000, help="verify claims for 3 <= N <= n-max")
-    _add_common_args(sp)
+    _add_common_args(sp, csv=True)
     sp.set_defaults(format="human")  # ledger CSV plus the final claims line
 
     return parser
@@ -261,7 +265,7 @@ def _cmd_maximize(args) -> int:
 
 
 def _cmd_bgn(args) -> int:
-    report = maximize_gn(args.N)
+    report = cached_gn_report(args.N)
     payload = report.to_json_dict()
     if args.profile_out:
         with open(args.profile_out, "w", encoding="utf-8") as fh:
@@ -279,7 +283,7 @@ def _cmd_bgn(args) -> int:
 
 def _cmd_g_test(args) -> int:
     p = _validate_params(args)
-    bgn = args.bgn if args.bgn is not None else maximize_gn(args.N).bgn_estimate
+    bgn = args.bgn if args.bgn is not None else cached_gn_report(args.N).bgn_estimate
     report = g_function_test(p.alpha, p.a, p.b, p.N, bgn)
     payload = report.to_json_dict()
     human = [
@@ -298,7 +302,7 @@ def _cmd_alpha0(args) -> int:
     if gn_c is None:
         # A valid interpolation constant derived from the computed GN bound;
         # any valid C yields a valid alpha0, smaller C a sharper one.
-        gn_c = max(1.0, 1.0 / maximize_gn(args.N).bgn_estimate)
+        gn_c = max(1.0, 1.0 / cached_gn_report(args.N).bgn_estimate)
     try:
         report = alpha0_nonexistence(args.a, args.b, args.N, gn_c)
     except InvalidParameterError as exc:
@@ -320,7 +324,7 @@ def _cmd_alpha_star(args) -> int:
     a_N = critical_exponent(args.N)
     for name in ("alpha_min", "alpha_max"):
         val = getattr(args, name)
-        if val is not None and not (0 < val <= a_N):
+        if val is not None and not alpha_in_range(val, args.N):
             raise UsageError(f"--{name.replace('_', '-')} must lie in (0, alpha_N = {a_N:.6g}]")
     opts = BracketOptions(
         alpha_min=args.alpha_min,

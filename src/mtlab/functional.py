@@ -18,6 +18,7 @@ Psi_N(s) = Phi_N(s) - s^{N-1}/(N-1)!, i.e. Psi_N = Phi_{N+1} as a tail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,10 @@ from .errors import DegenerateProfileError, InvalidParameterError, SeriesOverflo
 from .radial import RadialProfile, critical_exponent, grad_norm_pow, lp_norm_pow
 
 __all__ = [
+    "CERTIFY_MARGIN",
     "MTParams",
+    "alpha_in_range",
+    "universal_lower_bound",
     "SeriesControl",
     "phi",
     "psi",
@@ -40,6 +44,14 @@ __all__ = [
 
 #: Largest series argument before e^t leaves the double range.
 EXP_ARG_LIMIT = 700.0
+
+#: A feasible value certifies attainment iff it beats the lower bound by more than this.
+CERTIFY_MARGIN = 1e-6
+
+
+def alpha_in_range(alpha: float, N: int) -> bool:
+    """True iff 0 < alpha <= alpha_N, with 1e-12 relative slack at alpha_N for round-off."""
+    return 0 < alpha <= critical_exponent(N) * (1 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -80,10 +92,10 @@ class MTParams:
             raise InvalidParameterError(f"dimension N must be an integer >= 2, got {self.N}")
         if self.a <= 0 or self.b <= 0:
             raise InvalidParameterError(f"constraint powers must be positive, got a={self.a}, b={self.b}")
-        a_N = critical_exponent(self.N)
-        if not (0 < self.alpha <= a_N * (1 + 1e-12)):
+        if not alpha_in_range(self.alpha, self.N):
             raise InvalidParameterError(
-                f"alpha must lie in (0, alpha_N]; got alpha={self.alpha}, alpha_N={a_N:.12g}"
+                f"alpha must lie in (0, alpha_N]; got alpha={self.alpha}, "
+                f"alpha_N={critical_exponent(self.N):.12g}"
             )
 
     @property
@@ -104,6 +116,15 @@ class MTParams:
 
     def as_dict(self) -> dict:
         return {"N": self.N, "alpha": self.alpha, "a": self.a, "b": self.b}
+
+
+def universal_lower_bound(alpha: float, N: int) -> float:
+    """alpha^{N-1}/(N-1)!, valid for every (a, b): the vanishing-family value."""
+    if N < 2 or N != int(N):
+        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
+    if not alpha_in_range(alpha, N):
+        raise InvalidParameterError(f"alpha must lie in (0, alpha_N], got {alpha}")
+    return float(alpha ** (N - 1) / math.exp(gammaln(N)))
 
 
 def _phi_tail(t, k: int):

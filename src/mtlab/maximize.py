@@ -32,11 +32,12 @@ Gagliardo-Nirenberg ratio and returns a maximizer normalized to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateProfileError,
@@ -44,8 +45,9 @@ from .errors import (
     InvalidParameterError,
     SeriesOverflowError,
 )
-from .functional import EXP_ARG_LIMIT, MTParams, _phi_tail, mt_integral
+from .functional import CERTIFY_MARGIN, EXP_ARG_LIMIT, MTParams, _phi_tail, mt_integral, universal_lower_bound
 from .radial import (
+    DEFAULT_CELL_ORDER,
     MAX_RADIUS,
     RadialGrid,
     RadialProfile,
@@ -72,32 +74,27 @@ __all__ = [
 ]
 
 
-def universal_lower_bound_value(alpha: float, N: int) -> float:
-    """alpha^{N-1} / (N-1)!, the vanishing-family limit of the objective."""
-    return float(alpha ** (N - 1) / np.exp(gammaln(N)))
+#: Ascent stopping policy: step cap, stall window and its relative gain, gradient floor.
+MAX_ITERS = 300
+STALL_ITERS = 25
+STALL_RTOL = 1e-9
+GRAD_TOL = 1e-8
+#: At alpha_N a start or ascent stops once the gradient term exceeds this share of the constraint.
+CONCENTRATION_GUARD = 0.999
+#: Mode labels: a norm (gradient) share above 1 - MODE_EPS is near-vanishing (near-concentration).
+MODE_EPS = 0.05
 
 
 @dataclass(frozen=True)
 class MaximizeOptions:
-    """Grid, restart and stopping policy for maximize_d."""
+    """Grid and restart policy for maximize_d."""
 
     r_max: float = 40.0
     n_nodes: int = 512
     scheme: str = "composite-gauss"
-    cell_order: int = 3
-    grading: float = 1.05
     restarts: int = 12
     seed: int = 1
-    max_iters: int = 300
-    stall_iters: int = 25
-    stall_rtol: float = 1e-9
-    grad_tol: float = 1e-8
-    margin_tol: float = 1e-6
-    vanish_eps: float = 0.05
-    conc_eps: float = 0.05
-    concentration_guard: float = 0.999
     allow_infinite_regime: bool = False
-    dilation_scan: bool = True
 
 
 @dataclass(frozen=True)
@@ -164,19 +161,19 @@ def _grad_share(u: RadialProfile, p: MTParams) -> float:
     return grad_norm_pow(u) ** (p.a / p.N)
 
 
-def _mode_label(u: RadialProfile, p: MTParams, eps_v: float, eps_c: float) -> str:
+def _mode_label(u: RadialProfile, p: MTParams) -> str:
     norm_share = lp_norm_pow(u, p.N) ** (p.b / p.N)
     grad_share = _grad_share(u, p)
-    if norm_share > 1.0 - eps_v:
+    if norm_share > 1.0 - MODE_EPS:
         return "near-vanishing"
-    if grad_share > 1.0 - eps_c:
+    if grad_share > 1.0 - MODE_EPS:
         return "near-concentration"
     return "interior"
 
 
-def diagnose_mode(report: "MaximizerReport", eps_v: float = 0.05, eps_c: float = 0.05) -> str:
+def diagnose_mode(report: "MaximizerReport") -> str:
     """Classify the best profile: near-vanishing, near-concentration or interior."""
-    return _mode_label(report.best_profile, report.params, eps_v, eps_c)
+    return _mode_label(report.best_profile, report.params)
 
 
 def _dilation_curve(u: RadialProfile, p: MTParams):
@@ -207,6 +204,32 @@ def _dilation_curve(u: RadialProfile, p: MTParams):
     return value
 
 
+INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, max_iter: int, tol: float):
+    """Golden-section search for a maximum of f on [lo, hi].
+
+    Stops after max_iter shrinks or once the bracket is narrower than tol;
+    returns (x, f(x)) of the better of the last two points, x1 on a tie.
+    """
+    x1 = hi - INV_GOLDEN * (hi - lo)
+    x2 = lo + INV_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_iter):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - INV_GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + INV_GOLDEN * (hi - lo)
+            f2 = f(x2)
+        if hi - lo < tol:
+            break
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
 def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
     """Best beta_star(t) u_t over a geometric t scan with local refinement.
 
@@ -221,30 +244,11 @@ def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
     best_t, best_f = float(ts[k]), scan_vals[k]
     if not np.isfinite(best_f):
         return value, u
-    # golden-section refinement around the best scan point
-    phi_g = (np.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = np.log(ts[max(k - 1, 0)]), np.log(ts[min(k + 1, len(ts) - 1)])
-    x1 = b_ - phi_g * (b_ - a_)
-    x2 = a_ + phi_g * (b_ - a_)
-
-    def val_at(x):
-        return curve(float(np.exp(x)))
-
-    f1, f2 = val_at(x1), val_at(x2)
-    for _ in range(40):
-        if f1 >= f2:
-            b_, x2, f2 = x2, x1, f1
-            x1 = b_ - phi_g * (b_ - a_)
-            f1 = val_at(x1)
-        else:
-            a_, x1, f1 = x1, x2, f2
-            x2 = a_ + phi_g * (b_ - a_)
-            f2 = val_at(x2)
-        if b_ - a_ < 1e-10:
-            break
-    for fv, xv in ((f1, x1), (f2, x2)):
-        if fv > best_f:
-            best_t, best_f = float(np.exp(xv)), fv
+    # golden-section refinement in log t around the best scan point
+    lo, hi = np.log(ts[max(k - 1, 0)]), np.log(ts[min(k + 1, len(ts) - 1)])
+    x, fx = golden_section_max(lambda x: curve(float(np.exp(x))), lo, hi, 40, 1e-10)
+    if fx > best_f:
+        best_t = float(np.exp(x))
     try:
         prof = project_to_constraint(dilate(u, best_t), p)
         val = mt_integral(prof, p)
@@ -253,19 +257,19 @@ def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
     return (val, prof) if val > value else (value, u)
 
 
-def _ascend(start: RadialProfile, p: MTParams, opts: MaximizeOptions):
+def _ascend(start: RadialProfile, p: MTParams):
     """Projected gradient ascent from one start; returns (value, profile, iters)."""
     u = project_to_constraint(start, p)
     value = mt_integral(u, p)
     history = [value]
     eta = 0.25
     iters = 0
-    for _ in range(opts.max_iters):
+    for _ in range(MAX_ITERS):
         iters += 1
         g = functional_gradient(u, p)
         direction = g / (u.grid.omega * u.grid.mass)
         dmax = float(np.max(np.abs(direction)))
-        if dmax < opts.grad_tol:
+        if dmax < GRAD_TOL:
             break
         umax = float(np.max(u.values))
         step_scale = umax / dmax if dmax > 0 else 0.0
@@ -286,14 +290,13 @@ def _ascend(start: RadialProfile, p: MTParams, opts: MaximizeOptions):
             eta *= 0.4
         if not improved:
             break
-        if p.is_critical and _grad_share(u, p) > opts.concentration_guard:
+        if p.is_critical and _grad_share(u, p) > CONCENTRATION_GUARD:
             break
         history.append(value)
-        if len(history) > opts.stall_iters:
-            if value - history[-opts.stall_iters - 1] < opts.stall_rtol * max(1.0, value):
+        if len(history) > STALL_ITERS:
+            if value - history[-STALL_ITERS - 1] < STALL_RTOL * max(1.0, value):
                 break
-    if opts.dilation_scan:
-        value, u = _dilation_line_search(u, p, value)
+    value, u = _dilation_line_search(u, p, value)
     return value, u, iters
 
 
@@ -353,9 +356,6 @@ def _candidate_starts(p: MTParams, opts: MaximizeOptions, grid: RadialGrid, gn_p
     return starts
 
 
-_GN_CACHE: dict = {}
-
-
 def maximize_d(
     p: MTParams,
     opts: MaximizeOptions | None = None,
@@ -368,9 +368,9 @@ def maximize_d(
             "alpha = alpha_N with b > N is the infinite-supremum regime; "
             "pass allow_infinite_regime=True to evaluate anyway"
         )
-    grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme, opts.cell_order, opts.grading)
+    grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    gn_profile = cached_gn_report(p.N, opts.cell_order).maximizer_profile if opts.restarts >= 3 else None
+    gn_profile = cached_gn_report(p.N).maximizer_profile if opts.restarts >= 3 else None
     starts = _candidate_starts(p, opts, grid, gn_profile, rng)
     starts = list(starts) + [c for c in extra_candidates]
 
@@ -379,9 +379,9 @@ def maximize_d(
             projected = project_to_constraint(start, p)
         except DegenerateProfileError:
             return (np.nan, None, 0)
-        if p.is_critical and _grad_share(projected, p) > opts.concentration_guard:
+        if p.is_critical and _grad_share(projected, p) > CONCENTRATION_GUARD:
             return (np.nan, None, 0)
-        return _ascend(projected, p, opts)
+        return _ascend(projected, p)
 
     results = [run(s) for s in starts]
 
@@ -394,7 +394,7 @@ def maximize_d(
         raise DegenerateProfileError("all restarts were rejected; no feasible profile evaluated")
     best_profile = results[best_idx][1]
     total_iters = int(sum(r[2] for r in results))
-    lower = universal_lower_bound_value(p.alpha, p.N)
+    lower = universal_lower_bound(p.alpha, p.N)
     margin = best_value - lower
     grad_norm = grad_norm_pow(best_profile) ** (1.0 / p.N)
     norm = lp_norm_pow(best_profile, p.N) ** (1.0 / p.N)
@@ -405,8 +405,8 @@ def maximize_d(
         norm_split=(grad_norm, norm),
         lower_bound=lower,
         margin=margin,
-        exceeds_lower_bound=margin > opts.margin_tol,
-        mode_diagnostic=_mode_label(best_profile, p, opts.vanish_eps, opts.conc_eps),
+        exceeds_lower_bound=margin > CERTIFY_MARGIN,
+        mode_diagnostic=_mode_label(best_profile, p),
         iterations=total_iters,
         restarts=len(starts),
         seed=opts.seed,
@@ -415,7 +415,7 @@ def maximize_d(
             "r_max": opts.r_max,
             "n_nodes": opts.n_nodes,
             "scheme": opts.scheme,
-            "cell_order": opts.cell_order,
+            "cell_order": DEFAULT_CELL_ORDER,
         },
     )
     return report
@@ -430,7 +430,6 @@ def maximize_d(
 class GNOptions:
     r_max: float = 30.0
     n_nodes: int = 1536
-    cell_order: int = 3
     max_iters: int = 800
     residual_tol: float = 1e-4
 
@@ -501,7 +500,7 @@ def maximize_gn(N: int, opts: GNOptions | None = None) -> GNReport:
     if N < 2 or N != int(N):
         raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
     opts = opts or GNOptions()
-    grid = build_grid(N, opts.r_max, opts.n_nodes, "composite-gauss", opts.cell_order)
+    grid = build_grid(N, opts.r_max, opts.n_nodes)
     r = grid.nodes
     starts = [
         np.exp(-r),
@@ -559,11 +558,12 @@ def maximize_gn(N: int, opts: GNOptions | None = None) -> GNReport:
     )
 
 
-def cached_gn_report(N: int, cell_order: int = 3) -> GNReport:
-    """maximize_gn(N) at default options and this cell order, computed once per process."""
-    key = (N, cell_order)
-    report = _GN_CACHE.get(key)
-    if report is None:
-        report = maximize_gn(N, GNOptions(cell_order=cell_order))
-        _GN_CACHE[key] = report
-    return report
+@cache
+def cached_gn_report(N: int) -> GNReport:
+    """maximize_gn(N) at default options, computed once per process.
+
+    The one source of the GN maximizer and its ratio for maximize_d,
+    bracket_alpha_star and the command line; its arrays are read-only, so
+    every caller can share the one report.
+    """
+    return maximize_gn(N)

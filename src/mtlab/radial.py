@@ -62,6 +62,9 @@ MAX_RADIUS = 1e18
 
 GRID_SCHEMES = ("composite-gauss", "graded", "equal-mass")
 
+#: Gauss points per cell of the composite grids.
+DEFAULT_CELL_ORDER = 3
+
 
 def sphere_area(N: int) -> float:
     """Surface area omega_{N-1} of the unit sphere in R^N."""
@@ -132,10 +135,6 @@ class RadialGrid:
         """int_0^{r_max} f(r) dr for nodal samples of f."""
         return float(np.dot(self.weights, values))
 
-    def radial_quadrature(self, values: np.ndarray) -> float:
-        """int_0^{r_max} r^{N-1} f(r) dr for nodal samples of f."""
-        return float(np.dot(self.mass, values))
-
     def rescaled(self, factor: float, scheme: str | None = None) -> "RadialGrid":
         """Grid for r -> factor * r; preserves quadrature exactness."""
         from .errors import GridOverflowError
@@ -174,15 +173,8 @@ class RadialProfile:
         object.__setattr__(self, "values", values)
 
     @property
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
-    @property
     def is_nonincreasing(self) -> bool:
         return bool(np.all(np.diff(self.values) <= 0))
-
-    def with_values(self, values: np.ndarray) -> "RadialProfile":
-        return RadialProfile(self.grid, values)
 
     def scaled(self, amplitude: float) -> "RadialProfile":
         return RadialProfile(self.grid, self.values * amplitude)
@@ -215,7 +207,7 @@ def build_grid(
     r_max: float,
     n_nodes: int,
     scheme: str = "composite-gauss",
-    cell_order: int = 3,
+    cell_order: int = DEFAULT_CELL_ORDER,
     grading: float = 1.05,
 ) -> RadialGrid:
     """Build a quadrature grid on [0, r_max].

@@ -5,6 +5,11 @@ remaining problem parameters fixed.  Each cell runs the maximizer with a
 seed derived stably from (global seed, cell index), so reruns are
 byte-identical.  Cells run one after another in a single thread.
 
+A cell's verdict is the maximizer report's `exceeds_lower_bound`, spelled
+with the verdict strings of `bounds.py`; cells in the infinite-supremum
+regime and cells that raise get the `infinite-sup-regime` and `error`
+rows instead.  The plan's alpha range obeys `functional.alpha_in_range`.
+
 Cells along an alpha axis are chained: the best profile found at a lower
 alpha is injected as a candidate at the next one.  Evaluating a fixed
 profile at a larger alpha strictly increases the normalized objective
@@ -21,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import VERDICT_CERTIFIED, VERDICT_NONE
 from .errors import InvalidParameterError
-from .functional import MTParams
+from .functional import CERTIFY_MARGIN, MTParams, alpha_in_range
 from .maximize import MaximizeOptions, maximize_d
 from .radial import critical_exponent
 
@@ -74,7 +80,6 @@ class SweepPlan:
     axes: tuple[AxisSpec, ...]
     fixed: dict
     seed: int = 1
-    margin: float = 1e-6
     options: MaximizeOptions = field(default_factory=MaximizeOptions)
 
     def __post_init__(self):
@@ -88,9 +93,9 @@ class SweepPlan:
                 raise InvalidParameterError(f"parameter {name!r} is neither swept nor fixed")
         a_N = critical_exponent(self.N)
         for ax in self.axes:
-            if ax.name == "alpha" and ax.max > a_N * (1 + 1e-12):
+            if ax.name == "alpha" and not alpha_in_range(ax.max, self.N):
                 raise InvalidParameterError(f"alpha axis exceeds alpha_N = {a_N:.6g}")
-        if "alpha" in self.fixed and not (0 < self.fixed["alpha"] <= a_N * (1 + 1e-12)):
+        if "alpha" in self.fixed and not alpha_in_range(self.fixed["alpha"], self.N):
             raise InvalidParameterError(f"fixed alpha outside (0, alpha_N = {a_N:.6g}]")
 
     def axis_names(self) -> tuple[str, ...]:
@@ -118,7 +123,7 @@ class SweepPlan:
             ],
             "fixed": self.fixed,
             "seed": self.seed,
-            "margin": self.margin,
+            "margin": CERTIFY_MARGIN,
             "options": {
                 "r_max": self.options.r_max,
                 "n_nodes": self.options.n_nodes,
@@ -173,16 +178,13 @@ def _run_cell(plan: SweepPlan, index: int, cell: dict, extra) -> tuple[SweepRow,
             return row, None
         opts = replace(plan.options, seed=seed)
         report = maximize_d(p, opts, extra_candidates=extra)
-        verdict = (
-            "attained-certified-numerically" if report.margin > plan.margin else "no-verdict"
-        )
         row = SweepRow(
             index=index,
             params=params_dict,
             best_value=report.best_value,
             lower_bound=report.lower_bound,
             margin=report.margin,
-            verdict=verdict,
+            verdict=VERDICT_CERTIFIED if report.exceeds_lower_bound else VERDICT_NONE,
             mode=report.mode_diagnostic,
             iterations=report.iterations,
             seed=seed,

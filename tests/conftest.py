@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 
 import mtlab
+from mtlab.maximize import cached_gn_report
 
 
 @pytest.fixture(scope="session")
 def gn_report_n2():
-    return mtlab.maximize_gn(2)
+    return cached_gn_report(2)
 
 
 @pytest.fixture(scope="session")
 def gn_report_n3():
-    return mtlab.maximize_gn(3)
+    return cached_gn_report(3)
 
 
 @pytest.fixture(scope="session")
 def gn_report_n4():
-    return mtlab.maximize_gn(4)
+    return cached_gn_report(4)
 
 
 @pytest.fixture(scope="session")

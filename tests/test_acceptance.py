@@ -49,6 +49,7 @@ from mtlab import (
 )
 from mtlab.appendix import claim_ledger, gn_ratio_radial, n2_cubic_exact, c_n_value
 from mtlab.bounds import g_function, g_function_test
+from mtlab.maximize import cached_gn_report
 from mtlab.scaling import rescale_to_norms
 from mtlab.sweeps import run_sweep, sweep_to_csv
 
@@ -61,7 +62,7 @@ def report(number, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def gn_estimates():
-    return {N: mtlab.maximize_gn(N) for N in (2, 3, 4)}
+    return {N: cached_gn_report(N) for N in (2, 3, 4)}
 
 
 def test_criterion_01_appendix_exactness():

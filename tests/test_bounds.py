@@ -21,6 +21,7 @@ from mtlab import (
     universal_lower_bound,
 )
 from mtlab.bounds import VERDICT_CERTIFIED, VERDICT_NONE, g_function
+from mtlab.functional import CERTIFY_MARGIN
 
 
 def light_bracket_opts(**kw):
@@ -53,7 +54,7 @@ class TestAttainmentTest:
 
     def test_strict_exceedance_certifies(self):
         lb = universal_lower_bound(2.0, 2)
-        assert attainment_test(lb * 1.01, 2.0, 2, margin=1e-6).verdict == VERDICT_CERTIFIED
+        assert attainment_test(lb * 1.01, 2.0, 2).verdict == VERDICT_CERTIFIED
 
 
 class TestGFunction:
@@ -238,11 +239,47 @@ class TestLowerBoundChain:
 
     def test_verdict_flips_with_margin_threshold(self):
         lb = universal_lower_bound(1.5, 2)
-        margin = 1e-6
-        just_below = attainment_test(lb + margin * 0.99, 1.5, 2, margin=margin)
-        just_above = attainment_test(lb + margin * 1.01, 1.5, 2, margin=margin)
+        just_below = attainment_test(lb + CERTIFY_MARGIN * 0.99, 1.5, 2)
+        just_above = attainment_test(lb + CERTIFY_MARGIN * 1.01, 1.5, 2)
         assert just_below.verdict == VERDICT_NONE
         assert just_above.verdict == VERDICT_CERTIFIED
+
+
+class TestCertificationAgreement:
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_routes_agree_at_margin(self, monkeypatch, factor):
+        # Shift the lower bound so the seeded maximizer's margin sits just
+        # below or just above CERTIFY_MARGIN; every certification route
+        # must then give the same answer.  Four restarts use no random
+        # starts, so the per-cell seeds of the sweep do not matter.
+        N, alpha, a, b = 2, 2.0, 3.0, 2.0
+        opts = MaximizeOptions(restarts=4, n_nodes=256, seed=3)
+        base = mtlab.maximize_d(MTParams(N=N, alpha=alpha, a=a, b=b), opts)
+        shift = base.margin - factor * CERTIFY_MARGIN
+        real = mtlab.functional.universal_lower_bound
+        shifted = lambda al, n: real(al, n) + shift  # noqa: E731
+        monkeypatch.setattr(mtlab.maximize, "universal_lower_bound", shifted)
+        monkeypatch.setattr(mtlab.bounds, "universal_lower_bound", shifted)
+        expected = factor > 1.0
+
+        report = mtlab.maximize_d(MTParams(N=N, alpha=alpha, a=a, b=b), opts)
+        assert report.best_value == base.best_value
+        assert report.exceeds_lower_bound is expected
+
+        verdict = attainment_test(base.best_value, alpha, N).verdict
+        assert (verdict == VERDICT_CERTIFIED) is expected
+
+        plan = mtlab.SweepPlan(
+            N=N, axes=(mtlab.AxisSpec("b", b, 2 * b, 2),), fixed={"alpha": alpha, "a": a}, options=opts
+        )
+        row = mtlab.run_sweep(plan).rows[0]
+        assert row.best_value == base.best_value
+        assert (row.verdict == VERDICT_CERTIFIED) is expected
+
+        bracket = bracket_alpha_star(
+            a, b, N, BracketOptions(alpha_min=alpha, alpha_max=3.0, count=2, use_g_test=False, maximize_opts=opts)
+        )
+        assert bracket.certified[0] is expected
 
 
 class TestBoundReportSerialization:

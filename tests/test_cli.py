@@ -28,6 +28,19 @@ class TestParsing:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
 
+    def test_restarts_only_where_maximize_runs(self, capsys):
+        code, _, err = run_cli(capsys, "bgn", "--N", "2", "--restarts", "1")
+        assert code == 2
+        assert "--restarts" in err
+
+    def test_csv_only_for_tables(self, capsys):
+        code, _, err = run_cli(
+            capsys, "g-test", "--N", "2", "--alpha", "4", "--a", "2", "--b", "8",
+            "--bgn", "0.165", "--format", "csv",
+        )
+        assert code == 2
+        assert "csv" in err
+
 
 class TestEval:
     def test_family_eval_json(self, capsys):

@@ -277,3 +277,43 @@ class TestUniformBoundEnvelope:
             assert np.isfinite(env)
             envelopes.append(env)
         assert np.all(np.diff(envelopes) > 0)
+
+
+
+def _cli_alpha_star(alpha):
+    from mtlab.cli import main
+
+    argv = ["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--alpha-min", "12", "--alpha-max", repr(alpha), "--count", "2"]
+    code = main(argv)
+    if code == 2:
+        raise InvalidParameterError("usage error")
+    assert code == 0
+
+
+#: Every place that checks alpha against alpha_N; the g-test certifies both
+#: bracket grid points at b = 8, so the bracket gates run no maximize_d.
+ALPHA_GATES = {
+    "MTParams": lambda alpha: MTParams(N=2, alpha=alpha, a=2.0, b=2.0),
+    "universal_lower_bound": lambda alpha: mtlab.universal_lower_bound(alpha, 2),
+    "SweepPlan-axis": lambda alpha: mtlab.SweepPlan(
+        N=2, axes=(mtlab.AxisSpec("alpha", 1.0, alpha, 2),), fixed={"a": 2.0, "b": 8.0}
+    ),
+    "SweepPlan-fixed": lambda alpha: mtlab.SweepPlan(
+        N=2, axes=(mtlab.AxisSpec("b", 2.0, 8.0, 2),), fixed={"alpha": alpha, "a": 2.0}
+    ),
+    "bracket_alpha_star": lambda alpha: mtlab.bracket_alpha_star(
+        2.0, 8.0, 2, mtlab.BracketOptions(alpha_min=12.0, alpha_max=alpha, count=2)
+    ),
+    "cli-alpha-star": _cli_alpha_star,
+}
+
+
+class TestAlphaRange:
+    """Every alpha gate accepts alpha_N up to 1e-12 relative round-off and nothing beyond."""
+
+    @pytest.mark.parametrize("gate", list(ALPHA_GATES))
+    def test_gates_agree(self, gate, capsys):
+        a_N = critical_exponent(2)
+        ALPHA_GATES[gate](a_N * (1 + 5e-13))
+        with pytest.raises(InvalidParameterError):
+            ALPHA_GATES[gate](a_N * (1 + 2e-12))
