@@ -211,7 +211,11 @@ def _cmd_eval(args) -> int:
     p = _validate_params(args)
     if args.profile:
         with open(args.profile, "r", encoding="utf-8") as fh:
-            u = profile_from_csv(fh.read(), N=args.N)
+            text = fh.read()
+        try:
+            u = profile_from_csv(text, N=args.N)
+        except ValueError as exc:  # InvalidParameterError is a ValueError
+            raise UsageError(f"--profile {args.profile}: {exc}") from exc
     else:
         grid = build_grid(args.N, args.r_max, args.n_nodes, args.grid_scheme)
         r_scale = max(args.width, 1e-6)
@@ -326,6 +330,10 @@ def _cmd_alpha_star(args) -> int:
         val = getattr(args, name)
         if val is not None and not alpha_in_range(val, args.N):
             raise UsageError(f"--{name.replace('_', '-')} must lie in (0, alpha_N = {a_N:.6g}]")
+    if args.alpha_min is not None and args.alpha_max is not None and not args.alpha_min < args.alpha_max:
+        raise UsageError("--alpha-min must be below --alpha-max")
+    if args.count < 2:
+        raise UsageError(f"--count must be >= 2, got {args.count}")
     opts = BracketOptions(
         alpha_min=args.alpha_min,
         alpha_max=args.alpha_max,
@@ -468,9 +476,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except BracketNotFoundError as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 1
     except MTLabError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1

@@ -383,17 +383,16 @@ def maximize_d(
             return (np.nan, None, 0)
         return _ascend(projected, p)
 
-    results = [run(s) for s in starts]
-
-    best_idx = -1
-    best_value = -np.inf
-    for i, (val, prof, _) in enumerate(results):
+    # Only the running best is kept: the first strict maximum over the starts.
+    best_value, best_profile, restart_values, total_iters = -np.inf, None, [], 0
+    for start in starts:
+        val, prof, iters = run(start)
+        restart_values.append(float(val))
+        total_iters += iters
         if prof is not None and val > best_value:
-            best_value, best_idx = val, i
-    if best_idx < 0:
+            best_value, best_profile = val, prof
+    if best_profile is None:
         raise DegenerateProfileError("all restarts were rejected; no feasible profile evaluated")
-    best_profile = results[best_idx][1]
-    total_iters = int(sum(r[2] for r in results))
     lower = universal_lower_bound(p.alpha, p.N)
     margin = best_value - lower
     grad_norm = grad_norm_pow(best_profile) ** (1.0 / p.N)
@@ -410,7 +409,7 @@ def maximize_d(
         iterations=total_iters,
         restarts=len(starts),
         seed=opts.seed,
-        restart_values=tuple(float(r[0]) for r in results),
+        restart_values=tuple(restart_values),
         grid_meta={
             "r_max": opts.r_max,
             "n_nodes": opts.n_nodes,
@@ -455,24 +454,26 @@ class GNReport:
         }
 
 
+def _gn_ratio_and_integrals(u: RadialProfile) -> tuple[float, tuple[float, float, float]]:
+    """gn_ratio(u) and its integrals (||u||_{NN'}^{NN'}, ||u||_N^N, ||grad u||_N^N)."""
+    N = u.grid.N
+    integrals = I_nn, I_n, I_g = lp_norm_pow(u, N * N / (N - 1.0)), lp_norm_pow(u, N), grad_norm_pow(u)
+    if I_g <= 0:
+        raise DegenerateProfileError("gradient norm vanishes; GN ratio undefined")
+    return I_nn / (I_n * I_g ** (1.0 / (N - 1.0))), integrals
+
+
 def gn_ratio(u: RadialProfile) -> float:
     """||u||_{NN'}^{NN'} / (||u||_N^N ||grad u||_N^{NN'-N}); scale and dilation invariant."""
-    N = u.grid.N
-    nn = N * N / (N - 1.0)
-    grad = grad_norm_pow(u)
-    if grad <= 0:
-        raise DegenerateProfileError("gradient norm vanishes; GN ratio undefined")
-    return lp_norm_pow(u, nn) / (lp_norm_pow(u, N) * grad ** (1.0 / (N - 1.0)))
+    return _gn_ratio_and_integrals(u)[0]
 
 
-def _gn_log_gradient(u: RadialProfile) -> np.ndarray:
-    """Mass-preconditioned nodal gradient of log gn_ratio."""
+def _gn_log_gradient(u: RadialProfile, integrals: tuple[float, float, float] | None = None) -> np.ndarray:
+    """Mass-preconditioned nodal gradient of log gn_ratio; `integrals` are u's GN integrals if known."""
     N = u.grid.N
     nn = N * N / (N - 1.0)
     vals = u.values
-    I_nn = lp_norm_pow(u, nn)
-    I_n = lp_norm_pow(u, N)
-    I_g = grad_norm_pow(u)
+    I_nn, I_n, I_g = integrals if integrals is not None else _gn_ratio_and_integrals(u)[1]
     om_mass = u.grid.omega * u.grid.mass
     term_nn = nn * vals ** (nn - 1.0) * om_mass / I_nn
     term_n = N * vals ** (N - 1.0) * om_mass / I_n
@@ -513,11 +514,11 @@ def maximize_gn(N: int, opts: GNOptions | None = None) -> GNReport:
     for vals in starts:
         u = decreasing_rearrangement(RadialProfile(grid, np.maximum(vals, 0.0)))
         u = u.scaled(1.0 / float(np.max(u.values)))
-        val = gn_ratio(u)
+        val, integrals = _gn_ratio_and_integrals(u)
         eta = 0.1
         for _ in range(opts.max_iters):
             iters += 1
-            direction = _gn_log_gradient(u)
+            direction = _gn_log_gradient(u, integrals)
             dmax = float(np.max(np.abs(direction * u.values)))
             if dmax < 1e-12:
                 break
@@ -532,12 +533,12 @@ def maximize_gn(N: int, opts: GNOptions | None = None) -> GNReport:
                 prof = decreasing_rearrangement(RadialProfile(grid, trial))
                 prof = prof.scaled(1.0 / float(np.max(prof.values)))
                 try:
-                    v2 = gn_ratio(prof)
+                    v2, trial_integrals = _gn_ratio_and_integrals(prof)
                 except DegenerateProfileError:
                     eta *= 0.4
                     continue
                 if v2 > val:
-                    u, val = prof, v2
+                    u, val, integrals = prof, v2, trial_integrals
                     eta = min(eta * 1.3, 1.0)
                     improved = True
                     break

@@ -25,14 +25,16 @@ Design notes:
 * Dilations are implemented elsewhere by rescaling the grid itself, so
   the scaling laws for norms hold to machine precision.
 
-All values are immutable after construction and all operations are pure
-functions; everything here is safe to use from multiple threads.
+All values are immutable after construction (a grid's cached geometry is
+read-only) and all operations are pure functions; everything here is safe
+to use from multiple threads.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -66,6 +68,11 @@ GRID_SCHEMES = ("composite-gauss", "graded", "equal-mass")
 DEFAULT_CELL_ORDER = 3
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def sphere_area(N: int) -> float:
     """Surface area omega_{N-1} of the unit sphere in R^N."""
     return float(2.0 * np.pi ** (N / 2.0) / np.exp(gammaln(N / 2.0)))
@@ -88,8 +95,9 @@ class RadialGrid:
         scheme: construction scheme label, kept for report provenance.
 
     The product weights * nodes^{N-1} (the nodal masses of the radial
-    measure) and the interval moments used by the gradient cell sum are
-    precomputed and cached.
+    measure) is computed at construction.  omega, cell_widths and
+    cell_moments are computed on first use and cached on the grid; the
+    arrays are read-only.
     """
 
     N: int
@@ -127,9 +135,24 @@ class RadialGrid:
     def n_nodes(self) -> int:
         return self.nodes.size
 
-    @property
+    @cached_property
     def omega(self) -> float:
         return sphere_area(self.N)
+
+    def cell_edges(self) -> np.ndarray:
+        """Node radii, then the virtual decay node r_max when r_max > r_n (not cached)."""
+        return np.append(self.nodes, self.r_max) if self.r_max > self.nodes[-1] else self.nodes
+
+    @cached_property
+    def cell_widths(self) -> np.ndarray:
+        """Widths r_{i+1} - r_i of the gradient cells between the cell edges."""
+        return _read_only(np.diff(self.cell_edges()))
+
+    @cached_property
+    def cell_moments(self) -> np.ndarray:
+        """Moments (r_{i+1}^N - r_i^N)/N of the gradient cells."""
+        r = self.cell_edges()
+        return _read_only((r[1:] ** self.N - r[:-1] ** self.N) / self.N)
 
     def quadrature(self, values: np.ndarray) -> float:
         """int_0^{r_max} f(r) dr for nodal samples of f."""
@@ -280,19 +303,11 @@ def lp_norm_pow(u: RadialProfile, p: float) -> float:
     return u.grid.omega * float(np.dot(u.grid.mass, u.values ** p))
 
 
-def _augmented_segments(u: RadialProfile):
-    """Node radii/values including the virtual decay node (r_max, 0).
-
-    Segments between consecutive entries carry the piecewise-linear
-    derivative; the flat piece [0, r_1] contributes nothing.
-    """
-    grid = u.grid
-    if grid.r_max > grid.nodes[-1]:
-        r = np.concatenate([grid.nodes, [grid.r_max]])
-        v = np.concatenate([u.values, [0.0]])
-    else:
-        r, v = grid.nodes, u.values
-    return r, v
+def _edge_values(u: RadialProfile) -> np.ndarray:
+    """Values at grid.cell_edges(): the nodal values, then 0 at a decay node (r_max, 0)."""
+    if u.grid.r_max > u.grid.nodes[-1]:
+        return np.concatenate([u.values, [0.0]])
+    return u.values
 
 
 def grad_norm_pow(u: RadialProfile) -> float:
@@ -302,22 +317,20 @@ def grad_norm_pow(u: RadialProfile) -> float:
     profile is flat on [0, r_1] and decays linearly to zero at r_max.
     Zero iff u is identically zero.
     """
-    N = u.grid.N
-    r, v = _augmented_segments(u)
-    slopes = np.diff(v) / np.diff(r)
-    moments = (r[1:] ** N - r[:-1] ** N) / N
-    return u.grid.omega * float(np.dot(np.abs(slopes) ** N, moments))
+    grid = u.grid
+    slopes = np.diff(_edge_values(u)) / grid.cell_widths
+    return grid.omega * float(np.dot(np.abs(slopes) ** grid.N, grid.cell_moments))
 
 
 def grad_norm_pow_gradient(u: RadialProfile) -> np.ndarray:
     """Nodal gradient d ||grad u||_N^N / d u_i of the cell sum."""
-    N = u.grid.N
-    r, v = _augmented_segments(u)
-    dr = np.diff(r)
+    grid = u.grid
+    N = grid.N
+    v = _edge_values(u)
+    dr = grid.cell_widths
     slopes = np.diff(v) / dr
-    moments = (r[1:] ** N - r[:-1] ** N) / N
     # d/d(slope) |s|^N = N |s|^{N-1} sgn(s); slope depends on u_i, u_{i+1}.
-    seg = N * np.abs(slopes) ** (N - 1) * np.sign(slopes) * moments / dr
+    seg = N * np.abs(slopes) ** (N - 1) * np.sign(slopes) * grid.cell_moments / dr
     g = np.zeros_like(v)
     g[:-1] -= seg
     g[1:] += seg
@@ -350,9 +363,8 @@ def decreasing_rearrangement(u: RadialProfile) -> RadialProfile:
 def evaluate(u: RadialProfile, r) -> np.ndarray:
     """Pointwise values of the piecewise-linear profile at radii r."""
     grid = u.grid
-    rr, vv = _augmented_segments(u)
     r = np.asarray(r, dtype=float)
-    out = np.interp(r, rr, vv, left=u.values[0], right=0.0)
+    out = np.interp(r, grid.cell_edges(), _edge_values(u), left=u.values[0], right=0.0)
     return np.where(r > grid.r_max, 0.0, out)
 
 

@@ -66,6 +66,24 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["mt_integral"] > 0
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("x,y\n1,2\n2,1\n", "header"),
+            ("r,u\n2,1\n1,0.5\n", "strictly increasing"),
+            ("r,u\n1,abc\n2,0\n", "abc"),
+        ],
+        ids=["bad-header", "decreasing-radii", "non-numeric"],
+    )
+    def test_malformed_profile_csv_is_usage_error(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "eval", "--N", "2", "--alpha", "1", "--a", "2", "--b", "2", "--profile", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --profile") and reason in err
+
 
 class TestMaximize:
     def test_json_report_and_api_equivalence(self, capsys, tmp_path):
@@ -151,6 +169,21 @@ class TestBounds:
             "--restarts", "4", "--n-nodes", "256",
         )
         assert code == 1
+
+
+    @pytest.mark.parametrize(
+        "extra, reason",
+        [
+            (["--alpha-min", "6", "--alpha-max", "3"], "--alpha-min must be below --alpha-max"),
+            (["--count", "1"], "--count must be >= 2"),
+            (["--count", "0"], "--count must be >= 2"),
+        ],
+        ids=["reversed-range", "count-1", "count-0"],
+    )
+    def test_alpha_star_usage_errors(self, capsys, extra, reason):
+        code, out, err = run_cli(capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "8", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and reason in err
 
 
 class TestSweepCommands:

@@ -28,7 +28,9 @@ from mtlab import (
     sphere_area,
 )
 from mtlab.appendix import gn_ratio_radial
-from mtlab.maximize import _dilation_curve
+from mtlab import maximize as maximize_mod
+from mtlab.maximize import _dilation_curve, _gn_log_gradient, _gn_ratio_and_integrals
+from mtlab.radial import grad_norm_pow_gradient
 from mtlab.scaling import rescale_to_norms
 from conftest import random_monotone_profile
 
@@ -124,6 +126,33 @@ class TestMaximizeD:
         t = 10.0 ** log_t
         built = mtlab.mt_integral(project_to_constraint(mtlab.dilate(u, t), p), p)
         assert _dilation_curve(u, p)(t) == pytest.approx(built, rel=1e-12)
+
+    def test_duplicated_extra_candidate(self):
+        # one vanishing start, then a rejected zero start and twice the same Gaussian
+        p = MTParams(N=2, alpha=3.0, a=3.0, b=2.0)
+        opts = mtlab.MaximizeOptions(restarts=1, n_nodes=256, seed=5)
+        grid = build_grid(2, opts.r_max, opts.n_nodes)
+        zero = RadialProfile(grid, np.zeros(grid.n_nodes))
+        bump = sample_profile(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
+        base = maximize_d(p, opts)
+        once = maximize_d(p, opts, extra_candidates=(zero, bump))
+        twice = maximize_d(p, opts, extra_candidates=(zero, bump, bump))
+        assert math.isnan(once.restart_values[1]) and once.restart_values[2] > base.best_value
+        assert twice.restart_values == once.restart_values + (once.restart_values[2],)
+        assert twice.iterations - once.iterations == once.iterations - base.iterations > 0
+        assert twice.best_value == once.best_value == once.restart_values[2]
+        assert twice.best_profile.values.tobytes() == once.best_profile.values.tobytes()
+
+    def test_first_strict_maximum_wins(self, monkeypatch):
+        # scripted ascents: restarts 1 and 2 tie at the maximum, so restart 1 must win
+        grid = build_grid(2, 10.0, 32)
+        profs = [sample_profile(grid, lambda r, w=w: np.exp(-r / w)) for w in (1.0, 2.0, 3.0, 4.0)]
+        scripted = iter(zip([1.0, 5.0, 5.0, 2.0], profs, [3, 4, 5, 6]))
+        monkeypatch.setattr(maximize_mod, "_ascend", lambda start, p: next(scripted))
+        opts = mtlab.MaximizeOptions(restarts=2, n_nodes=32, r_max=10.0)
+        rep = maximize_d(MTParams(N=2, alpha=1.0, a=3.0, b=2.0), opts, extra_candidates=profs[:2])
+        assert rep.best_profile is profs[1] and rep.best_value == 5.0
+        assert rep.restart_values == (1.0, 5.0, 5.0, 2.0) and rep.iterations == 18
 
     def test_critical_gate(self):
         a2 = critical_exponent(2)
@@ -240,6 +269,23 @@ class TestMaximizeGN:
         r1 = maximize_gn(2, GNOptions(max_iters=100))
         r2 = maximize_gn(2, GNOptions(max_iters=100))
         assert r1.bgn_estimate == r2.bgn_estimate
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.sampled_from(["composite-gauss", "graded"]))
+    def test_log_gradient_from_given_integrals(self, seed, N, scheme):
+        # the ascent hands over the accepted profile's integrals; the gradient must not move a bit
+        u = random_monotone_profile(build_grid(N, 15.0, 96, scheme=scheme), np.random.default_rng(seed))
+        nn = N * N / (N - 1.0)
+        integrals = (lp_norm_pow(u, nn), lp_norm_pow(u, N), grad_norm_pow(u))
+        assert _gn_ratio_and_integrals(u) == (gn_ratio(u), integrals)
+        om_mass = u.grid.omega * u.grid.mass
+        reference = (
+            nn * u.values ** (nn - 1.0) * om_mass / integrals[0]
+            - N * u.values ** (N - 1.0) * om_mass / integrals[1]
+            - grad_norm_pow_gradient(u) / ((N - 1.0) * integrals[2])
+        ) / om_mass
+        assert _gn_log_gradient(u, integrals).tobytes() == reference.tobytes()
+        assert _gn_log_gradient(u).tobytes() == reference.tobytes()
 
     def test_consistent_with_raw_ratio(self, gn_report_n2):
         # bgn = omega^{-1/(N-1)} / Q for the same profile

@@ -21,6 +21,7 @@ from mtlab import (
     sample_profile,
     sphere_area,
 )
+from mtlab.radial import grad_norm_pow_gradient
 from conftest import smooth_bump_profile
 
 
@@ -187,6 +188,64 @@ class TestRearrangement:
         u = smooth_bump_profile(g, rng)
         v = decreasing_rearrangement(u)
         assert grad_norm_pow(v) <= grad_norm_pow(u) + 1e-10
+
+
+def _cells_reference(grid):
+    """Reference: cell widths and moments of the gradient cell sum, computed directly from the nodes."""
+    r = np.concatenate([grid.nodes, [grid.r_max]]) if grid.r_max > grid.nodes[-1] else grid.nodes
+    return np.diff(r), (r[1:] ** grid.N - r[:-1] ** grid.N) / grid.N
+
+
+def _grad_reference(u):
+    """Reference: grad_norm_pow and grad_norm_pow_gradient from the reference cells."""
+    grid, N = u.grid, u.grid.N
+    widths, moments = _cells_reference(grid)
+    v = np.concatenate([u.values, [0.0]]) if widths.size == u.values.size else u.values
+    slopes = np.diff(v) / widths
+    seg = N * np.abs(slopes) ** (N - 1) * np.sign(slopes) * moments / widths
+    g = np.zeros_like(v)
+    g[:-1] -= seg
+    g[1:] += seg
+    return grid.omega * float(np.dot(np.abs(slopes) ** N, moments)), grid.omega * g[: u.values.size]
+
+
+_CACHE_GRIDS = {
+    "composite-gauss": lambda N: build_grid(N, 12.0, 96),
+    "graded": lambda N: build_grid(N, 12.0, 96, scheme="graded"),
+    "equal-mass": lambda N: equal_mass_grid(N, 12.0, 96),
+    "csv": lambda N: profile_from_csv(profile_to_csv(sample_profile(build_grid(N, 5.0, 48), cubic)), N).grid,
+    "rescaled": lambda N: build_grid(N, 12.0, 96).rescaled(0.37),
+    "no-decay-node": lambda N: mtlab.RadialGrid(N=N, nodes=[0.5, 1.0, 2.0], weights=[0.75, 0.75, 0.5], r_max=2.0),
+}
+
+
+class TestCachedGeometry:
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(_CACHE_GRIDS))
+    def test_bit_equal_to_formula_and_read_only(self, kind, N):
+        grid = _CACHE_GRIDS[kind](N)
+        widths, moments = _cells_reference(grid)
+        assert grid.cell_widths.tobytes() == widths.tobytes()
+        assert grid.cell_moments.tobytes() == moments.tobytes()
+        assert grid.omega == sphere_area(N)
+        assert grid.cell_widths is grid.cell_widths  # computed once
+        for arr in (grid.cell_widths, grid.cell_moments):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        u = sample_profile(grid, lambda r: np.exp(-r))
+        value, gradient = _grad_reference(u)
+        assert grad_norm_pow(u) == value
+        assert grad_norm_pow_gradient(u).tobytes() == gradient.tobytes()
+        edges = grid.cell_edges()
+        assert np.array_equal(evaluate(u, edges), np.append(u.values, 0.0)[: edges.size])
+
+    def test_rescaled_grid_gets_its_own_cache(self):
+        grid = build_grid(3, 12.0, 96)
+        before = grid.cell_moments.copy()
+        small = grid.rescaled(0.5)
+        assert small.cell_moments.tobytes() == _cells_reference(small)[1].tobytes()
+        assert grid.cell_moments.tobytes() == before.tobytes()
 
 
 class TestProfileBasics:
