@@ -39,8 +39,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .errors import DegenerateProfileError, InvalidParameterError
-from .radial import RadialProfile, grad_norm_pow, lp_norm_pow
+from .errors import InvalidParameterError
+from .maximize import gn_ratio
+from .radial import RadialProfile
 
 __all__ = [
     "ExactRational",
@@ -77,17 +78,13 @@ def beta_exact(x: int, y: int) -> ExactRational:
 
 
 def gn_ratio_radial(u: RadialProfile, N: int) -> float:
-    """The raw-integral ratio Q(u); inf over u of Q < 1 iff N^2/(alpha_N B_GN) < N."""
+    """The raw-integral ratio Q(u); inf over u of Q < 1 iff N^2/(alpha_N B_GN) < N.
+
+    The omega factors of the three integrals leave Q = omega^{-1/(N-1)} / gn_ratio(u).
+    """
     if u.grid.N != N:
         raise InvalidParameterError("profile grid dimension does not match N")
-    omega = u.grid.omega
-    nn = N * N / (N - 1.0)
-    i_n = lp_norm_pow(u, N) / omega
-    i_g = grad_norm_pow(u) / omega
-    i_nn = lp_norm_pow(u, nn) / omega
-    if i_nn <= 0 or i_g <= 0:
-        raise DegenerateProfileError("ratio undefined for (near-)zero profile")
-    return i_n * i_g ** (1.0 / (N - 1.0)) / i_nn
+    return u.grid.omega ** (-1.0 / (N - 1.0)) / gn_ratio(u)
 
 
 def n2_cubic_exact() -> ExactRational:

@@ -223,6 +223,13 @@ class BracketOptions:
     use_g_test: bool = True
     maximize_opts: MaximizeOptions = field(default_factory=MaximizeOptions)
 
+    def alpha_range(self, N: int) -> tuple[float, float]:
+        """(alpha_min, alpha_max) with the defaults filled in: alpha_N / 50 and 0.98 alpha_N."""
+        a_N = critical_exponent(N)
+        alpha_lo = self.alpha_min if self.alpha_min is not None else a_N / 50.0
+        alpha_hi = self.alpha_max if self.alpha_max is not None else a_N * (1.0 - 1.0 / 50.0)
+        return alpha_lo, alpha_hi
+
 
 @dataclass(frozen=True)
 class BracketReport:
@@ -280,9 +287,7 @@ def bracket_alpha_star(
     Optional bisection tightens [alpha_low, alpha_high].
     """
     opts = opts or BracketOptions()
-    a_N = critical_exponent(N)
-    alpha_lo = opts.alpha_min if opts.alpha_min is not None else a_N / 50.0
-    alpha_hi = opts.alpha_max if opts.alpha_max is not None else a_N * (1.0 - 1.0 / 50.0)
+    alpha_lo, alpha_hi = opts.alpha_range(N)
     if not (alpha_in_range(alpha_lo, N) and alpha_in_range(alpha_hi, N) and alpha_lo < alpha_hi):
         raise InvalidParameterError("alpha bracket range must satisfy 0 < min < max <= alpha_N")
     alphas = np.linspace(alpha_lo, alpha_hi, opts.count)

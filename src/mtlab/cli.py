@@ -276,9 +276,10 @@ def _cmd_bgn(args) -> int:
             fh.write(profile_to_csv(report.maximizer_profile))
         payload["profile_out"] = args.profile_out
     human = [
-        f"bgn_estimate (certified lower bound): {report.bgn_estimate:.12g}",
-        f"residual: {report.residual:.3e}",
-        f"low_accuracy: {report.low_accuracy}",
+        f"bgn_estimate (certified lower bound, PL interpolant): {report.bgn_estimate:.12g}",
+        f"grid_ratio (working value, grid quadrature): {report.grid_ratio:.12g}",
+        f"q0: {report.q0:.12g}, final bracket width (residual): {report.residual:.3e}",
+        f"shots: {report.iterations}, low_accuracy: {report.low_accuracy}",
         DISCLAIMER,
     ]
     _emit(_report_text(payload, args.format, human), args.out)
@@ -326,14 +327,6 @@ def _cmd_alpha_star(args) -> int:
     if args.N < 2:
         raise UsageError(f"N must be >= 2, got {args.N}")
     a_N = critical_exponent(args.N)
-    for name in ("alpha_min", "alpha_max"):
-        val = getattr(args, name)
-        if val is not None and not alpha_in_range(val, args.N):
-            raise UsageError(f"--{name.replace('_', '-')} must lie in (0, alpha_N = {a_N:.6g}]")
-    if args.alpha_min is not None and args.alpha_max is not None and not args.alpha_min < args.alpha_max:
-        raise UsageError("--alpha-min must be below --alpha-max")
-    if args.count < 2:
-        raise UsageError(f"--count must be >= 2, got {args.count}")
     opts = BracketOptions(
         alpha_min=args.alpha_min,
         alpha_max=args.alpha_max,
@@ -341,6 +334,18 @@ def _cmd_alpha_star(args) -> int:
         bisect_iters=args.bisect,
         maximize_opts=_make_options(args),
     )
+    alpha_min, alpha_max = opts.alpha_range(args.N)
+    for name, val in (("alpha-min", alpha_min), ("alpha-max", alpha_max)):
+        if not alpha_in_range(val, args.N):
+            raise UsageError(f"--{name} must lie in (0, alpha_N = {a_N:.6g}]")
+    if not alpha_min < alpha_max:
+        raise UsageError(f"--alpha-min must be below --alpha-max, got {alpha_min:.6g} >= {alpha_max:.6g}")
+    if args.count < 2:
+        raise UsageError(f"--count must be >= 2, got {args.count}")
+    try:  # the problem at the upper end; rejects a non-positive --a or --b
+        MTParams(N=args.N, alpha=alpha_max, a=args.a, b=args.b)
+    except InvalidParameterError as exc:
+        raise UsageError(str(exc)) from exc
     try:
         report = bracket_alpha_star(args.a, args.b, args.N, opts)
     except BracketNotFoundError as exc:
@@ -366,19 +371,7 @@ def _sweep_output(result, args) -> int:
     else:
         payload = {
             "plan": result.plan.to_json_dict(),
-            "rows": [
-                {
-                    "params": row.params,
-                    "best_value": row.best_value,
-                    "lower_bound": row.lower_bound,
-                    "margin": row.margin,
-                    "verdict": row.verdict,
-                    "mode": row.mode,
-                    "iterations": row.iterations,
-                    "seed": row.seed,
-                }
-                for row in result.rows
-            ],
+            "rows": [{k: v for k, v in vars(row).items() if k != "index"} for row in result.rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True)
     _emit(text, args.out)

@@ -25,9 +25,13 @@ along t -> beta_star(t) u_t finishes each restart, since a plain nodal
 ascent is slow to translate profiles across scales; it scores each t by
 the scaling laws of `scaling.py` and builds only the winning profile.
 
-`maximize_gn` runs the analogous ascent for the scale-invariant
-Gagliardo-Nirenberg ratio and returns a maximizer normalized to
-||grad V||_N = 1 = ||V||_N.
+`maximize_gn` computes the Gagliardo-Nirenberg maximizer from its
+Euler-Lagrange equation, the radial ground state of
+-Delta_N Q + Q^{N-1} = Q^{NN'-1}: batched RK4 shots bracket Q(0), the
+shot from the final bracket is sampled on the GN grid, and the profile is
+normalized to ||grad V||_N = 1 = ||V||_N.  Its certified bgn_estimate is
+the GN ratio of that profile's piecewise-linear interpolant (`pl_norm_pow`);
+`gn_ratio` with the grid quadrature is the working value.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BracketNotFoundError,
     DegenerateProfileError,
     GridOverflowError,
     InvalidParameterError,
@@ -54,10 +59,10 @@ from .radial import (
     build_grid,
     decreasing_rearrangement,
     grad_norm_pow,
-    grad_norm_pow_gradient,
     lp_norm_pow,
+    pl_norm_pow,
 )
-from .scaling import dilate, gn_two_parameter_family, solve_amplitude
+from .scaling import dilate, gn_two_parameter_family, rescale_to_norms, solve_amplitude
 
 __all__ = [
     "MaximizeOptions",
@@ -343,9 +348,7 @@ def _candidate_starts(p: MTParams, opts: MaximizeOptions, grid: RadialGrid, gn_p
         lambda: _gaussian(grid, 2.5 * scale),
         lambda: _vanishing(grid, p, 1e-4),
     ]
-    starts = []
-    for build in builders[: opts.restarts]:
-        starts.append(build())
+    starts = [build() for build in builders[: opts.restarts]]
     while len(starts) < opts.restarts:
         widths = 10.0 ** rng.uniform(-1.0, 1.0, size=3) * scale
         weights = rng.uniform(0.2, 1.0, size=3)
@@ -424,138 +427,148 @@ def maximize_d(
 # Gagliardo-Nirenberg best constant
 # ---------------------------------------------------------------------------
 
+#: Shooting policy of maximize_gn: RK4 step in r, shots per round, rounds, initial Q(0) bracket.
+GN_STEP = 0.02
+GN_SHOTS = 257
+GN_ROUNDS = 4
+GN_BRACKET = (1.05, 4.0)
+#: A final Q(0) bracket wider than this marks the report low_accuracy.
+GN_RESIDUAL_TOL = 1e-6
+#: The first event of a shot: Q reaches zero, or phi turns positive (Q turns back up).
+OVERSHOOT, UNDERSHOOT = 1, -1
+
 
 @dataclass(frozen=True)
 class GNOptions:
+    """The grid the GN ground state is sampled on; shots run to r_max."""
+
     r_max: float = 30.0
     n_nodes: int = 1536
-    max_iters: int = 800
-    residual_tol: float = 1e-4
 
 
 @dataclass(frozen=True)
 class GNReport:
-    """bgn_estimate is the ratio at a feasible profile: a true lower bound."""
+    """bgn_estimate is the ratio of a profile's PL interpolant: a true lower bound.
+
+    grid_ratio is the working ratio gn_ratio(maximizer_profile) of the grid
+    quadrature.  q0 is the Q(0) of the sampled shot, residual the width of
+    the final bracket on Q(0) and iterations the number of shots.
+    """
 
     N: int
     bgn_estimate: float
+    grid_ratio: float
+    q0: float
     maximizer_profile: RadialProfile
     residual: float
     low_accuracy: bool
     iterations: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "bgn_estimate": self.bgn_estimate,
-            "residual": self.residual,
-            "low_accuracy": self.low_accuracy,
-            "iterations": self.iterations,
-        }
+        return {k: v for k, v in vars(self).items() if k != "maximizer_profile"}
 
 
-def _gn_ratio_and_integrals(u: RadialProfile) -> tuple[float, tuple[float, float, float]]:
-    """gn_ratio(u) and its integrals (||u||_{NN'}^{NN'}, ||u||_N^N, ||grad u||_N^N)."""
+def gn_ratio(u: RadialProfile, norm_pow=lp_norm_pow) -> float:
+    """||u||_{NN'}^{NN'} / (||u||_N^N ||grad u||_N^{NN'-N}); scale and dilation invariant.
+
+    `norm_pow` evaluates the two p-norms: the grid quadrature by default
+    (the working ratio), `pl_norm_pow` for the ratio of the PL interpolant.
+    """
     N = u.grid.N
-    integrals = I_nn, I_n, I_g = lp_norm_pow(u, N * N / (N - 1.0)), lp_norm_pow(u, N), grad_norm_pow(u)
+    I_g = grad_norm_pow(u)
     if I_g <= 0:
         raise DegenerateProfileError("gradient norm vanishes; GN ratio undefined")
-    return I_nn / (I_n * I_g ** (1.0 / (N - 1.0))), integrals
+    return norm_pow(u, N * N / (N - 1.0)) / (norm_pow(u, N) * I_g ** (1.0 / (N - 1.0)))
 
 
-def gn_ratio(u: RadialProfile) -> float:
-    """||u||_{NN'}^{NN'} / (||u||_N^N ||grad u||_N^{NN'-N}); scale and dilation invariant."""
-    return _gn_ratio_and_integrals(u)[0]
+def _shoot(N: int, q0: np.ndarray, r_end: float) -> tuple[np.ndarray, list]:
+    """Fixed-step RK4 shots of the radial ground-state equation, one per Q(0) > 1.
+
+    The state is (Q, phi), phi = r^{N-1} |Q'|^{N-2} Q', with
+    phi' = r^{N-1} (Q^{N-1} - Q^{NN'-1}).  It starts at r = GN_STEP from the
+    small-r series phi = c r^N / N, Q = Q(0) - (|c| r / N)^{1/(N-1)} r / N',
+    where c = Q(0)^{N-1} - Q(0)^{NN'-1} < 0.  Returns each shot's first
+    event (OVERSHOOT, UNDERSHOOT, or 0 if neither comes by r_end; all shots
+    stop once each has one) and the first shot's Q at r = 0, GN_STEP, ...
+    """
+    h, e = GN_STEP, N * N / (N - 1.0) - 1.0
+
+    def rhs(r, q, phi):
+        rn = r ** (N - 1)
+        qp = np.maximum(q, 0.0)
+        if N == 2:  # Q' = phi / r: the general branch below with exponent 1, in fewer array passes
+            return phi / rn, rn * (qp - qp ** e)
+        return np.copysign(np.abs(phi / rn) ** (1.0 / (N - 1)), phi), rn * (qp ** (N - 1) - qp ** e)
+
+    c = q0 ** (N - 1) - q0 ** e
+    q = q0 - (-c * h / N) ** (1.0 / (N - 1)) * h * (N - 1.0) / N
+    phi = c * h ** N / N
+    turned = crossed = np.zeros(q0.shape, dtype=bool)
+    trajectory = [q0[0], q[0]]
+    for k in range(1, int(round(r_end / h))):
+        r = k * h
+        k1q, k1p = rhs(r, q, phi)
+        k2q, k2p = rhs(r + h / 2, q + h / 2 * k1q, phi + h / 2 * k1p)
+        k3q, k3p = rhs(r + h / 2, q + h / 2 * k2q, phi + h / 2 * k2p)
+        k4q, k4p = rhs(r + h, q + h * k3q, phi + h * k3p)
+        q = q + h / 6 * (k1q + 2 * (k2q + k3q) + k4q)
+        phi = phi + h / 6 * (k1p + 2 * (k2p + k3p) + k4p)
+        # Both events are final: past zero phi' = 0, so phi stays negative and
+        # Q keeps falling; a shot that turned at Q > 0 lacks the energy to reach 0.
+        turned = turned | (phi > 0)
+        crossed = q <= 0
+        trajectory.append(q[0])
+        if (turned | crossed).all():
+            break
+    return np.where(crossed, OVERSHOOT, np.where(turned, UNDERSHOOT, 0)), trajectory
 
 
-def _gn_log_gradient(u: RadialProfile, integrals: tuple[float, float, float] | None = None) -> np.ndarray:
-    """Mass-preconditioned nodal gradient of log gn_ratio; `integrals` are u's GN integrals if known."""
-    N = u.grid.N
-    nn = N * N / (N - 1.0)
-    vals = u.values
-    I_nn, I_n, I_g = integrals if integrals is not None else _gn_ratio_and_integrals(u)[1]
-    om_mass = u.grid.omega * u.grid.mass
-    term_nn = nn * vals ** (nn - 1.0) * om_mass / I_nn
-    term_n = N * vals ** (N - 1.0) * om_mass / I_n
-    term_g = grad_norm_pow_gradient(u) / ((N - 1.0) * I_g)
-    return (term_nn - term_n - term_g) / om_mass
+def _bracket_q0(N: int, lo: float, hi: float, r_end: float) -> tuple[float, float]:
+    """Narrow [lo, hi] on Q(0) in GN_ROUNDS rounds of GN_SHOTS equally spaced shots.
 
-
-def _gn_residual(u: RadialProfile) -> float:
-    """Mass-weighted RMS of u * grad log(ratio): scale-free stationarity measure."""
-    d = _gn_log_gradient(u)
-    m = u.grid.mass
-    return float(np.sqrt(np.dot(m, (d * u.values) ** 2) / np.sum(m)))
-
-
-def _normalize_gn(u: RadialProfile) -> RadialProfile:
-    """Rescale to ||grad V||_N = 1 = ||V||_N by amplitude and dilation."""
-    G = grad_norm_pow(u) ** (1.0 / u.grid.N)
-    L = lp_norm_pow(u, u.grid.N) ** (1.0 / u.grid.N)
-    lam = L / G
-    return RadialProfile(u.grid.rescaled(1.0 / lam), u.values / G)
+    Each round keeps the adjacent undershoot/overshoot pair around the
+    first overshoot.  The bracket must undershoot at lo and overshoot at hi.
+    """
+    if not 1.0 < lo < hi:
+        raise InvalidParameterError(f"a Q(0) bracket needs 1 < lo < hi (Q(0) > 1 is necessary), got [{lo}, {hi}]")
+    for _ in range(GN_ROUNDS):
+        q0 = np.linspace(lo, hi, GN_SHOTS)
+        events = _shoot(N, q0, r_end)[0]
+        if events[0] != UNDERSHOOT or events[-1] != OVERSHOOT:
+            raise BracketNotFoundError(f"Q(0) in [{lo!r}, {hi!r}] must undershoot, then overshoot (N = {N})")
+        j = int(np.argmax(events == OVERSHOOT))
+        i = int(np.flatnonzero(events[:j] == UNDERSHOOT)[-1])
+        lo, hi = float(q0[i]), float(q0[j])
+    return lo, hi
 
 
 def maximize_gn(N: int, opts: GNOptions | None = None) -> GNReport:
-    """Maximize the GN ratio over radial profiles; returns a normalized maximizer."""
+    """The radial GN ground state by shooting on Q(0), normalized to ||grad V||_N = 1 = ||V||_N.
+
+    The maximizer solves -Delta_N Q + Q^{N-1} = Q^{NN'-1}.  The shot from
+    the midpoint of the final Q(0) bracket is cut before its event, shifted
+    to 0 there, sampled at the grid nodes (0 beyond) and normalized;
+    bgn_estimate is the ratio of that profile's PL interpolant.
+    """
     if N < 2 or N != int(N):
         raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
     opts = opts or GNOptions()
     grid = build_grid(N, opts.r_max, opts.n_nodes)
-    r = grid.nodes
-    starts = [
-        np.exp(-r),
-        np.exp(-(r ** 2)),
-        1.0 / np.cosh(r),
-        (1.0 + r ** 2) ** -2.0,
-        np.maximum(0.0, 1.0 - r / (opts.r_max / 3.0)) ** 3,
-    ]
-    best_val, best_prof, iters = -np.inf, None, 0
-    for vals in starts:
-        u = decreasing_rearrangement(RadialProfile(grid, np.maximum(vals, 0.0)))
-        u = u.scaled(1.0 / float(np.max(u.values)))
-        val, integrals = _gn_ratio_and_integrals(u)
-        eta = 0.1
-        for _ in range(opts.max_iters):
-            iters += 1
-            direction = _gn_log_gradient(u, integrals)
-            dmax = float(np.max(np.abs(direction * u.values)))
-            if dmax < 1e-12:
-                break
-            umax = float(np.max(u.values))
-            step_scale = umax / float(np.max(np.abs(direction)))
-            improved = False
-            for _bt in range(20):
-                trial = np.maximum(u.values + eta * step_scale * direction, 0.0)
-                if not np.any(trial):
-                    eta *= 0.4
-                    continue
-                prof = decreasing_rearrangement(RadialProfile(grid, trial))
-                prof = prof.scaled(1.0 / float(np.max(prof.values)))
-                try:
-                    v2, trial_integrals = _gn_ratio_and_integrals(prof)
-                except DegenerateProfileError:
-                    eta *= 0.4
-                    continue
-                if v2 > val:
-                    u, val, integrals = prof, v2, trial_integrals
-                    eta = min(eta * 1.3, 1.0)
-                    improved = True
-                    break
-                eta *= 0.4
-            if not improved:
-                break
-        if val > best_val:
-            best_val, best_prof = val, u
-    profile = _normalize_gn(best_prof)
-    residual = _gn_residual(profile)
+    lo, hi = _bracket_q0(N, *GN_BRACKET, opts.r_max)
+    q0 = 0.5 * (lo + hi)
+    event, trajectory = _shoot(N, np.array([q0]), opts.r_max)
+    q = np.array(trajectory[:-1] if event[0] else trajectory)
+    values = np.interp(grid.nodes, GN_STEP * np.arange(q.size), q - q[-1], right=0.0)
+    profile = rescale_to_norms(RadialProfile(grid, values), 1.0, 1.0)
     return GNReport(
         N=N,
-        bgn_estimate=float(best_val),
+        bgn_estimate=gn_ratio(profile, pl_norm_pow),
+        grid_ratio=gn_ratio(profile),
+        q0=q0,
         maximizer_profile=profile,
-        residual=residual,
-        low_accuracy=residual > opts.residual_tol,
-        iterations=iters,
+        residual=hi - lo,
+        low_accuracy=hi - lo > GN_RESIDUAL_TOL,
+        iterations=GN_ROUNDS * GN_SHOTS + 1,
     )
 
 

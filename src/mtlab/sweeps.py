@@ -20,6 +20,7 @@ of the normalized supremum instead of fighting optimizer noise.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -102,17 +103,9 @@ class SweepPlan:
         return tuple(ax.name for ax in self.axes)
 
     def cells(self) -> list[dict]:
-        grids = [ax.values() for ax in self.axes]
-        names = self.axis_names()
-        out = []
-        if len(grids) == 1:
-            for v in grids[0]:
-                out.append({names[0]: float(v)})
-        else:
-            for v0 in grids[0]:
-                for v1 in grids[1]:
-                    out.append({names[0]: float(v0), names[1]: float(v1)})
-        return out
+        """Cell parameters, the last axis varying fastest."""
+        grids = itertools.product(*(ax.values() for ax in self.axes))
+        return [dict(zip(self.axis_names(), map(float, values))) for values in grids]
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,15 +128,17 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One cell's outcome; a cell that ran no maximization keeps the empty defaults."""
+
     index: int
     params: dict
-    best_value: float | None
-    lower_bound: float | None
-    margin: float | None
     verdict: str
-    mode: str
-    iterations: int
     seed: int
+    best_value: float | None = None
+    lower_bound: float | None = None
+    margin: float | None = None
+    mode: str = ""
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -164,18 +159,7 @@ def _run_cell(plan: SweepPlan, index: int, cell: dict, extra) -> tuple[SweepRow,
     try:
         p = MTParams(N=plan.N, alpha=params_dict["alpha"], a=params_dict["a"], b=params_dict["b"])
         if not p.finite_supremum:
-            row = SweepRow(
-                index=index,
-                params=params_dict,
-                best_value=None,
-                lower_bound=None,
-                margin=None,
-                verdict="infinite-sup-regime",
-                mode="",
-                iterations=0,
-                seed=seed,
-            )
-            return row, None
+            return SweepRow(index=index, params=params_dict, verdict="infinite-sup-regime", seed=seed), None
         opts = replace(plan.options, seed=seed)
         report = maximize_d(p, opts, extra_candidates=extra)
         row = SweepRow(
@@ -191,18 +175,7 @@ def _run_cell(plan: SweepPlan, index: int, cell: dict, extra) -> tuple[SweepRow,
         )
         return row, report.best_profile
     except Exception as exc:  # per-cell failures never abort the sweep
-        row = SweepRow(
-            index=index,
-            params=params_dict,
-            best_value=None,
-            lower_bound=None,
-            margin=None,
-            verdict="error",
-            mode=type(exc).__name__,
-            iterations=0,
-            seed=seed,
-        )
-        return row, None
+        return SweepRow(index=index, params=params_dict, verdict="error", seed=seed, mode=type(exc).__name__), None
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:

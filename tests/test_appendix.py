@@ -152,11 +152,13 @@ class TestGnRatioRadial:
 class TestBridgeToGn:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_margin_identity(self, N, gn_report_n2, gn_report_n3, gn_report_n4):
-        # N - N^2/(alpha_N bgn) = N (1 - Q) when bgn and Q come from the
-        # same profile: pure exponent bookkeeping
+        # N - N^2/(alpha_N gn_ratio(V)) = N (1 - Q) when both ratios come from
+        # the same profile: pure exponent bookkeeping
         rep = {2: gn_report_n2, 3: gn_report_n3, 4: gn_report_n4}[N]
-        q = gn_ratio_radial(rep.maximizer_profile, N)
-        lhs = N - N ** 2 / (mtlab.critical_exponent(N) * rep.bgn_estimate)
+        V = rep.maximizer_profile
+        q = gn_ratio_radial(V, N)
+        lhs = N - N ** 2 / (mtlab.critical_exponent(N) * mtlab.gn_ratio(V))
         rhs = N * (1 - q)
         assert lhs == pytest.approx(rhs, abs=1e-10)
         assert lhs > 0
+        assert N - N ** 2 / (mtlab.critical_exponent(N) * rep.bgn_estimate) > 0

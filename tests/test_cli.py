@@ -177,8 +177,10 @@ class TestBounds:
             (["--alpha-min", "6", "--alpha-max", "3"], "--alpha-min must be below --alpha-max"),
             (["--count", "1"], "--count must be >= 2"),
             (["--count", "0"], "--count must be >= 2"),
+            (["--alpha-min", "12.4"], "--alpha-min must be below --alpha-max"),
+            (["--a", "-1"], "constraint powers must be positive"),
         ],
-        ids=["reversed-range", "count-1", "count-0"],
+        ids=["reversed-range", "count-1", "count-0", "min-above-default-max", "negative-a"],
     )
     def test_alpha_star_usage_errors(self, capsys, extra, reason):
         code, out, err = run_cli(capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "8", *extra)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import mtlab
 from mtlab import (
     DegenerateProfileError,
-    GNOptions,
     InvalidParameterError,
     MTParams,
     RadialProfile,
@@ -29,8 +28,8 @@ from mtlab import (
 )
 from mtlab.appendix import gn_ratio_radial
 from mtlab import maximize as maximize_mod
-from mtlab.maximize import _dilation_curve, _gn_log_gradient, _gn_ratio_and_integrals
-from mtlab.radial import grad_norm_pow_gradient
+from mtlab.maximize import GN_BRACKET, GN_ROUNDS, GN_SHOTS, _bracket_q0, _dilation_curve
+from mtlab.radial import pl_norm_pow
 from mtlab.scaling import rescale_to_norms
 from conftest import random_monotone_profile
 
@@ -257,8 +256,10 @@ class TestMaximizeGN:
         assert lp_norm_pow(V, 2) ** 0.5 == pytest.approx(1.0, abs=1e-10)
 
     def test_ratio_matches_profile(self, gn_report_n2):
+        # the certified value is the ratio of the profile's PL interpolant
         V = gn_report_n2.maximizer_profile
-        assert gn_ratio(V) == pytest.approx(gn_report_n2.bgn_estimate, rel=1e-10)
+        assert gn_ratio(V, pl_norm_pow) == pytest.approx(gn_report_n2.bgn_estimate, rel=1e-10)
+        assert gn_report_n2.grid_ratio == gn_ratio(V)
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_critical_condition_holds(self, N, gn_report_n2, gn_report_n3, gn_report_n4):
@@ -266,29 +267,58 @@ class TestMaximizeGN:
         assert N ** 2 / (critical_exponent(N) * rep.bgn_estimate) < N
 
     def test_determinism(self):
-        r1 = maximize_gn(2, GNOptions(max_iters=100))
-        r2 = maximize_gn(2, GNOptions(max_iters=100))
-        assert r1.bgn_estimate == r2.bgn_estimate
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.sampled_from(["composite-gauss", "graded"]))
-    def test_log_gradient_from_given_integrals(self, seed, N, scheme):
-        # the ascent hands over the accepted profile's integrals; the gradient must not move a bit
-        u = random_monotone_profile(build_grid(N, 15.0, 96, scheme=scheme), np.random.default_rng(seed))
-        nn = N * N / (N - 1.0)
-        integrals = (lp_norm_pow(u, nn), lp_norm_pow(u, N), grad_norm_pow(u))
-        assert _gn_ratio_and_integrals(u) == (gn_ratio(u), integrals)
-        om_mass = u.grid.omega * u.grid.mass
-        reference = (
-            nn * u.values ** (nn - 1.0) * om_mass / integrals[0]
-            - N * u.values ** (N - 1.0) * om_mass / integrals[1]
-            - grad_norm_pow_gradient(u) / ((N - 1.0) * integrals[2])
-        ) / om_mass
-        assert _gn_log_gradient(u, integrals).tobytes() == reference.tobytes()
-        assert _gn_log_gradient(u).tobytes() == reference.tobytes()
+        r1, r2 = maximize_gn(2), maximize_gn(2)
+        assert r1.to_json_dict() == r2.to_json_dict()
+        assert r1.maximizer_profile.values.tobytes() == r2.maximizer_profile.values.tobytes()
+        assert r1.maximizer_profile.grid.nodes.tobytes() == r2.maximizer_profile.grid.nodes.tobytes()
 
     def test_consistent_with_raw_ratio(self, gn_report_n2):
-        # bgn = omega^{-1/(N-1)} / Q for the same profile
+        # gn_ratio = omega^{-1/(N-1)} / Q for the same profile
         V = gn_report_n2.maximizer_profile
         q = gn_ratio_radial(V, 2)
-        assert gn_report_n2.bgn_estimate == pytest.approx(sphere_area(2) ** -1.0 / q, rel=1e-12)
+        assert gn_ratio(V) == pytest.approx(sphere_area(2) ** -1.0 / q, rel=1e-12)
+
+
+#: Sharp GN constant for N = 2, 2/||Q||_2^2 of the Townes profile (Weinstein 1983), and its Q(0).
+B_SHARP_N2 = 0.1709270735
+TOWNES_Q0 = 2.2062008647
+
+
+class TestGNShooting:
+    def test_townes_q0(self, gn_report_n2):
+        assert abs(gn_report_n2.q0 - TOWNES_Q0) < 1e-5
+
+    def test_certified_value_below_sharp_constant(self, gn_report_n2):
+        assert B_SHARP_N2 - 2e-5 <= gn_report_n2.bgn_estimate < B_SHARP_N2
+
+    @pytest.mark.parametrize("N, ascent", [(2, 0.1708799928), (3, 0.3141531927), (4, 0.4135215738)])
+    def test_beats_projected_ascent(self, N, ascent, gn_report_n2, gn_report_n3, gn_report_n4):
+        # PL-exact ratios of the profiles the earlier 5-start projected ascent returned
+        rep = {2: gn_report_n2, 3: gn_report_n3, 4: gn_report_n4}[N]
+        assert rep.bgn_estimate >= ascent
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_gauss_order_converged(self, N, monkeypatch, gn_report_n2, gn_report_n3, gn_report_n4):
+        rep = {2: gn_report_n2, 3: gn_report_n3, 4: gn_report_n4}[N]
+        monkeypatch.setattr(mtlab.radial, "PL_GAUSS_ORDER", 2 * mtlab.radial.PL_GAUSS_ORDER)
+        doubled = gn_ratio(rep.maximizer_profile, pl_norm_pow)
+        assert abs(doubled - rep.bgn_estimate) < 1e-13 * rep.bgn_estimate
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_report_bookkeeping(self, N, gn_report_n2, gn_report_n3, gn_report_n4):
+        rep = {2: gn_report_n2, 3: gn_report_n3, 4: gn_report_n4}[N]
+        assert rep.iterations == GN_ROUNDS * GN_SHOTS + 1
+        assert 0 < rep.residual < 1e-8 and not rep.low_accuracy
+        assert GN_BRACKET[0] < rep.q0 < GN_BRACKET[1]
+        assert rep.maximizer_profile.is_nonincreasing
+        payload = rep.to_json_dict()
+        assert payload["q0"] == rep.q0 and payload["grid_ratio"] == rep.grid_ratio
+
+    @pytest.mark.parametrize("lo, hi", [(2.3, 4.0), (1.05, 2.1)], ids=["both-overshoot", "both-undershoot"])
+    def test_bracket_must_straddle_ground_state(self, lo, hi):
+        with pytest.raises(mtlab.BracketNotFoundError):
+            _bracket_q0(2, lo, hi, 30.0)
+
+    def test_bracket_needs_q0_above_one(self):
+        with pytest.raises(InvalidParameterError):
+            _bracket_q0(2, 1.0, 4.0, 30.0)

@@ -21,8 +21,8 @@ from mtlab import (
     sample_profile,
     sphere_area,
 )
-from mtlab.radial import grad_norm_pow_gradient
-from conftest import smooth_bump_profile
+from mtlab.radial import pl_norm_pow
+from conftest import random_monotone_profile, smooth_bump_profile
 
 
 def cubic(r):
@@ -197,16 +197,12 @@ def _cells_reference(grid):
 
 
 def _grad_reference(u):
-    """Reference: grad_norm_pow and grad_norm_pow_gradient from the reference cells."""
+    """Reference: grad_norm_pow from the reference cells."""
     grid, N = u.grid, u.grid.N
     widths, moments = _cells_reference(grid)
     v = np.concatenate([u.values, [0.0]]) if widths.size == u.values.size else u.values
     slopes = np.diff(v) / widths
-    seg = N * np.abs(slopes) ** (N - 1) * np.sign(slopes) * moments / widths
-    g = np.zeros_like(v)
-    g[:-1] -= seg
-    g[1:] += seg
-    return grid.omega * float(np.dot(np.abs(slopes) ** N, moments)), grid.omega * g[: u.values.size]
+    return grid.omega * float(np.dot(np.abs(slopes) ** N, moments))
 
 
 _CACHE_GRIDS = {
@@ -234,9 +230,7 @@ class TestCachedGeometry:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         u = sample_profile(grid, lambda r: np.exp(-r))
-        value, gradient = _grad_reference(u)
-        assert grad_norm_pow(u) == value
-        assert grad_norm_pow_gradient(u).tobytes() == gradient.tobytes()
+        assert grad_norm_pow(u) == _grad_reference(u)
         edges = grid.cell_edges()
         assert np.array_equal(evaluate(u, edges), np.append(u.values, 0.0)[: edges.size])
 
@@ -246,6 +240,67 @@ class TestCachedGeometry:
         small = grid.rescaled(0.5)
         assert small.cell_moments.tobytes() == _cells_reference(small)[1].tobytes()
         assert grid.cell_moments.tobytes() == before.tobytes()
+
+
+def _pl_reference(u, p):
+    """Reference: ||u||_p^p of the PL interpolant (integer p, grid with a decay cell), integrating each cell's polynomial."""
+    from numpy.polynomial import Polynomial
+
+    grid = u.grid
+    edges = np.concatenate([[0.0], grid.nodes, [grid.r_max]])
+    vals = np.concatenate([u.values[:1], u.values, [0.0]])
+    total = 0.0
+    for a, b, ua, ub in zip(edges[:-1], edges[1:], vals[:-1], vals[1:]):
+        # in x = r - a on [0, b - a]: (a + x)^{N-1} (ua + slope x)^p
+        slope = (ub - ua) / (b - a)
+        integral = (Polynomial([a, 1.0]) ** (grid.N - 1) * Polynomial([ua, slope]) ** p).integ()
+        total += integral(b - a)
+    return grid.omega * total
+
+
+class TestPLNormPow:
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 4, 9])
+    def test_constant_profile_closed_form(self, N, p):
+        # c on [0, r_n], then c (r_max - r) / d on the decay cell of width d = r_max - r_n
+        grid = build_grid(N, 3.0, 48)
+        c, r_n, r_max = 0.7, grid.nodes[-1], grid.r_max
+        d = r_max - r_n
+        decay = sum(
+            math.comb(N - 1, j) * (-1) ** j * r_max ** (N - 1 - j) * d ** (j + 1) / (j + p + 1) for j in range(N)
+        )
+        exact = sphere_area(N) * c ** p * (r_n ** N / N + decay)
+        u = RadialProfile(grid, np.full(grid.n_nodes, c))
+        assert pl_norm_pow(u, p) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 3, 5, 8])
+    @pytest.mark.parametrize("kind", ["composite-gauss", "graded", "equal-mass"])
+    def test_matches_cellwise_polynomials(self, N, p, kind):
+        grid = build_grid(N, 5.0, 24, scheme=kind)
+        rng = np.random.default_rng(N * 100 + p)
+        u = RadialProfile(grid, rng.random(grid.n_nodes))  # not monotone: every cell shape
+        assert pl_norm_pow(u, p) == pytest.approx(_pl_reference(u, p), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4]),
+        st.floats(1.0, 8.0),
+        st.floats(0.1, 10.0),
+        st.floats(-3.0, 3.0),
+    )
+    def test_scaling_laws(self, seed, N, p, amplitude, log_t):
+        u = random_monotone_profile(build_grid(N, 10.0, 64), np.random.default_rng(seed))
+        t = 10.0 ** log_t
+        base = pl_norm_pow(u, p)
+        assert pl_norm_pow(u.scaled(amplitude), p) == pytest.approx(amplitude ** p * base, rel=1e-12)
+        assert pl_norm_pow(mtlab.dilate(u, t), p) == pytest.approx(t ** (p / N - 1.0) * base, rel=1e-12)
+
+    def test_rejects_p_below_one(self):
+        u = sample_profile(build_grid(2, 1.0, 32), cubic)
+        with pytest.raises(InvalidParameterError):
+            pl_norm_pow(u, 0.5)
 
 
 class TestProfileBasics:
