@@ -54,7 +54,6 @@ from .maximize import (
     GNReport,
     MaximizeOptions,
     MaximizerReport,
-    diagnose_mode,
     functional_gradient,
     gn_ratio,
     maximize_d,
@@ -77,12 +76,9 @@ from .radial import (
     sphere_area,
 )
 from .scaling import (
-    ScalingState,
     beta_star_derivative,
     dilate,
-    dilation_lower_curve,
     gn_two_parameter_family,
-    normalized_dilation,
     solve_beta_star,
 )
 from .sweeps import AxisSpec, SweepPlan, SweepResult, phase_map, run_sweep, sweep_to_csv

@@ -26,7 +26,8 @@ d_3 < 1/2, which is equivalent to e^5 < 729/4 (the cruder rational bound
 
 Everything with integer gamma arguments is computed in exact rational
 arithmetic (`fractions.Fraction`); the log comparisons run at 50
-significant digits via mpmath.
+significant digits via mpmath, which the functions that need it import
+on first call, so only `verify-appendix` pays for it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -106,6 +106,7 @@ def c_n_pow_exact(N: int) -> ExactRational:
 
 def c_n_value(N: int) -> tuple[float, ExactRational]:
     """(C_N as a float, C_N^{N-1} as an exact rational)."""
+    import mpmath
     exact_pow = c_n_pow_exact(N)
     with mpmath.workdps(DPS):
         log_pow = mpmath.log(mpmath.mpf(exact_pow.numerator)) - mpmath.log(mpmath.mpf(exact_pow.denominator))
@@ -129,6 +130,7 @@ def exp5_claims() -> dict:
     rationals, a rational e-upper-bound fifth power below 729/4, and the
     50-digit float comparison for the report.
     """
+    import mpmath
     bound = Fraction(729, 4)
     crude = Fraction(14, 5) ** 5
     e_up = e_upper_rational()
@@ -188,6 +190,7 @@ class ClaimLedger:
 
 def _d_terms(n_max: int):
     """d_N for N in [3, n_max + 1] at 50 digits, via a running log-factorial."""
+    import mpmath
     ds = {}
     with mpmath.workdps(DPS):
         log_fact = mpmath.mpf(0)  # log (N-1)! accumulated
@@ -207,6 +210,7 @@ def claim_ledger(n_max: int = 1000) -> ClaimLedger:
     with the decomposition identity log C_N^{N-1} = d_N + e_N checked
     against exact-rational logs to 1e-12 on small N.
     """
+    import mpmath
     if n_max < 3:
         raise InvalidParameterError(f"n_max must be >= 3, got {n_max}")
     ds = _d_terms(n_max)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BracketNotFoundError, InvalidParameterError
 from .functional import CERTIFY_MARGIN, MTParams, alpha_in_range, universal_lower_bound
@@ -156,7 +155,7 @@ def c_tilde_series(N: int, gn_c: float, terms: int | None = None) -> float:
     j = 0
     while True:
         k = j + N
-        term = math.exp(k * math.log(k) - gammaln(k) - j * log_2e)
+        term = math.exp(k * math.log(k) - math.lgamma(k) - j * log_2e)
         total += term
         j += 1
         if terms is not None:
@@ -184,7 +183,7 @@ def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
     if gn_c <= 0:
         raise InvalidParameterError(f"interpolation constant must be positive, got {gn_c}")
     c_tilde = c_tilde_series(N, gn_c)
-    first = min(a / b, 1.0) / (c_tilde * math.exp(gammaln(N - 1)))
+    first = min(a / b, 1.0) / (c_tilde * math.gamma(N - 1))
     second = 1.0 / (2.0 * math.e * gn_c)
     alpha0 = min(first, second, critical_exponent(N))
     return BoundReport(

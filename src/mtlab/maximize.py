@@ -75,7 +75,6 @@ __all__ = [
     "maximize_gn",
     "cached_gn_report",
     "gn_ratio",
-    "diagnose_mode",
 ]
 
 
@@ -174,11 +173,6 @@ def _mode_label(u: RadialProfile, p: MTParams) -> str:
     if grad_share > 1.0 - MODE_EPS:
         return "near-concentration"
     return "interior"
-
-
-def diagnose_mode(report: "MaximizerReport") -> str:
-    """Classify the best profile: near-vanishing, near-concentration or interior."""
-    return _mode_label(report.best_profile, report.params)
 
 
 def _dilation_curve(u: RadialProfile, p: MTParams):

@@ -35,12 +35,12 @@ to use from multiple threads.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
 
 from .errors import InvalidParameterError
 
@@ -80,7 +80,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def sphere_area(N: int) -> float:
     """Surface area omega_{N-1} of the unit sphere in R^N."""
-    return float(2.0 * np.pi ** (N / 2.0) / np.exp(gammaln(N / 2.0)))
+    return float(2.0 * np.pi ** (N / 2.0) / math.gamma(N / 2.0))
 
 
 def critical_exponent(N: int) -> float:

@@ -18,22 +18,17 @@ floating point rather than approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateProfileError, InvalidParameterError
-from .functional import MTParams, constraint_value
+from .functional import MTParams
 from .radial import RadialProfile, grad_norm_pow, lp_norm_pow
 
 __all__ = [
-    "ScalingState",
     "dilate",
     "solve_amplitude",
     "solve_beta_star",
     "beta_star_derivative",
-    "normalized_dilation",
-    "dilation_lower_curve",
     "gn_two_parameter_family",
     "rescale_to_norms",
 ]
@@ -118,50 +113,6 @@ def beta_star_derivative(v: RadialProfile, t: float, p: MTParams) -> float:
     numerator = (a / N) * t ** (a / N - 1.0) * beta ** a * grad_a
     denominator = a * beta ** (a - 1) * t ** (a / N) * grad_a + b * beta ** (b - 1) * norm_b
     return -numerator / denominator
-
-
-@dataclass(frozen=True)
-class ScalingState:
-    """A dilated, constraint-normalized profile w_t = beta_star(t) v_t."""
-
-    base: RadialProfile
-    t: float
-    beta_star: float
-    params: MTParams
-
-    @property
-    def profile(self) -> RadialProfile:
-        return dilate(self.base, self.t).scaled(self.beta_star)
-
-
-def normalized_dilation(v: RadialProfile, t: float, p: MTParams) -> ScalingState:
-    """Build the ScalingState, checking the normalization identity."""
-    beta = solve_beta_star(v, t, p)
-    state = ScalingState(base=v, t=t, beta_star=beta, params=p)
-    residual = abs(constraint_value(state.profile, p) - 1.0)
-    if residual > 1e-10:
-        raise DegenerateProfileError(f"normalization failed, |constraint - 1| = {residual:.3g}")
-    return state
-
-
-def dilation_lower_curve(v: RadialProfile, t, p: MTParams) -> np.ndarray:
-    """Diagnostic curve f(t) = beta^N ||v||_N^N + (alpha/N) beta^{NN'} t^{1/(N-1)} ||v||_{NN'}^{NN'}.
-
-    This is the two-term truncation of the objective along the normalized
-    dilation family, the curve whose initial slope decides whether the
-    family beats the universal lower bound.  f(t) -> 1 as t -> 0 when
-    ||v||_N = 1.
-    """
-    N = p.N
-    nn = N * p.n_prime
-    norm_n = lp_norm_pow(v, N)
-    norm_nn = lp_norm_pow(v, nn)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(ts)
-    for i, ti in enumerate(ts):
-        beta = solve_beta_star(v, ti, p)
-        out[i] = beta ** N * norm_n + (p.alpha / N) * beta ** nn * ti ** (1.0 / (N - 1)) * norm_nn
-    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def rescale_to_norms(u: RadialProfile, grad_norm: float, lp_norm: float) -> RadialProfile:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,3 +247,20 @@ class TestVerifyAppendix:
     def test_bad_n_max(self, capsys):
         code, _, _ = run_cli(capsys, "verify-appendix", "--n-max", "2")
         assert code == 2
+
+
+def test_cli_import_path_loads_no_scipy_or_mpmath():
+    # A cold `mt` command imports neither; verify-appendix imports mpmath on demand.
+    script = (
+        "import sys\n"
+        "import mtlab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
+        "sys.exit(mtlab.cli.main(['verify-appendix', '--n-max', '50', '--format', 'json']))\n"
+    )
+    src = str(Path(mtlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, _, ledger = proc.stdout.partition("\n")
+    assert loaded == "[]"
+    assert json.loads(ledger)["all_claims_hold"] is True

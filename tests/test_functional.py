@@ -27,6 +27,7 @@ from mtlab import (
     psi,
     sample_profile,
 )
+from mtlab.functional import _tail_kernel
 from mtlab.scaling import rescale_to_norms
 from conftest import random_monotone_profile
 
@@ -93,17 +94,25 @@ class TestPhiPsi:
             s = 1e-5
             assert psi(s, N) / s ** (N - 1) < 1e-4
 
-    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8])
     def test_against_high_precision_reference(self, N):
-        # Phi_N(t) = e^t P(N-1, t) and Psi_N(t) = e^t P(N, t), referenced at 40 digits
-        ts = np.concatenate([[1e-50, 1e-12, 5e-11], np.geomspace(1e-10, 630.0, 64)])
+        # Phi_N(t) = e^t P(N-1, t) and Psi_N(t) = e^t P(N, t), referenced at 40 digits,
+        # on both sides of each tail's series/subtraction switch point
+        ts = np.concatenate([[1e-50, 1e-12, 5e-11], np.geomspace(1e-10, 630.0, 64), [700.0]])
         with mpmath.workdps(40):
             for func, k in ((phi, N - 1), (psi, N)):
                 assert func(0.0, N) == 0.0
-                got = func(ts, N)
-                for t, value in zip(ts, got):
+                seam = []
+                if k >= 2:
+                    s_k = _tail_kernel(k)[0]
+                    seam = [np.nextafter(s_k, 0.0), s_k, np.nextafter(s_k, np.inf)]
+                args = np.concatenate([ts, seam])
+                for t, value in zip(args, func(args, N)):
                     ref = mpmath.exp(t) * mpmath.gammainc(k, 0, t, regularized=True)
-                    assert abs(mpmath.mpf(float(value)) / ref - 1) <= 5e-14, (func.__name__, t)
+                    if float(ref) == 0.0:  # below the double range (t = 1e-50, k >= 7)
+                        assert value == 0.0, (func.__name__, t)
+                    else:
+                        assert abs(mpmath.mpf(float(value)) / ref - 1) <= 5e-14, (func.__name__, t)
 
     def test_overflow(self):
         with pytest.raises(SeriesOverflowError):

@@ -14,7 +14,6 @@ from mtlab import (
     build_grid,
     constraint_value,
     critical_exponent,
-    diagnose_mode,
     functional_gradient,
     gn_ratio,
     grad_norm_pow,
@@ -28,7 +27,7 @@ from mtlab import (
 )
 from mtlab.appendix import gn_ratio_radial
 from mtlab import maximize as maximize_mod
-from mtlab.maximize import GN_BRACKET, GN_ROUNDS, GN_SHOTS, _bracket_q0, _dilation_curve
+from mtlab.maximize import GN_BRACKET, GN_ROUNDS, GN_SHOTS, _bracket_q0, _dilation_curve, _mode_label
 from mtlab.radial import pl_norm_pow
 from mtlab.scaling import rescale_to_norms
 from conftest import random_monotone_profile
@@ -197,36 +196,19 @@ class TestMaximizeD:
 
 
 class TestDiagnoseMode:
-    def _report_with_profile(self, u, p):
-        return mtlab.MaximizerReport(
-            params=p,
-            best_value=1.0,
-            best_profile=u,
-            norm_split=(0.0, 0.0),
-            lower_bound=1.0,
-            margin=0.0,
-            exceeds_lower_bound=False,
-            mode_diagnostic="",
-            iterations=0,
-            restarts=0,
-            seed=0,
-            restart_values=(),
-            grid_meta={},
-        )
-
     def test_concentration_threshold(self):
         g = build_grid(2, 10.0, 256)
         u = sample_profile(g, lambda r: np.exp(-(r ** 2)))
         p = MTParams(N=2, alpha=1.0, a=2.0, b=2.0)
         conc = rescale_to_norms(u, 1.0, (1e-6) ** (1.0 / 2.0))  # grad share ~ 1
-        assert diagnose_mode(self._report_with_profile(conc, p)) == "near-concentration"
+        assert _mode_label(conc, p) == "near-concentration"
 
     def test_interior(self):
         g = build_grid(2, 10.0, 256)
         u = sample_profile(g, lambda r: np.exp(-(r ** 2)))
         p = MTParams(N=2, alpha=1.0, a=2.0, b=2.0)
         balanced = rescale_to_norms(u, math.sqrt(0.5), math.sqrt(0.5))
-        assert diagnose_mode(self._report_with_profile(balanced, p)) == "interior"
+        assert _mode_label(balanced, p) == "interior"
 
 
 class TestMaximizeGN:

@@ -12,11 +12,9 @@ from mtlab import (
     build_grid,
     constraint_value,
     dilate,
-    dilation_lower_curve,
     gn_two_parameter_family,
     grad_norm_pow,
     lp_norm_pow,
-    normalized_dilation,
     sample_profile,
     solve_beta_star,
 )
@@ -133,29 +131,13 @@ class TestNormalizedDilation:
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 3.0), (3.5, 0.8)])
     def test_constraint_identity(self, N, a, b):
+        # beta_star(t) v_t lies on the constraint surface
         p = MTParams(N=N, alpha=1.0, a=a, b=b)
         g = build_grid(N, 12.0, 384)
         v = sample_profile(g, lambda r: np.exp(-r))
         for t in (0.2, 1.0, 5.0):
-            state = normalized_dilation(v, t, p)
-            assert constraint_value(state.profile, p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_lower_curve_limit(self):
-        # f(t) -> 1 as t -> 0 when ||v||_N = 1
-        g = build_grid(2, 12.0, 512)
-        u = sample_profile(g, lambda r: np.exp(-(r ** 2)))
-        v = rescale_to_norms(u, 0.9, 1.0)
-        p = MTParams(N=2, alpha=2.0, a=2.0, b=2.0)
-        assert dilation_lower_curve(v, 1e-8, p) == pytest.approx(1.0, abs=1e-6)
-
-    def test_lower_curve_matches_manual_combination(self):
-        g = build_grid(2, 12.0, 512)
-        v = sample_profile(g, lambda r: np.exp(-r))
-        p = MTParams(N=2, alpha=1.5, a=2.0, b=3.0)
-        t = 0.7
-        beta = solve_beta_star(v, t, p)
-        manual = beta ** 2 * lp_norm_pow(v, 2) + (p.alpha / 2) * beta ** 4 * t * lp_norm_pow(v, 4)
-        assert dilation_lower_curve(v, t, p) == pytest.approx(manual, rel=1e-13)
+            w = dilate(v, t).scaled(solve_beta_star(v, t, p))
+            assert constraint_value(w, p) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGnTwoParameterFamily:
