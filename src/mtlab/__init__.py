@@ -24,7 +24,6 @@ from .bounds import (
     BracketReport,
     alpha0_nonexistence,
     attainment_test,
-    bgn_condition,
     bracket_alpha_star,
     c_tilde_series,
     g_function_test,
@@ -40,8 +39,6 @@ from .errors import (
 )
 from .functional import (
     MTParams,
-    SeriesControl,
-    adachi_tanaka_ratio,
     constraint_value,
     j_truncated,
     mt_integral,
@@ -50,7 +47,6 @@ from .functional import (
     psi,
 )
 from .maximize import (
-    GNOptions,
     GNReport,
     MaximizeOptions,
     MaximizerReport,

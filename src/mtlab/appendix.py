@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidParameterError
 from .maximize import gn_ratio
 from .radial import RadialProfile
@@ -56,13 +54,15 @@ __all__ = [
     "ClaimRow",
     "ClaimLedger",
     "claim_ledger",
-    "claim_auxiliary_f",
 ]
 
 #: Exact rational values (reduced form, positive denominator).
 ExactRational = Fraction
 
 DPS = 50
+
+#: Terms of the partial sum in e_upper_rational.
+E_TERMS = 20
 
 
 def gamma_exact(n: int) -> ExactRational:
@@ -114,13 +114,13 @@ def c_n_value(N: int) -> tuple[float, ExactRational]:
     return float(value), exact_pow
 
 
-def e_upper_rational(terms: int = 20) -> ExactRational:
-    """A rational upper bound for e: partial sum plus the geometric tail bound.
+def e_upper_rational() -> ExactRational:
+    """A rational upper bound for e: the partial sum to K = E_TERMS plus the tail bound.
 
     sum_{k > K} 1/k! < 1/(K! K), so the bound is exact-arithmetic valid.
     """
-    partial = sum(Fraction(1, math.factorial(k)) for k in range(terms + 1))
-    return partial + Fraction(1, math.factorial(terms) * terms)
+    partial = sum(Fraction(1, math.factorial(k)) for k in range(E_TERMS + 1))
+    return partial + Fraction(1, math.factorial(E_TERMS) * E_TERMS)
 
 
 def exp5_claims() -> dict:
@@ -244,11 +244,3 @@ def claim_ledger(n_max: int = 1000) -> ClaimLedger:
             )
     return ClaimLedger(rows=tuple(rows), exp5=exp5_claims(), decomposition_max_error=max_err)
 
-
-def claim_auxiliary_f(x):
-    """f(x) = (x+1) log(1 + 1/x) - 1, the monotonicity workhorse for claim 2.
-
-    Positive and strictly decreasing on [1, inf); f(N) = d_N - d_{N+1}.
-    """
-    x = np.asarray(x, dtype=float)
-    return (x + 1.0) * np.log1p(1.0 / x) - 1.0

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketNotFoundError, InvalidParameterError
-from .functional import CERTIFY_MARGIN, MTParams, alpha_in_range, universal_lower_bound
+from .functional import CERTIFY_MARGIN, MTParams, universal_lower_bound
 from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, golden_section_max, maximize_d
-from .radial import critical_exponent
+from .radial import check_dimension, critical_exponent
 
 __all__ = [
     "VERDICT_CERTIFIED",
@@ -37,7 +37,6 @@ __all__ = [
     "g_function_test",
     "c_tilde_series",
     "alpha0_nonexistence",
-    "bgn_condition",
     "BracketOptions",
     "BracketReport",
     "bracket_alpha_star",
@@ -46,6 +45,10 @@ __all__ = [
 VERDICT_CERTIFIED = "attained-certified-numerically"
 VERDICT_NONE = "no-verdict"
 VERDICT_NONEXISTENCE_REGIME = "nonexistence-regime"
+
+#: The g-test certifies iff max g > 1 + G_TEST_MARGIN; g is scanned at G_TEST_SAMPLES points first.
+G_TEST_MARGIN = 1e-8
+G_TEST_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -95,15 +98,7 @@ def g_function(t, alpha: float, a: float, b: float, N: int, bgn: float):
     return t ** (N / b) * (1.0 + (alpha / N) * bgn * (1.0 - t) ** (n_prime / a))
 
 
-def g_function_test(
-    alpha: float,
-    a: float,
-    b: float,
-    N: int,
-    bgn: float,
-    margin: float = 1e-8,
-    samples: int = 10_000,
-) -> BoundReport:
+def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> BoundReport:
     """Scan g over [0, 1]; max g > 1 certifies attainment (sufficient test).
 
     `bgn` must be a certified lower bound for the GN best constant: g is
@@ -114,15 +109,15 @@ def g_function_test(
     """
     if bgn <= 0:
         raise InvalidParameterError(f"bgn must be positive, got {bgn}")
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, G_TEST_SAMPLES)
     gs = g_function(ts, alpha, a, b, N, bgn)
     k = int(np.argmax(gs))
-    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, samples - 1)]
+    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, G_TEST_SAMPLES - 1)]
     t_best, g_best = golden_section_max(lambda t: float(g_function(t, alpha, a, b, N, bgn)), lo, hi, 80, 1e-14)
     if float(gs[k]) > g_best:
         t_best, g_best = float(ts[k]), float(gs[k])
     gprime_at_1 = N / b - alpha * bgn / N
-    verdict = VERDICT_CERTIFIED if g_best > 1.0 + margin else VERDICT_NONE
+    verdict = VERDICT_CERTIFIED if g_best > 1.0 + G_TEST_MARGIN else VERDICT_NONE
     return BoundReport(
         kind="g-test",
         values={
@@ -146,8 +141,7 @@ def c_tilde_series(N: int, gn_c: float, terms: int | None = None) -> float:
     is evaluated at 1/(2e)), so the sum converges geometrically; with
     `terms=None` it truncates once a term drops below 1e-16 of the sum.
     """
-    if N < 2 or N != int(N):
-        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
+    check_dimension(N)
     if gn_c <= 0:
         raise InvalidParameterError(f"interpolation constant must be positive, got {gn_c}")
     log_2e = math.log(2.0) + 1.0
@@ -200,17 +194,6 @@ def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
     )
 
 
-def bgn_condition(alpha: float, b: float, N: int, bgn: float) -> bool:
-    """True iff b > N^2 / (alpha * bgn), strictly.
-
-    With a near N' this is the hypothesis under which the g-test
-    certifies attainment.
-    """
-    if bgn <= 0:
-        raise InvalidParameterError(f"bgn must be positive, got {bgn}")
-    return b > N * N / (alpha * bgn)
-
-
 @dataclass(frozen=True)
 class BracketOptions:
     """alpha grid and refinement policy for bracket_alpha_star."""
@@ -222,11 +205,26 @@ class BracketOptions:
     use_g_test: bool = True
     maximize_opts: MaximizeOptions = field(default_factory=MaximizeOptions)
 
-    def alpha_range(self, N: int) -> tuple[float, float]:
-        """(alpha_min, alpha_max) with the defaults filled in: alpha_N / 50 and 0.98 alpha_N."""
+    def __post_init__(self):
+        if self.count < 2:
+            raise InvalidParameterError(f"count must be >= 2, got {self.count}")
+        if self.bisect_iters < 0:
+            raise InvalidParameterError(f"bisect_iters must be >= 0, got {self.bisect_iters}")
+
+    def alpha_range(self, a: float, b: float, N: int) -> tuple[float, float]:
+        """(alpha_min, alpha_max) for the problem (a, b, N), defaults alpha_N / 50 and 0.98 alpha_N.
+
+        Raises InvalidParameterError unless MTParams accepts the problem at
+        both ends and alpha_min < alpha_max.
+        """
+        check_dimension(N)
         a_N = critical_exponent(N)
         alpha_lo = self.alpha_min if self.alpha_min is not None else a_N / 50.0
         alpha_hi = self.alpha_max if self.alpha_max is not None else a_N * (1.0 - 1.0 / 50.0)
+        for alpha in (alpha_lo, alpha_hi):
+            MTParams(N=N, alpha=alpha, a=a, b=b)
+        if not alpha_lo < alpha_hi:
+            raise InvalidParameterError(f"alpha_min must be below alpha_max, got {alpha_lo:.6g} >= {alpha_hi:.6g}")
         return alpha_lo, alpha_hi
 
 
@@ -286,9 +284,7 @@ def bracket_alpha_star(
     Optional bisection tightens [alpha_low, alpha_high].
     """
     opts = opts or BracketOptions()
-    alpha_lo, alpha_hi = opts.alpha_range(N)
-    if not (alpha_in_range(alpha_lo, N) and alpha_in_range(alpha_hi, N) and alpha_lo < alpha_hi):
-        raise InvalidParameterError("alpha bracket range must satisfy 0 < min < max <= alpha_N")
+    alpha_lo, alpha_hi = opts.alpha_range(a, b, N)
     alphas = np.linspace(alpha_lo, alpha_hi, opts.count)
     bgn = cached_gn_report(N).bgn_estimate if opts.use_g_test else None
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .bounds import (
 from .errors import BracketNotFoundError, InvalidParameterError, MTLabError
 from .functional import (
     MTParams,
-    alpha_in_range,
     constraint_value,
     j_truncated,
     mt_integral,
@@ -31,6 +31,7 @@ from .functional import (
 from .maximize import MaximizeOptions, cached_gn_report, maximize_d, project_to_constraint
 from .radial import (
     build_grid,
+    check_dimension,
     critical_exponent,
     grad_norm_pow,
     lp_norm_pow,
@@ -38,7 +39,9 @@ from .radial import (
     profile_to_csv,
     sample_profile,
 )
-from .sweeps import AxisSpec, SweepPlan, phase_map, plan_to_json, run_sweep, sweep_to_csv
+from .sweeps import AxisSpec, SweepPlan, plan_to_json, run_sweep, sweep_to_csv
+
+__all__ = ["build_parser", "main"]
 
 DISCLAIMER = (
     "note: reported values are certified lower bounds from feasible profiles; "
@@ -46,12 +49,47 @@ DISCLAIMER = (
 )
 
 
-def _add_param_args(sp, with_ab: bool = True):
-    sp.add_argument("--N", type=int, required=True, help="dimension, integer >= 2")
+class UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line the way main reports every other usage error."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n{self.format_usage()}")
+
+
+def _dimension(text: str) -> int:
+    """--N: an integer that radial.check_dimension accepts."""
+    try:
+        N = int(text)
+        check_dimension(N)
+    except ValueError as exc:  # InvalidParameterError is a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return N
+
+
+@contextmanager
+def _request(source: str = ""):
+    """Build a command's inputs: an InvalidParameterError raised here is a usage error.
+
+    The objects validate themselves when built, so the block runs before any
+    computing; it also wraps closed-form calls whose only InvalidParameterError
+    is their own input check.  Raised anywhere else, the error is a failed
+    computation (exit 1).  `source` prefixes the message, e.g. a profile's file.
+    """
+    try:
+        yield
+    except InvalidParameterError as exc:
+        raise UsageError(f"{source}{exc}") from exc
+
+
+def _add_param_args(sp):
+    sp.add_argument("--N", type=_dimension, required=True, help="dimension, integer >= 2")
     sp.add_argument("--alpha", type=float, required=True, help="growth parameter in (0, alpha_N]")
-    if with_ab:
-        sp.add_argument("--a", type=float, required=True, help="gradient-norm power")
-        sp.add_argument("--b", type=float, required=True, help="norm power")
+    sp.add_argument("--a", type=float, required=True, help="gradient-norm power")
+    sp.add_argument("--b", type=float, required=True, help="norm power")
 
 
 def _add_grid_args(sp):
@@ -76,7 +114,7 @@ def _add_common_args(sp, restarts: bool = False, csv: bool = False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mt",
         description="Numerical laboratory for the constrained exponential-growth maximization problem.",
     )
@@ -109,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(sp, restarts=True)
 
     sp = sub.add_parser("bgn", help="lower-bound the Gagliardo-Nirenberg best constant")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_dimension, required=True)
     sp.add_argument("--profile-out", type=str, default=None, help="write the maximizer CSV here")
     _add_common_args(sp)
 
@@ -119,14 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(sp)
 
     sp = sub.add_parser("alpha0", help="explicit non-attainment bound for small alpha (a <= N')")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_dimension, required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--gn-c", type=float, default=None, help="interpolation constant C (default: derived)")
     _add_common_args(sp)
 
     sp = sub.add_parser("alpha-star", help="bracket the attainment threshold, one-sided")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_dimension, required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--alpha-min", type=float, default=None)
@@ -137,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(sp, restarts=True)
 
     sp = sub.add_parser("sweep", help="1D parameter sweep with the remaining parameters fixed")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_dimension, required=True)
     sp.add_argument("--axis", choices=["alpha", "a", "b"], required=True)
     sp.add_argument("--min", type=float, required=True)
     sp.add_argument("--max", type=float, required=True)
@@ -150,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(sp, restarts=True, csv=True)
 
     sp = sub.add_parser("phase-map", help="attainment map over (a, b) at fixed alpha")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_dimension, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--a-min", type=float, required=True)
     sp.add_argument("--a-max", type=float, required=True)
@@ -167,17 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(format="human")  # ledger CSV plus the final claims line
 
     return parser
-
-
-def _validate_params(args) -> MTParams:
-    try:
-        return MTParams(N=args.N, alpha=args.alpha, a=args.a, b=args.b)
-    except InvalidParameterError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-class UsageError(Exception):
-    pass
 
 
 def _emit(text: str, out: str | None):
@@ -207,23 +234,28 @@ def _make_options(args, allow_infinite: bool = False) -> MaximizeOptions:
     )
 
 
+def _params(args) -> MTParams:
+    return MTParams(N=args.N, alpha=args.alpha, a=args.a, b=args.b)
+
+
 def _cmd_eval(args) -> int:
-    p = _validate_params(args)
+    if not args.width > 0:
+        raise UsageError(f"--width must be positive, got {args.width}")
+    with _request():
+        p = _params(args)
+        grid = None if args.profile else build_grid(args.N, args.r_max, args.n_nodes, args.grid_scheme)
     if args.profile:
         with open(args.profile, "r", encoding="utf-8") as fh:
             text = fh.read()
-        try:
+        with _request(f"--profile {args.profile}: "):
             u = profile_from_csv(text, N=args.N)
-        except ValueError as exc:  # InvalidParameterError is a ValueError
-            raise UsageError(f"--profile {args.profile}: {exc}") from exc
     else:
-        grid = build_grid(args.N, args.r_max, args.n_nodes, args.grid_scheme)
-        r_scale = max(args.width, 1e-6)
+        w = args.width
         families = {
-            "gaussian": lambda r: np.exp(-((r / r_scale) ** 2)),
-            "exp": lambda r: np.exp(-r / r_scale),
-            "sech": lambda r: 1.0 / np.cosh(r / r_scale),
-            "cubic": lambda r: np.maximum(0.0, 1.0 - r / r_scale) ** 3,
+            "gaussian": lambda r: np.exp(-((r / w) ** 2)),
+            "exp": lambda r: np.exp(-r / w),
+            "sech": lambda r: 1.0 / np.cosh(r / w),
+            "cubic": lambda r: np.maximum(0.0, 1.0 - r / w) ** 3,
         }
         u = sample_profile(grid, families[args.family])
     if args.normalize:
@@ -246,8 +278,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_maximize(args) -> int:
-    p = _validate_params(args)
-    opts = _make_options(args, allow_infinite=args.allow_infinite_regime)
+    with _request():
+        p = _params(args)
+        opts = _make_options(args, allow_infinite=args.allow_infinite_regime)
     report = maximize_d(p, opts)
     payload = report.to_json_dict()
     if args.profile_out:
@@ -287,9 +320,11 @@ def _cmd_bgn(args) -> int:
 
 
 def _cmd_g_test(args) -> int:
-    p = _validate_params(args)
+    with _request():
+        p = _params(args)
     bgn = args.bgn if args.bgn is not None else cached_gn_report(args.N).bgn_estimate
-    report = g_function_test(p.alpha, p.a, p.b, p.N, bgn)
+    with _request():  # closed form: its only InvalidParameterError is its bgn check
+        report = g_function_test(p.alpha, p.a, p.b, p.N, bgn)
     payload = report.to_json_dict()
     human = [
         f"max g: {report.values['max_g']:.12g} at t = {report.values['argmax_t']:.6g}",
@@ -301,17 +336,13 @@ def _cmd_g_test(args) -> int:
 
 
 def _cmd_alpha0(args) -> int:
-    if args.N < 2:
-        raise UsageError(f"N must be >= 2, got {args.N}")
     gn_c = args.gn_c
     if gn_c is None:
         # A valid interpolation constant derived from the computed GN bound;
         # any valid C yields a valid alpha0, smaller C a sharper one.
         gn_c = max(1.0, 1.0 / cached_gn_report(args.N).bgn_estimate)
-    try:
+    with _request():  # closed form: its only InvalidParameterErrors are its input checks
         report = alpha0_nonexistence(args.a, args.b, args.N, gn_c)
-    except InvalidParameterError as exc:
-        raise UsageError(str(exc)) from exc
     payload = report.to_json_dict()
     payload["gn_c"] = gn_c
     human = [
@@ -324,28 +355,15 @@ def _cmd_alpha0(args) -> int:
 
 
 def _cmd_alpha_star(args) -> int:
-    if args.N < 2:
-        raise UsageError(f"N must be >= 2, got {args.N}")
-    a_N = critical_exponent(args.N)
-    opts = BracketOptions(
-        alpha_min=args.alpha_min,
-        alpha_max=args.alpha_max,
-        count=args.count,
-        bisect_iters=args.bisect,
-        maximize_opts=_make_options(args),
-    )
-    alpha_min, alpha_max = opts.alpha_range(args.N)
-    for name, val in (("alpha-min", alpha_min), ("alpha-max", alpha_max)):
-        if not alpha_in_range(val, args.N):
-            raise UsageError(f"--{name} must lie in (0, alpha_N = {a_N:.6g}]")
-    if not alpha_min < alpha_max:
-        raise UsageError(f"--alpha-min must be below --alpha-max, got {alpha_min:.6g} >= {alpha_max:.6g}")
-    if args.count < 2:
-        raise UsageError(f"--count must be >= 2, got {args.count}")
-    try:  # the problem at the upper end; rejects a non-positive --a or --b
-        MTParams(N=args.N, alpha=alpha_max, a=args.a, b=args.b)
-    except InvalidParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    with _request():
+        opts = BracketOptions(
+            alpha_min=args.alpha_min,
+            alpha_max=args.alpha_max,
+            count=args.count,
+            bisect_iters=args.bisect,
+            maximize_opts=_make_options(args),
+        )
+        opts.alpha_range(args.a, args.b, args.N)
     try:
         report = bracket_alpha_star(args.a, args.b, args.N, opts)
     except BracketNotFoundError as exc:
@@ -355,14 +373,24 @@ def _cmd_alpha_star(args) -> int:
     human = [
         f"alpha_high (threshold is certified <= this): {report.alpha_high:.12g}",
         f"alpha_low (largest uncertified grid point, heuristic): {report.alpha_low:.12g}",
-        f"alpha_N: {a_N:.12g}",
+        f"alpha_N: {critical_exponent(args.N):.12g}",
         DISCLAIMER,
     ]
     _emit(_report_text(payload, args.format, human), args.out)
     return 0
 
 
-def _sweep_output(result, args) -> int:
+def _run_plan(args, axes, fixed: dict) -> int:
+    """Build the SweepPlan of (name, min, max, count[, spacing]) axes, run it and emit the table."""
+    with _request():
+        plan = SweepPlan(
+            N=args.N,
+            axes=tuple(AxisSpec(*axis) for axis in axes),
+            fixed=fixed,
+            seed=args.seed,
+            options=_make_options(args),
+        )
+    result = run_sweep(plan)
     if args.format == "csv":
         text = sweep_to_csv(result)
     elif args.format == "human":
@@ -382,48 +410,18 @@ def _sweep_output(result, args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    fixed = {}
-    for name in ("alpha", "a", "b"):
-        val = getattr(args, name)
-        if name == args.axis:
-            if val is not None:
-                raise UsageError(f"--{name} is the sweep axis; do not also fix it")
-            continue
-        if val is None:
-            raise UsageError(f"--{name} must be fixed when sweeping --axis {args.axis}")
-        fixed[name] = val
-    try:
-        plan = SweepPlan(
-            N=args.N,
-            axes=(AxisSpec(args.axis, args.min, args.max, args.count, args.spacing),),
-            fixed=fixed,
-            seed=args.seed,
-            options=_make_options(args),
-        )
-    except InvalidParameterError as exc:
-        raise UsageError(str(exc)) from exc
-    return _sweep_output(run_sweep(plan), args)
+    fixed = {name: getattr(args, name) for name in ("alpha", "a", "b") if getattr(args, name) is not None}
+    return _run_plan(args, [(args.axis, args.min, args.max, args.count, args.spacing)], fixed)
 
 
 def _cmd_phase_map(args) -> int:
-    try:
-        result = phase_map(
-            AxisSpec("a", args.a_min, args.a_max, args.a_count),
-            AxisSpec("b", args.b_min, args.b_max, args.b_count),
-            alpha=args.alpha,
-            N=args.N,
-            seed=args.seed,
-            options=_make_options(args),
-        )
-    except InvalidParameterError as exc:
-        raise UsageError(str(exc)) from exc
-    return _sweep_output(result, args)
+    axes = [("a", args.a_min, args.a_max, args.a_count), ("b", args.b_min, args.b_max, args.b_count)]
+    return _run_plan(args, axes, {"alpha": args.alpha})
 
 
 def _cmd_verify_appendix(args) -> int:
-    if args.n_max < 3:
-        raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
-    ledger = claim_ledger(args.n_max)
+    with _request():  # its only InvalidParameterError is its n_max check
+        ledger = claim_ledger(args.n_max)
     csv_text = ledger.to_csv()
     ok = ledger.all_claims_hold
     if args.format == "json":

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MTLabError",
+    "InvalidParameterError",
+    "SeriesOverflowError",
+    "DegenerateProfileError",
+    "GridOverflowError",
+    "BracketNotFoundError",
+]
+
 
 class MTLabError(Exception):
     """Base class for all package errors."""

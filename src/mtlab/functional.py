@@ -24,22 +24,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateProfileError, InvalidParameterError, SeriesOverflowError
-from .radial import RadialProfile, critical_exponent, grad_norm_pow, lp_norm_pow
+from .errors import InvalidParameterError, SeriesOverflowError
+from .radial import RadialProfile, check_dimension, critical_exponent, grad_norm_pow, lp_norm_pow
 
 __all__ = [
     "CERTIFY_MARGIN",
     "MTParams",
     "alpha_in_range",
     "universal_lower_bound",
-    "SeriesControl",
     "phi",
     "psi",
     "mt_integral",
     "mt_integral_series",
     "constraint_value",
     "j_truncated",
-    "adachi_tanaka_ratio",
 ]
 
 #: Largest series argument before e^t leaves the double range.
@@ -52,27 +50,14 @@ CERTIFY_MARGIN = 1e-6
 #: subtraction branch of `_phi_tail`; below its switch point the series runs.
 TAIL_CANCELLATION = 16.0
 
+#: `mt_integral_series` stops at a term below SERIES_RTOL of the partial sum, or after SERIES_MAX_TERMS.
+SERIES_RTOL = 1e-14
+SERIES_MAX_TERMS = 512
+
 
 def alpha_in_range(alpha: float, N: int) -> bool:
     """True iff 0 < alpha <= alpha_N, with 1e-12 relative slack at alpha_N for round-off."""
     return 0 < alpha <= critical_exponent(N) * (1 + 1e-12)
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the series of norms in `mt_integral_series`."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 512
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise InvalidParameterError("rel_tol must be positive")
-        if self.max_terms < 2:
-            raise InvalidParameterError("max_terms must be at least 2")
-
-
-DEFAULT_SERIES = SeriesControl()
 
 
 @dataclass(frozen=True)
@@ -92,8 +77,7 @@ class MTParams:
     b: float
 
     def __post_init__(self):
-        if self.N < 2 or self.N != int(self.N):
-            raise InvalidParameterError(f"dimension N must be an integer >= 2, got {self.N}")
+        check_dimension(self.N)
         if self.a <= 0 or self.b <= 0:
             raise InvalidParameterError(f"constraint powers must be positive, got a={self.a}, b={self.b}")
         if not alpha_in_range(self.alpha, self.N):
@@ -124,8 +108,7 @@ class MTParams:
 
 def universal_lower_bound(alpha: float, N: int) -> float:
     """alpha^{N-1}/(N-1)!, valid for every (a, b): the vanishing-family value."""
-    if N < 2 or N != int(N):
-        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
+    check_dimension(N)
     if not alpha_in_range(alpha, N):
         raise InvalidParameterError(f"alpha must lie in (0, alpha_N], got {alpha}")
     return float(alpha ** (N - 1) / math.gamma(N))
@@ -202,16 +185,14 @@ def _phi_tail(t, k: int):
 
 def phi(t, N: int):
     """Phi_N(t) = sum_{j >= N-1} t^j / j!, for t >= 0."""
-    if N < 2 or N != int(N):
-        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
+    check_dimension(N)
     result = _phi_tail(t, N - 1)
     return float(result[0]) if np.ndim(t) == 0 else result
 
 
 def psi(s, N: int):
     """Psi_N(s) = Phi_N(s) - s^{N-1}/(N-1)! = sum_{j >= N} s^j / j!."""
-    if N < 2 or N != int(N):
-        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
+    check_dimension(N)
     result = _phi_tail(s, N)
     return float(result[0]) if np.ndim(s) == 0 else result
 
@@ -233,10 +214,10 @@ def mt_integral(u: RadialProfile, p: MTParams) -> float:
     return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(t, p.N - 1)))
 
 
-def mt_integral_series(u: RadialProfile, p: MTParams, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def mt_integral_series(u: RadialProfile, p: MTParams) -> float:
     """Same integral by the series of norms sum_j (alpha^j/j!) ||u||_{N'j}^{N'j}.
 
-    Truncates when the running term drops below rel_tol of the partial
+    Truncates when the running term drops below SERIES_RTOL of the partial
     sum *and* the index is past the series hump j ~ alpha max(u)^{N'};
     stopping before the hump would truncate a still-growing series.
     """
@@ -251,11 +232,11 @@ def mt_integral_series(u: RadialProfile, p: MTParams, ctl: SeriesControl = DEFAU
     positive = t > 0
     total = 0.0
     j = p.N - 1
-    for _ in range(ctl.max_terms):
+    for _ in range(SERIES_MAX_TERMS):
         log_term = j * log_t - math.lgamma(j + 1)
         term = float(np.dot(mass[positive], np.exp(log_term[positive])))
         total += term
-        if term <= ctl.rel_tol * max(total, 1e-300) and j > hump:
+        if term <= SERIES_RTOL * max(total, 1e-300) and j > hump:
             break
         j += 1
     return u.grid.omega * total
@@ -282,17 +263,3 @@ def j_truncated(u: RadialProfile, p: MTParams) -> float:
     c2 = p.alpha ** N / math.gamma(N + 1)
     return c1 * lp_norm_pow(u, N) + c2 * lp_norm_pow(u, N * p.n_prime)
 
-
-def adachi_tanaka_ratio(u: RadialProfile, alpha: float, N: int) -> float:
-    """Scale-invariant ratio F(u / ||grad u||_N) / ||u / ||grad u||_N||_N^N.
-
-    Invariant under both u -> c u and u -> u(lambda .): the gradient
-    normalization removes the amplitude and the ratio's exponents cancel
-    the dilation factor.
-    """
-    gn = grad_norm_pow(u)
-    if gn <= 0.0:
-        raise DegenerateProfileError("gradient norm vanishes; ratio undefined")
-    v = u.scaled(gn ** (-1.0 / N))
-    params = MTParams(N=N, alpha=alpha, a=1.0, b=1.0)
-    return mt_integral(v, params) / lp_norm_pow(v, N)

@@ -57,6 +57,7 @@ from .radial import (
     RadialGrid,
     RadialProfile,
     build_grid,
+    check_grid,
     decreasing_rearrangement,
     grad_norm_pow,
     lp_norm_pow,
@@ -67,7 +68,6 @@ from .scaling import dilate, gn_two_parameter_family, rescale_to_norms, solve_am
 __all__ = [
     "MaximizeOptions",
     "MaximizerReport",
-    "GNOptions",
     "GNReport",
     "functional_gradient",
     "project_to_constraint",
@@ -99,6 +99,11 @@ class MaximizeOptions:
     restarts: int = 12
     seed: int = 1
     allow_infinite_regime: bool = False
+
+    def __post_init__(self):
+        check_grid(self.r_max, self.n_nodes, self.scheme)
+        if self.restarts < 1:
+            raise InvalidParameterError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -421,6 +426,9 @@ def maximize_d(
 # Gagliardo-Nirenberg best constant
 # ---------------------------------------------------------------------------
 
+#: The grid the GN ground state is sampled on; shots run to GN_R_MAX.
+GN_R_MAX = 30.0
+GN_NODES = 1536
 #: Shooting policy of maximize_gn: RK4 step in r, shots per round, rounds, initial Q(0) bracket.
 GN_STEP = 0.02
 GN_SHOTS = 257
@@ -430,14 +438,6 @@ GN_BRACKET = (1.05, 4.0)
 GN_RESIDUAL_TOL = 1e-6
 #: The first event of a shot: Q reaches zero, or phi turns positive (Q turns back up).
 OVERSHOOT, UNDERSHOOT = 1, -1
-
-
-@dataclass(frozen=True)
-class GNOptions:
-    """The grid the GN ground state is sampled on; shots run to r_max."""
-
-    r_max: float = 30.0
-    n_nodes: int = 1536
 
 
 @dataclass(frozen=True)
@@ -536,7 +536,7 @@ def _bracket_q0(N: int, lo: float, hi: float, r_end: float) -> tuple[float, floa
     return lo, hi
 
 
-def maximize_gn(N: int, opts: GNOptions | None = None) -> GNReport:
+def maximize_gn(N: int) -> GNReport:
     """The radial GN ground state by shooting on Q(0), normalized to ||grad V||_N = 1 = ||V||_N.
 
     The maximizer solves -Delta_N Q + Q^{N-1} = Q^{NN'-1}.  The shot from
@@ -544,13 +544,10 @@ def maximize_gn(N: int, opts: GNOptions | None = None) -> GNReport:
     to 0 there, sampled at the grid nodes (0 beyond) and normalized;
     bgn_estimate is the ratio of that profile's PL interpolant.
     """
-    if N < 2 or N != int(N):
-        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
-    opts = opts or GNOptions()
-    grid = build_grid(N, opts.r_max, opts.n_nodes)
-    lo, hi = _bracket_q0(N, *GN_BRACKET, opts.r_max)
+    grid = build_grid(N, GN_R_MAX, GN_NODES)
+    lo, hi = _bracket_q0(N, *GN_BRACKET, GN_R_MAX)
     q0 = 0.5 * (lo + hi)
-    event, trajectory = _shoot(N, np.array([q0]), opts.r_max)
+    event, trajectory = _shoot(N, np.array([q0]), GN_R_MAX)
     q = np.array(trajectory[:-1] if event[0] else trajectory)
     values = np.interp(grid.nodes, GN_STEP * np.arange(q.size), q - q[-1], right=0.0)
     profile = rescale_to_norms(RadialProfile(grid, values), 1.0, 1.0)
@@ -568,7 +565,7 @@ def maximize_gn(N: int, opts: GNOptions | None = None) -> GNReport:
 
 @cache
 def cached_gn_report(N: int) -> GNReport:
-    """maximize_gn(N) at default options, computed once per process.
+    """maximize_gn(N), computed once per process.
 
     The one source of the GN maximizer and its ratio for maximize_d,
     bracket_alpha_star and the command line; its arrays are read-only, so

@@ -49,6 +49,8 @@ __all__ = [
     "RadialProfile",
     "sphere_area",
     "critical_exponent",
+    "check_dimension",
+    "check_grid",
     "build_grid",
     "equal_mass_grid",
     "lp_norm_pow",
@@ -76,6 +78,22 @@ PL_GAUSS_ORDER = 16
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def check_dimension(N) -> None:
+    """Reject any N but an integer >= 2, the dimensions the problem is posed in."""
+    if N < 2 or N != int(N):
+        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
+
+
+def check_grid(r_max: float, n_nodes: int, scheme: str) -> None:
+    """Reject a grid request that build_grid cannot honour: r_max > 0 finite, n_nodes >= 16, a known scheme."""
+    if n_nodes < 16:
+        raise InvalidParameterError(f"n_nodes must be >= 16, got {n_nodes}")
+    if not 0 < r_max < math.inf:
+        raise InvalidParameterError(f"r_max must be positive and finite, got {r_max}")
+    if scheme not in GRID_SCHEMES:
+        raise InvalidParameterError(f"unknown grid scheme {scheme!r}; expected one of {GRID_SCHEMES}")
 
 
 def sphere_area(N: int) -> float:
@@ -115,8 +133,7 @@ class RadialGrid:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if self.N < 2 or self.N != int(self.N):
-            raise InvalidParameterError(f"dimension N must be an integer >= 2, got {self.N}")
+        check_dimension(self.N)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size < 2:
             raise InvalidParameterError("nodes and weights must be 1D arrays of equal length >= 2")
         if not (np.all(np.diff(nodes) > 0) and nodes[0] > 0 and nodes[-1] <= self.r_max):
@@ -163,7 +180,7 @@ class RadialGrid:
         """int_0^{r_max} f(r) dr for nodal samples of f."""
         return float(np.dot(self.weights, values))
 
-    def rescaled(self, factor: float, scheme: str | None = None) -> "RadialGrid":
+    def rescaled(self, factor: float) -> "RadialGrid":
         """Grid for r -> factor * r; preserves quadrature exactness."""
         from .errors import GridOverflowError
 
@@ -175,7 +192,7 @@ class RadialGrid:
             nodes=self.nodes * factor,
             weights=self.weights * factor,
             r_max=new_rmax,
-            scheme=scheme or self.scheme,
+            scheme=self.scheme,
         )
 
 
@@ -246,16 +263,10 @@ def build_grid(
         per-cell Gauss rule.
     equal-mass: see :func:`equal_mass_grid`.
     """
-    if N < 2 or N != int(N):
-        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
-    if n_nodes < 16:
-        raise InvalidParameterError(f"n_nodes must be >= 16, got {n_nodes}")
-    if r_max <= 0:
-        raise InvalidParameterError(f"r_max must be positive, got {r_max}")
+    check_dimension(N)
+    check_grid(r_max, n_nodes, scheme)
     if scheme == "equal-mass":
         return equal_mass_grid(N, r_max, n_nodes)
-    if scheme not in GRID_SCHEMES:
-        raise InvalidParameterError(f"unknown grid scheme {scheme!r}; expected one of {GRID_SCHEMES}")
     if not (2 <= cell_order <= 16):
         raise InvalidParameterError(f"cell_order must be in [2, 16], got {cell_order}")
     counts = _cell_counts(n_nodes, cell_order)
@@ -285,8 +296,7 @@ def equal_mass_grid(N: int, r_max: float, n_nodes: int) -> RadialGrid:
     outer radius is Sum w_i (slightly above the requested r_max) so the
     constant-exactness invariant holds by construction.
     """
-    if N < 2 or N != int(N):
-        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
+    check_dimension(N)
     if n_nodes < 2:
         raise InvalidParameterError("equal-mass grid needs at least 2 nodes")
     rho_max = r_max ** N / N
@@ -396,24 +406,25 @@ def profile_to_csv(u: RadialProfile) -> str:
     return buf.getvalue()
 
 
-def profile_from_csv(text: str, N: int, r_max: float | None = None) -> RadialProfile:
+def profile_from_csv(text: str, N: int) -> RadialProfile:
     """Parse a ``r,u`` CSV back into a profile.
 
     Weights are reconstructed from the midpoint partition of the node
-    radii, rescaled so the constant-exactness invariant holds; r_max
-    defaults to the partition's outer edge.
+    radii, rescaled so the constant-exactness invariant holds; r_max is
+    the partition's outer edge.  Malformed text raises InvalidParameterError.
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0].lower().replace(" ", "") != "r,u":
         raise InvalidParameterError("profile CSV must start with header 'r,u'")
     rows = [ln.split(",") for ln in lines[1:]]
-    r = np.array([float(a) for a, _ in rows])
-    v = np.array([float(b) for _, b in rows])
+    try:
+        r = np.array([float(a) for a, _ in rows])
+        v = np.array([float(b) for _, b in rows])
+    except ValueError as exc:
+        raise InvalidParameterError(f"profile CSV rows must be two numbers r,u: {exc}") from exc
     if r.size < 2:
         raise InvalidParameterError("profile CSV needs at least two nodes")
     edges = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [r[-1] + 0.5 * (r[-1] - r[-2])]])
-    if r_max is not None:
-        edges[-1] = max(r_max, r[-1])
     weights = np.diff(edges)
     grid = RadialGrid(N=N, nodes=r, weights=weights, r_max=float(weights.sum()), scheme="csv")
     return RadialProfile(grid, v)

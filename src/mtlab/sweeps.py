@@ -31,7 +31,7 @@ from .bounds import VERDICT_CERTIFIED, VERDICT_NONE
 from .errors import InvalidParameterError
 from .functional import CERTIFY_MARGIN, MTParams, alpha_in_range
 from .maximize import MaximizeOptions, maximize_d
-from .radial import critical_exponent
+from .radial import check_dimension, critical_exponent
 
 __all__ = [
     "AxisSpec",
@@ -90,14 +90,12 @@ class SweepPlan:
         if len(set(names)) != len(names):
             raise InvalidParameterError("axis names must be distinct")
         for name in AXIS_NAMES:
-            if name not in names and name not in self.fixed:
-                raise InvalidParameterError(f"parameter {name!r} is neither swept nor fixed")
-        a_N = critical_exponent(self.N)
-        for ax in self.axes:
-            if ax.name == "alpha" and not alpha_in_range(ax.max, self.N):
-                raise InvalidParameterError(f"alpha axis exceeds alpha_N = {a_N:.6g}")
-        if "alpha" in self.fixed and not alpha_in_range(self.fixed["alpha"], self.N):
-            raise InvalidParameterError(f"fixed alpha outside (0, alpha_N = {a_N:.6g}]")
+            if (name in names) == (name in self.fixed):
+                raise InvalidParameterError(f"parameter {name!r} must be either swept or fixed, not both or neither")
+        check_dimension(self.N)
+        alpha = next((ax.max for ax in self.axes if ax.name == "alpha"), self.fixed.get("alpha"))
+        if not alpha_in_range(alpha, self.N):
+            raise InvalidParameterError(f"alpha {alpha!r} lies outside (0, alpha_N = {critical_exponent(self.N):.6g}]")
 
     def axis_names(self) -> tuple[str, ...]:
         return tuple(ax.name for ax in self.axes)

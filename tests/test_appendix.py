@@ -11,7 +11,6 @@ from mtlab.appendix import (
     beta_exact,
     c_n_pow_exact,
     c_n_value,
-    claim_auxiliary_f,
     claim_ledger,
     e_upper_rational,
     exp5_claims,
@@ -103,12 +102,6 @@ class TestClaims:
             assert row.claim1 and row.claim2 and row.claim3_chain
             assert row.log_cn_pow < 0.0
             assert row.log_cn_pow == pytest.approx(row.d_N + row.e_N, abs=1e-12)
-
-    def test_auxiliary_f_positive_decreasing(self):
-        xs = np.geomspace(1.0, 1e4, 64)
-        vals = claim_auxiliary_f(xs)
-        assert np.all(vals > 0)
-        assert np.all(np.diff(vals) < 0)
 
     def test_ledger_csv_format(self):
         ledger = claim_ledger(6)

@@ -13,7 +13,6 @@ from mtlab import (
     MaximizeOptions,
     alpha0_nonexistence,
     attainment_test,
-    bgn_condition,
     bracket_alpha_star,
     c_tilde_series,
     critical_exponent,
@@ -158,18 +157,6 @@ class TestAlpha0:
 
 
 class TestBgnCondition:
-    def test_strict_at_threshold(self):
-        bgn = 0.17
-        b = 2 ** 2 / (1.0 * bgn)
-        assert not bgn_condition(1.0, b, 2, bgn)
-        assert bgn_condition(1.0, b * 1.0001, 2, bgn)
-
-    def test_critical_alpha_case(self, gn_report_n2):
-        # with any bgn above the appendix bound 1/(2 pi), b = 2 qualifies
-        a2 = critical_exponent(2)
-        assert gn_report_n2.bgn_estimate > 1 / (2 * math.pi)
-        assert bgn_condition(a2, 2.0, 2, gn_report_n2.bgn_estimate)
-
     def test_threshold_drops_with_b(self, gn_report_n2):
         # alpha needed for certification falls like 1/b: check via the g-test
         bgn = gn_report_n2.bgn_estimate
@@ -204,6 +191,11 @@ class TestBracketAlphaStar:
             highs[(a, b)] = rep.alpha_high
         grid_step = (3.0 - 0.3) / 6
         assert highs[(3.5, 3.0)] <= highs[(2.5, 2.0)] + grid_step + 1e-12
+
+    @pytest.mark.parametrize("kw", [{"count": 1}, {"bisect_iters": -1}], ids=["count", "bisect_iters"])
+    def test_options_rejected_when_built(self, kw):
+        with pytest.raises(InvalidParameterError):
+            BracketOptions(**kw)
 
     def test_not_found(self):
         with pytest.raises(BracketNotFoundError) as err:

@@ -178,10 +178,10 @@ class TestBounds:
     @pytest.mark.parametrize(
         "extra, reason",
         [
-            (["--alpha-min", "6", "--alpha-max", "3"], "--alpha-min must be below --alpha-max"),
-            (["--count", "1"], "--count must be >= 2"),
-            (["--count", "0"], "--count must be >= 2"),
-            (["--alpha-min", "12.4"], "--alpha-min must be below --alpha-max"),
+            (["--alpha-min", "6", "--alpha-max", "3"], "alpha_min must be below alpha_max"),
+            (["--count", "1"], "count must be >= 2"),
+            (["--count", "0"], "count must be >= 2"),
+            (["--alpha-min", "12.4"], "alpha_min must be below alpha_max"),
             (["--a", "-1"], "constraint powers must be positive"),
         ],
         ids=["reversed-range", "count-1", "count-0", "min-above-default-max", "negative-a"],
@@ -190,6 +190,41 @@ class TestBounds:
         code, out, err = run_cli(capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "8", *extra)
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and reason in err
+
+
+PARAMS = ["--N", "2", "--alpha", "3", "--a", "3", "--b", "2"]
+SWEEP = ["sweep", "--N", "2", "--axis", "alpha", "--min", "0.5", "--max", "2", "--count", "3", "--a", "3", "--b", "2"]
+PHASE_MAP = [
+    "phase-map", "--N", "2", "--alpha", "3", "--a-min", "1", "--a-max", "3", "--a-count", "2",
+    "--b-min", "1", "--b-max", "8", "--b-count", "2",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["bgn", "--N", "1"], "dimension N must be an integer >= 2"),
+        (["maximize", *PARAMS, "--r-max", "-1"], "r_max"),
+        (["maximize", *PARAMS, "--n-nodes", "8"], "n_nodes must be >= 16"),
+        (["maximize", *PARAMS, "--restarts", "0"], "restarts must be >= 1"),
+        (["eval", *PARAMS, "--n-nodes", "8"], "n_nodes must be >= 16"),
+        (["eval", *PARAMS, "--width", "-1"], "--width must be positive"),
+        (["sweep", "--N", "1", *SWEEP[3:]], "dimension N must be an integer >= 2"),
+        ([*SWEEP, "--n-nodes", "4"], "n_nodes must be >= 16"),
+        (["phase-map", "--N", "1", *PHASE_MAP[3:]], "dimension N must be an integer >= 2"),
+        ([*PHASE_MAP, "--r-max", "-5"], "r_max"),
+        (["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--bisect", "-1"], "bisect_iters must be >= 0"),
+        (["g-test", "--N", "2", "--alpha", "4", "--a", "2", "--b", "8", "--bgn", "-1"], "bgn must be positive"),
+    ],
+    ids=[
+        "bgn-N1", "maximize-r-max", "maximize-n-nodes", "maximize-restarts", "eval-n-nodes", "eval-width",
+        "sweep-N1", "sweep-n-nodes", "phase-map-N1", "phase-map-r-max", "alpha-star-bisect", "g-test-bgn",
+    ],
+)
+def test_bad_input_is_usage_error(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and reason in err
 
 
 class TestSweepCommands:

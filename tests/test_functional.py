@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 import mtlab
 from mtlab import (
-    DegenerateProfileError,
     InvalidParameterError,
     MTParams,
     RadialProfile,
-    SeriesControl,
     SeriesOverflowError,
-    adachi_tanaka_ratio,
     build_grid,
     constraint_value,
     critical_exponent,
@@ -53,12 +50,6 @@ class TestParams:
         assert MTParams(N=2, alpha=1.0, a=1.0, b=5.0).finite_supremum
         assert MTParams(N=2, alpha=a2, a=1.0, b=1.5).finite_supremum
         assert not MTParams(N=2, alpha=a2, a=1.0, b=3.0).finite_supremum
-
-    def test_series_control_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(InvalidParameterError):
-            SeriesControl(max_terms=1)
 
 
 class TestPhiPsi:
@@ -208,49 +199,6 @@ class TestJTruncated:
         for _ in range(100):
             u = mtlab.project_to_constraint(random_monotone_profile(g, rng), p)
             assert j_truncated(u, p) <= mt_integral(u, p) + 1e-12
-
-
-class TestAdachiTanakaRatio:
-    def test_amplitude_invariance(self):
-        g = build_grid(2, 25.0, 512)
-        u = sample_profile(g, lambda r: np.exp(-r))
-        r1 = adachi_tanaka_ratio(u, 2 * math.pi, 2)
-        r2 = adachi_tanaka_ratio(u.scaled(3.7), 2 * math.pi, 2)
-        assert r1 == pytest.approx(r2, rel=1e-12)
-
-    def test_dilation_invariance_fresh_sampling(self):
-        alpha = 2 * math.pi
-        g1 = build_grid(2, 30.0, 4096)
-        g2 = build_grid(2, 15.0, 4096)
-        u1 = sample_profile(g1, lambda r: np.exp(-r))
-        u2 = sample_profile(g2, lambda r: np.exp(-2 * r))
-        r1 = adachi_tanaka_ratio(u1, alpha, 2)
-        r2 = adachi_tanaka_ratio(u2, alpha, 2)
-        assert r1 == pytest.approx(r2, rel=1e-8)
-
-    def test_monotone_in_alpha(self):
-        g = build_grid(2, 25.0, 512)
-        u = sample_profile(g, lambda r: np.exp(-r))
-        vals = [adachi_tanaka_ratio(u, al, 2) for al in (1.0, 2.0, 4.0)]
-        assert np.all(np.diff(vals) > 0)
-
-    def test_degenerate(self):
-        g = build_grid(2, 5.0, 64)
-        u = RadialProfile(g, np.zeros(g.n_nodes))
-        with pytest.raises(DegenerateProfileError):
-            adachi_tanaka_ratio(u, 1.0, 2)
-
-    def test_family_sup_grows_toward_critical(self):
-        # sup over a fixed test family is monotone in alpha termwise
-        g = build_grid(2, 25.0, 384)
-        family = [
-            sample_profile(g, lambda r, s=s: np.exp(-((r / s) ** 2))) for s in (0.5, 1.0, 2.0)
-        ] + [sample_profile(g, lambda r: np.exp(-r))]
-        a2 = critical_exponent(2)
-        sups = []
-        for gamma in (0.5, 0.7, 0.9, 0.95):
-            sups.append(max(adachi_tanaka_ratio(u, gamma * a2, 2) for u in family))
-        assert np.all(np.diff(sups) > 0)
 
 
 class TestNormalizedMapMonotonicity:

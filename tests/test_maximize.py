@@ -152,6 +152,14 @@ class TestMaximizeD:
         assert rep.best_profile is profs[1] and rep.best_value == 5.0
         assert rep.restart_values == (1.0, 5.0, 5.0, 2.0) and rep.iterations == 18
 
+    @pytest.mark.parametrize(
+        "kw", [{"n_nodes": 8}, {"restarts": 0}, {"r_max": -1.0}, {"scheme": "chebyshev"}],
+        ids=["n_nodes", "restarts", "r_max", "scheme"],
+    )
+    def test_options_rejected_when_built(self, kw):
+        with pytest.raises(InvalidParameterError):
+            mtlab.MaximizeOptions(**kw)
+
     def test_critical_gate(self):
         a2 = critical_exponent(2)
         with pytest.raises(InvalidParameterError):

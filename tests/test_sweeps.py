@@ -20,6 +20,10 @@ class TestPlanValidation:
         with pytest.raises(InvalidParameterError):
             AxisSpec("alpha", 1.0, 0.1, 4)
 
+    def test_dimension_checked_when_built(self):
+        with pytest.raises(InvalidParameterError):
+            SweepPlan(N=1, axes=(AxisSpec("alpha", 0.5, 2.0, 3),), fixed={"a": 2.0, "b": 2.0})
+
     def test_missing_fixed_parameter(self):
         with pytest.raises(InvalidParameterError):
             SweepPlan(N=2, axes=(AxisSpec("alpha", 0.5, 2.0, 3),), fixed={"a": 2.0})
