@@ -162,6 +162,14 @@ def c_tilde_series(N: int, gn_c: float, terms: int | None = None) -> float:
     return gn_c ** N * total
 
 
+def _check_alpha0_powers(a: float, b: float, N: int) -> None:
+    """alpha0_nonexistence needs 0 < a <= N' and b > 0."""
+    if not (0 < a <= N / (N - 1.0)):
+        raise InvalidParameterError(f"a must lie in (0, N'] = (0, {N / (N - 1.0):.6g}], got {a}")
+    if b <= 0:
+        raise InvalidParameterError(f"b must be positive, got {b}")
+
+
 def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
     """Explicit alpha_0 below which the supremum is certainly not attained.
 
@@ -169,11 +177,7 @@ def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
     for a <= N'; gn_c is a constant C for the interpolation inequality
     ||v||_{N'j}^{N'j} <= C^j j^j ||v||_N^N ||grad v||_N^{N'j - N}.
     """
-    n_prime = N / (N - 1.0)
-    if not (0 < a <= n_prime):
-        raise InvalidParameterError(f"a must lie in (0, N'] = (0, {n_prime:.6g}], got {a}")
-    if b <= 0:
-        raise InvalidParameterError(f"b must be positive, got {b}")
+    _check_alpha0_powers(a, b, N)
     if gn_c <= 0:
         raise InvalidParameterError(f"interpolation constant must be positive, got {gn_c}")
     c_tilde = c_tilde_series(N, gn_c)

@@ -16,6 +16,7 @@ from . import __version__
 from .appendix import claim_ledger
 from .bounds import (
     BracketOptions,
+    _check_alpha0_powers,
     alpha0_nonexistence,
     bracket_alpha_star,
     g_function_test,
@@ -281,6 +282,7 @@ def _cmd_maximize(args) -> int:
     with _request():
         p = _params(args)
         opts = _make_options(args, allow_infinite=args.allow_infinite_regime)
+        opts.check_regime(p, "--allow-infinite-regime")
     report = maximize_d(p, opts)
     payload = report.to_json_dict()
     if args.profile_out:
@@ -336,11 +338,11 @@ def _cmd_g_test(args) -> int:
 
 
 def _cmd_alpha0(args) -> int:
-    gn_c = args.gn_c
-    if gn_c is None:
-        # A valid interpolation constant derived from the computed GN bound;
-        # any valid C yields a valid alpha0, smaller C a sharper one.
-        gn_c = max(1.0, 1.0 / cached_gn_report(args.N).bgn_estimate)
+    with _request():
+        _check_alpha0_powers(args.a, args.b, args.N)
+    # By default a valid interpolation constant derived from the computed GN
+    # bound; any valid C yields a valid alpha0, smaller C a sharper one.
+    gn_c = args.gn_c if args.gn_c is not None else max(1.0, 1.0 / cached_gn_report(args.N).bgn_estimate)
     with _request():  # closed form: its only InvalidParameterErrors are its input checks
         report = alpha0_nonexistence(args.a, args.b, args.N, gn_c)
     payload = report.to_json_dict()

@@ -105,6 +105,11 @@ class MaximizeOptions:
         if self.restarts < 1:
             raise InvalidParameterError(f"restarts must be >= 1, got {self.restarts}")
 
+    def check_regime(self, p: MTParams, switch: str = "allow_infinite_regime=True") -> None:
+        """Refuse alpha = alpha_N with b > N (infinite supremum) unless allowed; `switch` names how to allow it."""
+        if not p.finite_supremum and not self.allow_infinite_regime:
+            raise InvalidParameterError(f"alpha = alpha_N with b > N is the infinite-supremum regime; pass {switch}")
+
 
 @dataclass(frozen=True)
 class MaximizerReport:
@@ -365,11 +370,7 @@ def maximize_d(
 ) -> MaximizerReport:
     """Multi-start maximization; reports a certified lower bound for the supremum."""
     opts = opts or MaximizeOptions()
-    if not p.finite_supremum and not opts.allow_infinite_regime:
-        raise InvalidParameterError(
-            "alpha = alpha_N with b > N is the infinite-supremum regime; "
-            "pass allow_infinite_regime=True to evaluate anyway"
-        )
+    opts.check_regime(p)
     grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     gn_profile = cached_gn_report(p.N).maximizer_profile if opts.restarts >= 3 else None
@@ -434,6 +435,12 @@ GN_STEP = 0.02
 GN_SHOTS = 257
 GN_ROUNDS = 4
 GN_BRACKET = (1.05, 4.0)
+#: Exactly _bracket_q0(N, *GN_BRACKET, GN_R_MAX); maximize_gn(N) re-proves each, a test prints any entry that moved.
+GN_Q0_BRACKETS = {
+    2: (2.2062045690603553, 2.206204569747206),
+    3: (2.42611058333423, 2.42611058402108),
+    4: (2.5154971129028127, 2.5154971135896633),
+}
 #: A final Q(0) bracket wider than this marks the report low_accuracy.
 GN_RESIDUAL_TOL = 1e-6
 #: The first event of a shot: Q reaches zero, or phi turns positive (Q turns back up).
@@ -481,9 +488,9 @@ def _shoot(N: int, q0: np.ndarray, r_end: float) -> tuple[np.ndarray, list]:
     The state is (Q, phi), phi = r^{N-1} |Q'|^{N-2} Q', with
     phi' = r^{N-1} (Q^{N-1} - Q^{NN'-1}).  It starts at r = GN_STEP from the
     small-r series phi = c r^N / N, Q = Q(0) - (|c| r / N)^{1/(N-1)} r / N',
-    where c = Q(0)^{N-1} - Q(0)^{NN'-1} < 0.  Returns each shot's first
-    event (OVERSHOOT, UNDERSHOOT, or 0 if neither comes by r_end; all shots
-    stop once each has one) and the first shot's Q at r = 0, GN_STEP, ...
+    where c = Q(0)^{N-1} - Q(0)^{NN'-1} < 0.  Returns each shot's first event
+    (OVERSHOOT, UNDERSHOOT, or 0 if none by r_end; all shots stop once each
+    has one) and the first shot's Q at r = 0, GN_STEP, ... up to its own event.
     """
     h, e = GN_STEP, N * N / (N - 1.0) - 1.0
 
@@ -509,12 +516,19 @@ def _shoot(N: int, q0: np.ndarray, r_end: float) -> tuple[np.ndarray, list]:
         phi = phi + h / 6 * (k1p + 2 * (k2p + k3p) + k4p)
         # Both events are final: past zero phi' = 0, so phi stays negative and
         # Q keeps falling; a shot that turned at Q > 0 lacks the energy to reach 0.
+        if not (turned[0] or crossed[0]):  # the first shot had no event before this step
+            trajectory.append(q[0])
         turned = turned | (phi > 0)
         crossed = q <= 0
-        trajectory.append(q[0])
         if (turned | crossed).all():
             break
     return np.where(crossed, OVERSHOOT, np.where(turned, UNDERSHOOT, 0)), trajectory
+
+
+def _check_straddle(N: int, events: np.ndarray, lo: float, hi: float) -> None:
+    """The shots from lo and hi (events[0], events[-1]) must undershoot, then overshoot."""
+    if events[0] != UNDERSHOOT or events[-1] != OVERSHOOT:
+        raise BracketNotFoundError(f"Q(0) in [{lo!r}, {hi!r}] must undershoot, then overshoot (N = {N})")
 
 
 def _bracket_q0(N: int, lo: float, hi: float, r_end: float) -> tuple[float, float]:
@@ -528,8 +542,7 @@ def _bracket_q0(N: int, lo: float, hi: float, r_end: float) -> tuple[float, floa
     for _ in range(GN_ROUNDS):
         q0 = np.linspace(lo, hi, GN_SHOTS)
         events = _shoot(N, q0, r_end)[0]
-        if events[0] != UNDERSHOOT or events[-1] != OVERSHOOT:
-            raise BracketNotFoundError(f"Q(0) in [{lo!r}, {hi!r}] must undershoot, then overshoot (N = {N})")
+        _check_straddle(N, events, lo, hi)
         j = int(np.argmax(events == OVERSHOOT))
         i = int(np.flatnonzero(events[:j] == UNDERSHOOT)[-1])
         lo, hi = float(q0[i]), float(q0[j])
@@ -539,16 +552,17 @@ def _bracket_q0(N: int, lo: float, hi: float, r_end: float) -> tuple[float, floa
 def maximize_gn(N: int) -> GNReport:
     """The radial GN ground state by shooting on Q(0), normalized to ||grad V||_N = 1 = ||V||_N.
 
-    The maximizer solves -Delta_N Q + Q^{N-1} = Q^{NN'-1}.  The shot from
-    the midpoint of the final Q(0) bracket is cut before its event, shifted
-    to 0 there, sampled at the grid nodes (0 beyond) and normalized;
-    bgn_estimate is the ratio of that profile's PL interpolant.
+    The maximizer solves -Delta_N Q + Q^{N-1} = Q^{NN'-1}.  Shots from lo, hi
+    prove the Q(0) bracket (GN_Q0_BRACKETS[N] or searched) beside the midpoint
+    shot, which is cut before its event, shifted to 0 there, sampled at the grid
+    nodes (0 beyond) and normalized; bgn_estimate is its PL interpolant's ratio.
     """
     grid = build_grid(N, GN_R_MAX, GN_NODES)
-    lo, hi = _bracket_q0(N, *GN_BRACKET, GN_R_MAX)
+    lo, hi = GN_Q0_BRACKETS.get(N) or _bracket_q0(N, *GN_BRACKET, GN_R_MAX)
     q0 = 0.5 * (lo + hi)
-    event, trajectory = _shoot(N, np.array([q0]), GN_R_MAX)
-    q = np.array(trajectory[:-1] if event[0] else trajectory)
+    events, trajectory = _shoot(N, np.array([q0, lo, hi]), GN_R_MAX)
+    _check_straddle(N, events[1:], lo, hi)
+    q = np.array(trajectory[:-1] if events[0] else trajectory)
     values = np.interp(grid.nodes, GN_STEP * np.arange(q.size), q - q[-1], right=0.0)
     profile = rescale_to_norms(RadialProfile(grid, values), 1.0, 1.0)
     return GNReport(
@@ -559,7 +573,7 @@ def maximize_gn(N: int) -> GNReport:
         maximizer_profile=profile,
         residual=hi - lo,
         low_accuracy=hi - lo > GN_RESIDUAL_TOL,
-        iterations=GN_ROUNDS * GN_SHOTS + 1,
+        iterations=3 if N in GN_Q0_BRACKETS else GN_ROUNDS * GN_SHOTS + 3,
     )
 
 

@@ -155,6 +155,15 @@ class TestBounds:
         code, _, err = run_cli(capsys, "alpha0", "--N", "2", "--a", "3", "--b", "2", "--gn-c", "3")
         assert code == 2
 
+    def test_alpha0_checks_powers_before_the_gn_bound(self, capsys, monkeypatch):
+        def refuse(N):
+            raise AssertionError("the default --gn-c was derived before --a was checked")
+
+        monkeypatch.setattr(mtlab.cli, "cached_gn_report", refuse)
+        code, out, err = run_cli(capsys, "alpha0", "--N", "2", "--a", "3", "--b", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "a must lie in (0, N']" in err
+
     def test_alpha_star_bracket(self, capsys):
         code, out, _ = run_cli(
             capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "8",
@@ -215,10 +224,12 @@ PHASE_MAP = [
         ([*PHASE_MAP, "--r-max", "-5"], "r_max"),
         (["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--bisect", "-1"], "bisect_iters must be >= 0"),
         (["g-test", "--N", "2", "--alpha", "4", "--a", "2", "--b", "8", "--bgn", "-1"], "bgn must be positive"),
+        (["maximize", "--N", "2", "--alpha", repr(4 * math.pi), "--a", "2", "--b", "3"], "--allow-infinite-regime"),
     ],
     ids=[
         "bgn-N1", "maximize-r-max", "maximize-n-nodes", "maximize-restarts", "eval-n-nodes", "eval-width",
         "sweep-N1", "sweep-n-nodes", "phase-map-N1", "phase-map-r-max", "alpha-star-bisect", "g-test-bgn",
+        "maximize-infinite-regime",
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, reason):

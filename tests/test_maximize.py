@@ -27,7 +27,17 @@ from mtlab import (
 )
 from mtlab.appendix import gn_ratio_radial
 from mtlab import maximize as maximize_mod
-from mtlab.maximize import GN_BRACKET, GN_ROUNDS, GN_SHOTS, _bracket_q0, _dilation_curve, _mode_label
+from mtlab.maximize import (
+    GN_BRACKET,
+    GN_Q0_BRACKETS,
+    GN_R_MAX,
+    GN_ROUNDS,
+    GN_SHOTS,
+    _bracket_q0,
+    _dilation_curve,
+    _mode_label,
+    _shoot,
+)
 from mtlab.radial import pl_norm_pow
 from mtlab.scaling import rescale_to_norms
 from conftest import random_monotone_profile
@@ -297,7 +307,7 @@ class TestGNShooting:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_report_bookkeeping(self, N, gn_report_n2, gn_report_n3, gn_report_n4):
         rep = {2: gn_report_n2, 3: gn_report_n3, 4: gn_report_n4}[N]
-        assert rep.iterations == GN_ROUNDS * GN_SHOTS + 1
+        assert rep.iterations == 3
         assert 0 < rep.residual < 1e-8 and not rep.low_accuracy
         assert GN_BRACKET[0] < rep.q0 < GN_BRACKET[1]
         assert rep.maximizer_profile.is_nonincreasing
@@ -312,3 +322,32 @@ class TestGNShooting:
     def test_bracket_needs_q0_above_one(self):
         with pytest.raises(InvalidParameterError):
             _bracket_q0(2, 1.0, 4.0, 30.0)
+
+    def test_first_trajectory_ends_at_its_own_event(self):
+        # 1.05 undershoots long before the near-critical shot decides
+        q_mid = 0.5 * sum(GN_Q0_BRACKETS[2])
+        alone = _shoot(2, np.array([1.05]), 30.0)[1]
+        beside = _shoot(2, np.array([1.05, q_mid]), 30.0)[1]
+        assert np.array(beside).tobytes() == np.array(alone).tobytes()
+
+
+class TestTabulatedBracket:
+    @pytest.mark.parametrize("N", sorted(GN_Q0_BRACKETS))
+    def test_table_matches_the_search(self, N):
+        found = _bracket_q0(N, *GN_BRACKET, GN_R_MAX)
+        assert found == GN_Q0_BRACKETS[N], f"regenerate GN_Q0_BRACKETS; the entry is now\n    {N}: {found!r},"
+
+    def test_search_path_gives_the_same_report(self, monkeypatch, gn_report_n2):
+        monkeypatch.setattr(maximize_mod, "GN_Q0_BRACKETS", {})
+        searched = maximize_gn(2)
+        assert searched.iterations == GN_ROUNDS * GN_SHOTS + 3
+        fields = dict(searched.to_json_dict(), iterations=gn_report_n2.iterations)
+        assert fields == gn_report_n2.to_json_dict()
+        u, v = searched.maximizer_profile, gn_report_n2.maximizer_profile
+        assert u.values.tobytes() == v.values.tobytes()
+        assert u.grid.nodes.tobytes() == v.grid.nodes.tobytes()
+
+    def test_corrupted_entry_is_refused(self, monkeypatch):
+        monkeypatch.setitem(GN_Q0_BRACKETS, 2, (2.3, 2.4))
+        with pytest.raises(mtlab.BracketNotFoundError):
+            maximize_gn(2)
