@@ -74,7 +74,7 @@ from .radial import (
 from .scaling import (
     beta_star_derivative,
     dilate,
-    gn_two_parameter_family,
+    on_constraint,
     solve_beta_star,
 )
-from .sweeps import AxisSpec, SweepPlan, SweepResult, phase_map, run_sweep, sweep_to_csv
+from .sweeps import AxisSpec, SweepPlan, SweepResult, run_sweep, sweep_to_csv

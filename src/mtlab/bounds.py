@@ -98,6 +98,12 @@ def g_function(t, alpha: float, a: float, b: float, N: int, bgn: float):
     return t ** (N / b) * (1.0 + (alpha / N) * bgn * (1.0 - t) ** (n_prime / a))
 
 
+def _check_constant(name: str, value: float) -> None:
+    """A user-supplied constant (bgn, the interpolation constant C) must lie in (0, inf)."""
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+
+
 def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> BoundReport:
     """Scan g over [0, 1]; max g > 1 certifies attainment (sufficient test).
 
@@ -107,8 +113,7 @@ def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> Bou
     g'(1) = N/b - alpha * bgn / N at a = N' (negative iff
     b > N^2/(alpha * bgn), the condition that forces max g > 1).
     """
-    if bgn <= 0:
-        raise InvalidParameterError(f"bgn must be positive, got {bgn}")
+    _check_constant("bgn", bgn)
     ts = np.linspace(0.0, 1.0, G_TEST_SAMPLES)
     gs = g_function(ts, alpha, a, b, N, bgn)
     k = int(np.argmax(gs))
@@ -142,8 +147,7 @@ def c_tilde_series(N: int, gn_c: float, terms: int | None = None) -> float:
     `terms=None` it truncates once a term drops below 1e-16 of the sum.
     """
     check_dimension(N)
-    if gn_c <= 0:
-        raise InvalidParameterError(f"interpolation constant must be positive, got {gn_c}")
+    _check_constant("interpolation constant", gn_c)
     log_2e = math.log(2.0) + 1.0
     total = 0.0
     j = 0
@@ -163,11 +167,10 @@ def c_tilde_series(N: int, gn_c: float, terms: int | None = None) -> float:
 
 
 def _check_alpha0_powers(a: float, b: float, N: int) -> None:
-    """alpha0_nonexistence needs 0 < a <= N' and b > 0."""
+    """alpha0_nonexistence needs 0 < a <= N' and 0 < b < inf."""
     if not (0 < a <= N / (N - 1.0)):
         raise InvalidParameterError(f"a must lie in (0, N'] = (0, {N / (N - 1.0):.6g}], got {a}")
-    if b <= 0:
-        raise InvalidParameterError(f"b must be positive, got {b}")
+    _check_constant("b", b)
 
 
 def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
@@ -178,8 +181,7 @@ def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
     ||v||_{N'j}^{N'j} <= C^j j^j ||v||_N^N ||grad v||_N^{N'j - N}.
     """
     _check_alpha0_powers(a, b, N)
-    if gn_c <= 0:
-        raise InvalidParameterError(f"interpolation constant must be positive, got {gn_c}")
+    _check_constant("interpolation constant", gn_c)
     c_tilde = c_tilde_series(N, gn_c)
     first = min(a / b, 1.0) / (c_tilde * math.gamma(N - 1))
     second = 1.0 / (2.0 * math.e * gn_c)

@@ -64,7 +64,7 @@ def alpha_in_range(alpha: float, N: int) -> bool:
 class MTParams:
     """Problem tuple (N, alpha, a, b).
 
-    Invariants: N integer >= 2, 0 < alpha <= alpha_N, a > 0, b > 0.
+    Invariants: N integer >= 2, 0 < alpha <= alpha_N, 0 < a < inf, 0 < b < inf.
     `finite_supremum` records whether (alpha, b) lies in the regime where
     the supremum is finite: alpha < alpha_N always, alpha = alpha_N only
     for b <= N.  Evaluations are legal either way; finiteness is a
@@ -78,8 +78,8 @@ class MTParams:
 
     def __post_init__(self):
         check_dimension(self.N)
-        if self.a <= 0 or self.b <= 0:
-            raise InvalidParameterError(f"constraint powers must be positive, got a={self.a}, b={self.b}")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise InvalidParameterError(f"constraint powers must be positive and finite, got a={self.a}, b={self.b}")
         if not alpha_in_range(self.alpha, self.N):
             raise InvalidParameterError(
                 f"alpha must lie in (0, alpha_N]; got alpha={self.alpha}, "

@@ -13,17 +13,17 @@ The restart families mirror the competing compactness modes:
   which realize the universal lower bound alpha^{N-1}/(N-1)! in the
   spread limit;
 * truncated-logarithm concentrators, the critical-growth bubbles;
-* the two-parameter family built on a numerically computed
-  Gagliardo-Nirenberg maximizer, which is what certifies attainment
-  near a = N'.
+* points of the constraint curve of a numerically computed
+  Gagliardo-Nirenberg maximizer (`scaling.on_constraint`), which is what
+  certifies attainment near a = N'.
 
 Each ascent step preconditions the nodal gradient by the radial masses
 (so the direction is a function-space gradient, monotone for monotone
 iterates), projects back onto the monotone cone and the constraint, and
-is accepted only if the objective improves.  A dilation line search
-along t -> beta_star(t) u_t finishes each restart, since a plain nodal
-ascent is slow to translate profiles across scales; it scores each t by
-the scaling laws of `scaling.py` and builds only the winning profile.
+is accepted only if the objective improves.  A line search along the
+norm-share curve x -> on_constraint(u, x) finishes each restart, since a
+plain nodal ascent is slow to translate profiles across scales; it scores
+each x by the scaling laws, with no root solve, and builds only the winner.
 
 `maximize_gn` computes the Gagliardo-Nirenberg maximizer from its
 Euler-Lagrange equation, the radial ground state of
@@ -63,7 +63,7 @@ from .radial import (
     lp_norm_pow,
     pl_norm_pow,
 )
-from .scaling import dilate, gn_two_parameter_family, rescale_to_norms, solve_amplitude
+from .scaling import _share_scales, dilate, on_constraint, rescale_to_norms, solve_amplitude
 
 __all__ = [
     "MaximizeOptions",
@@ -186,31 +186,33 @@ def _mode_label(u: RadialProfile, p: MTParams) -> str:
 
 
 def _dilation_curve(u: RadialProfile, p: MTParams):
-    """t -> F(beta_star(t) u_t) by the scaling laws, for monotone u.
+    """s -> F(on_constraint(u, x, p)), x = 1 / (1 + e^{-s}) the norm share, by the scaling laws.
 
-    beta_star(t) u_t needs no rearrangement; its gradient term is
-    t ||grad u||_N^N, its N-norm that of u, its nodal masses m_k / t and its
-    values beta_star t^{1/N} u_k.  So each t costs one amplitude solve and
-    one Phi_N sweep over the nodes.  A t whose rescaled grid leaves
-    (0, MAX_RADIUS] or whose series argument exceeds EXP_ARG_LIMIT scores
-    -inf: that profile cannot be built or evaluated.
+    Masses m_k / lam^N, values c u_k: one Phi_N sweep per s, no root solve.  An s
+    that cannot be built (r_max past MAX_RADIUS, lam^{+-N} past 2^1000) or
+    evaluated (a series argument above EXP_ARG_LIMIT) scores -inf.
     """
     N = p.N
-    grad = grad_norm_pow(u)
-    l_term = lp_norm_pow(u, N) ** (p.b / N)
+    G, L = grad_norm_pow(u), lp_norm_pow(u, N)
+    if not (G > 0 and L > 0):  # a term underflowed: no curve to walk
+        return lambda s: -np.inf
     powers = u.values ** p.n_prime
+    lam_lo, lam_hi = max(u.grid.r_max / MAX_RADIUS, 2.0 ** (-1000 / N)), 2.0 ** (1000 / N)
 
-    def value(t: float) -> float:
-        r_max = u.grid.r_max * t ** (-1.0 / N)
-        if not (np.isfinite(r_max) and 0.0 < r_max <= MAX_RADIUS):
+    def value(s: float) -> float:
+        c, lam = _share_scales(G, L, _norm_share(s), p)
+        if not lam_lo <= lam <= lam_hi:
             return -np.inf
-        beta = solve_amplitude((t * grad) ** (p.a / N), l_term, p.a, p.b)
-        args = p.alpha * (beta * t ** (1.0 / N)) ** p.n_prime * powers
+        args = p.alpha * c ** p.n_prime * powers
         if np.max(args) > EXP_ARG_LIMIT:
             return -np.inf
-        return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, N - 1))) / t
+        return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, N - 1))) / lam ** N
 
     return value
+
+
+def _norm_share(s: float) -> float:
+    return 1.0 / (1.0 + math.exp(-s))
 
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -240,26 +242,20 @@ def golden_section_max(f, lo: float, hi: float, max_iter: int, tol: float):
 
 
 def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
-    """Best beta_star(t) u_t over a geometric t scan with local refinement.
+    """Best point of u's constraint curve: s = logit(x) at 33 points of [-30, 30], then golden section.
 
-    Only the best-scoring t is built; it replaces u only if its own value
-    beats `value`, so the returned value is mt_integral of the returned
-    profile.
+    Only the best-scoring s is built; it replaces u only if its own value
+    beats `value`, so the returned value is mt_integral of the returned profile.
     """
     curve = _dilation_curve(u, p)
-    ts = np.geomspace(1e-4, 1e4, 33)
-    scan_vals = [curve(float(t)) for t in ts]
+    ss = np.linspace(-30.0, 30.0, 33)
+    scan_vals = [curve(float(s)) for s in ss]
     k = int(np.argmax(scan_vals))
-    best_t, best_f = float(ts[k]), scan_vals[k]
-    if not np.isfinite(best_f):
+    if not np.isfinite(scan_vals[k]):
         return value, u
-    # golden-section refinement in log t around the best scan point
-    lo, hi = np.log(ts[max(k - 1, 0)]), np.log(ts[min(k + 1, len(ts) - 1)])
-    x, fx = golden_section_max(lambda x: curve(float(np.exp(x))), lo, hi, 40, 1e-10)
-    if fx > best_f:
-        best_t = float(np.exp(x))
+    s, fs = golden_section_max(curve, float(ss[max(k - 1, 0)]), float(ss[min(k + 1, len(ss) - 1)]), 40, 1e-10)
     try:
-        prof = project_to_constraint(dilate(u, best_t), p)
+        prof = on_constraint(u, _norm_share(s if fs > scan_vals[k] else float(ss[k])), p)
         val = mt_integral(prof, p)
     except (SeriesOverflowError, GridOverflowError):
         return value, u
@@ -336,18 +332,18 @@ def _vanishing(grid: RadialGrid, p: MTParams, depth: float) -> RadialProfile:
     return dilate(base, max(t, t_min))
 
 
-def _candidate_starts(p: MTParams, opts: MaximizeOptions, grid: RadialGrid, gn_profile, rng):
+def _candidate_starts(p: MTParams, opts: MaximizeOptions, grid: RadialGrid, rng):
     scale = min(grid.r_max / 8.0, 2.0)
     builders = [
         lambda: _vanishing(grid, p, 1e-8),
         lambda: _gaussian(grid, scale),
-        lambda: (gn_two_parameter_family(gn_profile, 0.9, p) if gn_profile is not None else _gaussian(grid, 2.0 * scale)),
+        lambda: on_constraint(cached_gn_report(p.N).maximizer_profile, 0.9, p),
         lambda: _moser_bubble(grid, 1e-4 * grid.r_max, grid.r_max / 4.0),
         lambda: _exponential(grid, scale),
-        lambda: (gn_two_parameter_family(gn_profile, 0.99, p) if gn_profile is not None else _exponential(grid, 0.5 * scale)),
+        lambda: on_constraint(cached_gn_report(p.N).maximizer_profile, 0.99, p),
         lambda: _vanishing(grid, p, 1e-13),
         lambda: _gaussian(grid, 0.4 * scale),
-        lambda: (gn_two_parameter_family(gn_profile, 0.5, p) if gn_profile is not None else _gaussian(grid, 3.0 * scale)),
+        lambda: on_constraint(cached_gn_report(p.N).maximizer_profile, 0.5, p),
         lambda: _moser_bubble(grid, 1e-2 * grid.r_max, grid.r_max / 4.0),
         lambda: _gaussian(grid, 2.5 * scale),
         lambda: _vanishing(grid, p, 1e-4),
@@ -373,9 +369,7 @@ def maximize_d(
     opts.check_regime(p)
     grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    gn_profile = cached_gn_report(p.N).maximizer_profile if opts.restarts >= 3 else None
-    starts = _candidate_starts(p, opts, grid, gn_profile, rng)
-    starts = list(starts) + [c for c in extra_candidates]
+    starts = _candidate_starts(p, opts, grid, rng) + list(extra_candidates)
 
     def run(start):
         try:

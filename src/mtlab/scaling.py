@@ -11,9 +11,9 @@ so the constraint for beta * v_t reads
     beta^a t^{a/N} ||grad v||_N^a + beta^b ||v||_N^b = 1,
 
 a strictly increasing smooth map of beta with a unique positive root
-beta_star(t).  Dilation is implemented by rescaling the grid (same
-values, stretched nodes), which makes the scaling laws above exact in
-floating point rather than approximate.
+beta_star(t); in the norm share x = beta^b ||v||_N^b it is explicit
+(`on_constraint`).  Dilation rescales the grid (same values, stretched
+nodes), which makes the scaling laws above exact in floating point.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ __all__ = [
     "solve_amplitude",
     "solve_beta_star",
     "beta_star_derivative",
-    "gn_two_parameter_family",
     "rescale_to_norms",
+    "on_constraint",
 ]
 
 
@@ -136,24 +136,29 @@ def rescale_to_norms(u: RadialProfile, grad_norm: float, lp_norm: float) -> Radi
     return RadialProfile(u.grid.rescaled(1.0 / lam), u.values * c)
 
 
-def gn_two_parameter_family(V: RadialProfile, t: float, p: MTParams) -> RadialProfile:
-    """W_t built on a normalized Gagliardo-Nirenberg maximizer.
+def _share_scales(G: float, L: float, x: float, p: MTParams) -> tuple[float, float]:
+    """(c, lam) with gradient term (c^N G)^{a/N} = 1 - x and norm term (c^N L / lam^N)^{b/N} = x.
 
-    With ||grad V||_N = 1 = ||V||_N, put w_t = t^{1/b} V and
-    W_t(x) = lambda(t) w_t(lambda(t) x), lambda(t) = t^{-1/b} (1-t)^{1/a}.
-    Then ||W_t||_N^b = t and ||grad W_t||_N^a = 1 - t, so the constraint
-    value is exactly 1 for every t in (0, 1).
+    So c = (1-x)^{1/a} G^{-1/N} and lam = c L^{1/N} x^{-1/b}, for G, L > 0.  lam is formed first, in
+    the order of the two-parameter family, so a normalized V gets its bits; past the doubles it is inf.
     """
-    if not (0.0 < t < 1.0):
-        raise InvalidParameterError(f"family parameter t must lie in (0, 1), got {t}")
-    if V.grid.N != p.N:
-        raise InvalidParameterError("profile grid dimension does not match params")
-    grad = grad_norm_pow(V) ** (1.0 / p.N)
-    norm = lp_norm_pow(V, p.N) ** (1.0 / p.N)
-    if abs(grad - 1.0) > 1e-8 or abs(norm - 1.0) > 1e-8:
-        raise InvalidParameterError(
-            f"V must satisfy ||grad V||_N = 1 = ||V||_N within 1e-8, got ({grad:.3g}, {norm:.3g})"
-        )
-    lam = t ** (-1.0 / p.b) * (1.0 - t) ** (1.0 / p.a)
-    amplitude = lam * t ** (1.0 / p.b)
-    return RadialProfile(V.grid.rescaled(1.0 / lam), V.values * amplitude)
+    try:
+        lam = x ** (-1.0 / p.b) * (1.0 - x) ** (1.0 / p.a) * (L / G) ** (1.0 / p.N)
+    except OverflowError:  # x^{-1/b} alone exceeds the doubles
+        lam = np.inf
+    return lam * x ** (1.0 / p.b) / L ** (1.0 / p.N), lam
+
+
+def on_constraint(u: RadialProfile, x: float, p: MTParams) -> RadialProfile:
+    """w = c u(lam .) with norm term ||w||_N^b = x and gradient term ||grad w||_N^a = 1 - x, for any nonzero u.
+
+    On a GN maximizer with ||grad V||_N = 1 = ||V||_N: lam x^{1/b} V(lam .), lam = x^{-1/b} (1-x)^{1/a}.
+    """
+    if not 0.0 < x < 1.0:
+        raise InvalidParameterError(f"norm share x must lie in (0, 1), got {x}")
+    G, L = grad_norm_pow(u), lp_norm_pow(u, p.N)
+    if not (G > 0 and L > 0):
+        raise DegenerateProfileError("a profile with a vanishing norm has no constraint curve")
+    c, lam = _share_scales(G, L, x, p)
+    # a lam that underflowed to 0 dilates past MAX_RADIUS: rescaled raises GridOverflowError
+    return RadialProfile(u.grid.rescaled(1.0 / lam if lam else np.inf), u.values * c)

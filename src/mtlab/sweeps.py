@@ -8,7 +8,8 @@ byte-identical.  Cells run one after another in a single thread.
 A cell's verdict is the maximizer report's `exceeds_lower_bound`, spelled
 with the verdict strings of `bounds.py`; cells in the infinite-supremum
 regime and cells that raise get the `infinite-sup-regime` and `error`
-rows instead.  The plan's alpha range obeys `functional.alpha_in_range`.
+rows instead.  A plan is valid iff `MTParams` accepts its cell where
+every axis takes its max.
 
 Cells along an alpha axis are chained: the best profile found at a lower
 alpha is injected as a candidate at the next one.  Evaluating a fixed
@@ -29,9 +30,8 @@ import numpy as np
 
 from .bounds import VERDICT_CERTIFIED, VERDICT_NONE
 from .errors import InvalidParameterError
-from .functional import CERTIFY_MARGIN, MTParams, alpha_in_range
+from .functional import CERTIFY_MARGIN, MTParams
 from .maximize import MaximizeOptions, maximize_d
-from .radial import check_dimension, critical_exponent
 
 __all__ = [
     "AxisSpec",
@@ -39,7 +39,6 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "run_sweep",
-    "phase_map",
     "sweep_to_csv",
     "plan_to_json",
 ]
@@ -62,8 +61,8 @@ class AxisSpec:
             raise InvalidParameterError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
         if self.count < 2:
             raise InvalidParameterError("axis count must be >= 2")
-        if not (0 < self.min < self.max):
-            raise InvalidParameterError("axis range must satisfy 0 < min < max")
+        if not (0 < self.min < self.max < np.inf):
+            raise InvalidParameterError("axis range must satisfy 0 < min < max < inf")
         if self.spacing not in ("linear", "log"):
             raise InvalidParameterError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
 
@@ -92,10 +91,9 @@ class SweepPlan:
         for name in AXIS_NAMES:
             if (name in names) == (name in self.fixed):
                 raise InvalidParameterError(f"parameter {name!r} must be either swept or fixed, not both or neither")
-        check_dimension(self.N)
-        alpha = next((ax.max for ax in self.axes if ax.name == "alpha"), self.fixed.get("alpha"))
-        if not alpha_in_range(alpha, self.N):
-            raise InvalidParameterError(f"alpha {alpha!r} lies outside (0, alpha_N = {critical_exponent(self.N):.6g}]")
+        # every axis takes its max here: alpha's binds (0, alpha_N], the rest bind finiteness
+        top = {**self.fixed, **{ax.name: ax.max for ax in self.axes}}
+        MTParams(N=self.N, alpha=top["alpha"], a=top["a"], b=top["b"])
 
     def axis_names(self) -> tuple[str, ...]:
         return tuple(ax.name for ax in self.axes)
@@ -203,25 +201,6 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                 extra = (best_profile,)
     rows.sort(key=lambda r: r.index)
     return SweepResult(plan=plan, rows=tuple(rows))
-
-
-def phase_map(
-    a_axis: AxisSpec,
-    b_axis: AxisSpec,
-    alpha: float,
-    N: int,
-    seed: int = 1,
-    options: MaximizeOptions | None = None,
-) -> SweepResult:
-    """Attainment map over (a, b) at fixed alpha."""
-    plan = SweepPlan(
-        N=N,
-        axes=(a_axis, b_axis),
-        fixed={"alpha": alpha},
-        seed=seed,
-        options=options or MaximizeOptions(),
-    )
-    return run_sweep(plan)
 
 
 def _fmt(x) -> str:

@@ -223,7 +223,7 @@ class TestLowerBoundChain:
             p = MTParams(N=2, alpha=alpha, a=a, b=b)
             lb = universal_lower_bound(alpha, 2)
             for t in (0.3, 0.7, 0.95):
-                W = mtlab.gn_two_parameter_family(V, t, p)
+                W = mtlab.on_constraint(V, t, p)
                 g_val = float(g_function(t, alpha, a, b, 2, ratio_v))
                 j_val = mtlab.j_truncated(W, p)
                 assert lb * g_val == pytest.approx(j_val, rel=1e-12)

@@ -225,11 +225,22 @@ PHASE_MAP = [
         (["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--bisect", "-1"], "bisect_iters must be >= 0"),
         (["g-test", "--N", "2", "--alpha", "4", "--a", "2", "--b", "8", "--bgn", "-1"], "bgn must be positive"),
         (["maximize", "--N", "2", "--alpha", repr(4 * math.pi), "--a", "2", "--b", "3"], "--allow-infinite-regime"),
+        (["maximize", "--N", "2", "--alpha", "3", "--a", "2", "--b", "inf"], "constraint powers must be positive and finite"),
+        (["maximize", "--N", "2", "--alpha", "3", "--a", "nan", "--b", "2"], "constraint powers must be positive and finite"),
+        (["g-test", "--N", "2", "--alpha", "1", "--a", "nan", "--b", "2", "--bgn", "0.1"], "constraint powers"),
+        (["g-test", "--N", "2", "--alpha", "1", "--a", "2", "--b", "2", "--bgn", "inf"], "bgn must be positive and finite"),
+        (["alpha0", "--N", "2", "--a", "2", "--b", "2", "--gn-c", "nan"], "interpolation constant must be positive and finite"),
+        (["alpha0", "--N", "2", "--a", "2", "--b", "inf", "--gn-c", "2"], "b must be positive and finite"),
+        (["sweep", "--N", "2", "--axis", "a", "--min", "1", "--max", "inf", "--count", "2", "--alpha", "3", "--b", "2"],
+         "max < inf"),
+        (["sweep", "--N", "2", "--axis", "alpha", "--min", "0.5", "--max", "1", "--count", "2", "--a", "-1", "--b", "2"],
+         "constraint powers must be positive"),
     ],
     ids=[
         "bgn-N1", "maximize-r-max", "maximize-n-nodes", "maximize-restarts", "eval-n-nodes", "eval-width",
         "sweep-N1", "sweep-n-nodes", "phase-map-N1", "phase-map-r-max", "alpha-star-bisect", "g-test-bgn",
-        "maximize-infinite-regime",
+        "maximize-infinite-regime", "maximize-b-inf", "maximize-a-nan", "g-test-a-nan", "g-test-bgn-inf",
+        "alpha0-gn-c-nan", "alpha0-b-inf", "sweep-axis-max-inf", "sweep-fixed-a-negative",
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, reason):

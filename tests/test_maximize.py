@@ -36,6 +36,7 @@ from mtlab.maximize import (
     _bracket_q0,
     _dilation_curve,
     _mode_label,
+    _norm_share,
     _shoot,
 )
 from mtlab.radial import pl_norm_pow
@@ -124,16 +125,20 @@ class TestMaximizeD:
         st.floats(0.05, 0.9),
         st.floats(0.5, 8.0),
         st.floats(0.5, 8.0),
-        st.floats(-3.0, 3.0),
+        st.floats(-8.0, 8.0),
     )
-    def test_dilation_scan_scaling_law(self, seed, N, frac, a, b, log_t):
-        # the scan scores beta_star(t) u_t without building it; the built profile must agree
+    def test_dilation_scan_scaling_law(self, seed, N, frac, a, b, s):
+        # the scan scores the point at norm share x = logistic(s) without building it; building
+        # it by dilating u by lam^N and projecting, the root-solve route, must agree
         grid = build_grid(N, 20.0, 128)
         u = random_monotone_profile(grid, np.random.default_rng(seed))
         p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
-        t = 10.0 ** log_t
-        built = mtlab.mt_integral(project_to_constraint(mtlab.dilate(u, t), p), p)
-        assert _dilation_curve(u, p)(t) == pytest.approx(built, rel=1e-12)
+        x = _norm_share(s)
+        w = mtlab.on_constraint(u, x, p)
+        assert constraint_value(w, p) == pytest.approx(1.0, abs=1e-12)
+        lam = grid.r_max / w.grid.r_max
+        built = mtlab.mt_integral(project_to_constraint(mtlab.dilate(u, lam**N), p), p)
+        assert _dilation_curve(u, p)(s) == pytest.approx(built, rel=1e-12)
 
     def test_duplicated_extra_candidate(self):
         # one vanishing start, then a rejected zero start and twice the same Gaussian

@@ -11,10 +11,12 @@ from mtlab import (
     beta_star_derivative,
     build_grid,
     constraint_value,
+    DegenerateProfileError,
+    RadialProfile,
     dilate,
-    gn_two_parameter_family,
     grad_norm_pow,
     lp_norm_pow,
+    on_constraint,
     sample_profile,
     solve_beta_star,
 )
@@ -141,6 +143,8 @@ class TestNormalizedDilation:
 
 
 class TestGnTwoParameterFamily:
+    """on_constraint on a normalized V is the two-parameter family W_t of a GN maximizer."""
+
     @pytest.fixture()
     def normalized_v(self):
         g = build_grid(2, 14.0, 768)
@@ -150,13 +154,13 @@ class TestGnTwoParameterFamily:
     def test_constraint_is_one(self, normalized_v):
         p = MTParams(N=2, alpha=3.0, a=2.0, b=8.0)
         for t in (0.1, 0.5, 0.9):
-            W = gn_two_parameter_family(normalized_v, t, p)
+            W = on_constraint(normalized_v, t, p)
             assert constraint_value(W, p) == pytest.approx(1.0, abs=1e-10)
 
     def test_norm_split_identities(self, normalized_v):
         p = MTParams(N=2, alpha=3.0, a=1.7, b=6.0)
         for t in (0.2, 0.6, 0.95):
-            W = gn_two_parameter_family(normalized_v, t, p)
+            W = on_constraint(normalized_v, t, p)
             assert lp_norm_pow(W, 2) ** (p.b / 2) == pytest.approx(t, rel=1e-12)
             assert grad_norm_pow(W) ** (p.a / 2) == pytest.approx(1.0 - t, rel=1e-12)
 
@@ -165,22 +169,41 @@ class TestGnTwoParameterFamily:
         p = MTParams(N=2, alpha=3.0, a=2.0, b=8.0)
         ratio_v = lp_norm_pow(normalized_v, 4)
         for t in (0.3, 0.8):
-            W = gn_two_parameter_family(normalized_v, t, p)
+            W = on_constraint(normalized_v, t, p)
             expected = ratio_v * t ** (2 / p.b) * (1 - t) ** (2.0 / p.a)
             assert lp_norm_pow(W, 4) == pytest.approx(expected, rel=1e-12)
 
     def test_t_out_of_range(self, normalized_v):
         p = MTParams(N=2, alpha=3.0, a=2.0, b=8.0)
-        for t in (0.0, 1.0, -0.5, 1.5):
+        for t in (0.0, 1.0, -0.5, 1.5, float("nan")):
             with pytest.raises(InvalidParameterError):
-                gn_two_parameter_family(normalized_v, t, p)
+                on_constraint(normalized_v, t, p)
 
-    def test_requires_normalized_profile(self):
+    def test_zero_profile_is_degenerate(self):
         g = build_grid(2, 10.0, 128)
-        u = sample_profile(g, lambda r: np.exp(-r))
         p = MTParams(N=2, alpha=3.0, a=2.0, b=8.0)
-        with pytest.raises(InvalidParameterError):
-            gn_two_parameter_family(u, 0.5, p)
+        with pytest.raises(DegenerateProfileError):
+            on_constraint(RadialProfile(g, np.zeros(g.n_nodes)), 0.5, p)
+
+    @pytest.mark.parametrize("N,a,b", [(2, 2.0, 8.0), (3, 0.7, 1.9)])
+    def test_any_nonzero_profile_splits_exactly(self, N, a, b):
+        # no normalization needed: an unnormalized u lands on the constraint at share t
+        g = build_grid(N, 10.0, 256)
+        u = sample_profile(g, lambda r: 3.7 * np.exp(-r))
+        p = MTParams(N=N, alpha=1.0, a=a, b=b)
+        for t in (0.05, 0.5, 0.999):
+            W = on_constraint(u, t, p)
+            assert lp_norm_pow(W, N) ** (b / N) == pytest.approx(t, rel=1e-12)
+            assert grad_norm_pow(W) ** (a / N) == pytest.approx(1.0 - t, rel=1e-12)
+
+    def test_matches_family_formula(self, normalized_v):
+        # W_t(x) = lam w_t(lam x), w_t = t^{1/b} V, lam = t^{-1/b} (1-t)^{1/a}
+        p = MTParams(N=2, alpha=3.0, a=1.7, b=6.0)
+        for t in (0.1, 0.5, 0.9, 0.99):
+            lam = t ** (-1.0 / p.b) * (1.0 - t) ** (1.0 / p.a)
+            W = on_constraint(normalized_v, t, p)
+            np.testing.assert_allclose(W.values, normalized_v.values * lam * t ** (1.0 / p.b), rtol=1e-14)
+            np.testing.assert_allclose(W.grid.nodes, normalized_v.grid.nodes / lam, rtol=1e-14)
 
 
 class TestSolveAmplitude:

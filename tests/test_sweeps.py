@@ -1,7 +1,7 @@
 import pytest
 
 import mtlab
-from mtlab import AxisSpec, InvalidParameterError, MaximizeOptions, SweepPlan, critical_exponent, phase_map
+from mtlab import AxisSpec, InvalidParameterError, MaximizeOptions, SweepPlan, critical_exponent
 from mtlab.sweeps import plan_to_json, run_sweep, sweep_to_csv
 
 
@@ -23,6 +23,15 @@ class TestPlanValidation:
     def test_dimension_checked_when_built(self):
         with pytest.raises(InvalidParameterError):
             SweepPlan(N=1, axes=(AxisSpec("alpha", 0.5, 2.0, 3),), fixed={"a": 2.0, "b": 2.0})
+
+    @pytest.mark.parametrize("fixed", [{"a": -1.0, "b": 2.0}, {"a": 2.0, "b": float("inf")}])
+    def test_fixed_powers_checked_when_built(self, fixed):
+        with pytest.raises(InvalidParameterError):
+            SweepPlan(N=2, axes=(AxisSpec("alpha", 0.5, 1.0, 2),), fixed=fixed)
+
+    def test_infinite_axis_max_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            AxisSpec("a", 1.0, float("inf"), 2)
 
     def test_missing_fixed_parameter(self):
         with pytest.raises(InvalidParameterError):
@@ -51,13 +60,14 @@ def alpha_sweep():
 
 @pytest.fixture(scope="module")
 def small_map():
-    return phase_map(
-        AxisSpec("a", 2.0, 3.0, 2),
-        AxisSpec("b", 2.0, 8.0, 2),
-        alpha=3.0,
-        N=2,
-        seed=1,
-        options=light_opts(),
+    return run_sweep(
+        SweepPlan(
+            N=2,
+            axes=(AxisSpec("a", 2.0, 3.0, 2), AxisSpec("b", 2.0, 8.0, 2)),
+            fixed={"alpha": 3.0},
+            seed=1,
+            options=light_opts(),
+        )
     )
 
 
@@ -172,13 +182,14 @@ class TestPhaseMap:
                 assert row.verdict == "attained-certified-numerically"
 
     def test_small_alpha_conjugate_cell_uncertified(self):
-        result = phase_map(
-            AxisSpec("a", 2.0, 3.0, 2),
-            AxisSpec("b", 2.0, 4.0, 2),
-            alpha=0.05,
-            N=2,
-            seed=1,
-            options=light_opts(),
+        result = run_sweep(
+            SweepPlan(
+                N=2,
+                axes=(AxisSpec("a", 2.0, 3.0, 2), AxisSpec("b", 2.0, 4.0, 2)),
+                fixed={"alpha": 0.05},
+                seed=1,
+                options=light_opts(),
+            )
         )
         for row in result.rows:
             if row.params["a"] == 2.0 and row.params["b"] == 2.0:
