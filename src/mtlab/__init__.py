@@ -39,6 +39,7 @@ from .errors import (
 )
 from .functional import (
     MTParams,
+    constraint_terms,
     constraint_value,
     j_truncated,
     mt_integral,

@@ -36,6 +36,7 @@ __all__ = [
     "psi",
     "mt_integral",
     "mt_integral_series",
+    "constraint_terms",
     "constraint_value",
     "j_truncated",
 ]
@@ -242,13 +243,16 @@ def mt_integral_series(u: RadialProfile, p: MTParams) -> float:
     return u.grid.omega * total
 
 
-def constraint_value(u: RadialProfile, p: MTParams) -> float:
-    """||grad u||_N^a + ||u||_N^b; zero iff u is identically zero."""
+def constraint_terms(u: RadialProfile, p: MTParams) -> tuple[float, float]:
+    """(||grad u||_N^a, ||u||_N^b): the gradient and norm terms of the constraint."""
     if u.grid.N != p.N:
         raise InvalidParameterError("profile grid dimension does not match params")
-    grad = grad_norm_pow(u) ** (p.a / p.N)
-    norm = lp_norm_pow(u, p.N) ** (p.b / p.N)
-    return grad + norm
+    return grad_norm_pow(u) ** (p.a / p.N), lp_norm_pow(u, p.N) ** (p.b / p.N)
+
+
+def constraint_value(u: RadialProfile, p: MTParams) -> float:
+    """||grad u||_N^a + ||u||_N^b; zero iff u is identically zero."""
+    return sum(constraint_terms(u, p))
 
 
 def j_truncated(u: RadialProfile, p: MTParams) -> float:

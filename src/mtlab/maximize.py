@@ -17,6 +17,9 @@ The restart families mirror the competing compactness modes:
   Gagliardo-Nirenberg maximizer (`scaling.on_constraint`), which is what
   certifies attainment near a = N'.
 
+Each start is built, projected onto the constraint once and, unless the
+concentration guard rejects it at alpha_N, ascended; a start that cannot be
+built, projected or evaluated scores NaN and the other restarts still run.
 Each ascent step preconditions the nodal gradient by the radial masses
 (so the direction is a function-space gradient, monotone for monotone
 iterates), projects back onto the monotone cone and the constraint, and
@@ -50,7 +53,15 @@ from .errors import (
     InvalidParameterError,
     SeriesOverflowError,
 )
-from .functional import CERTIFY_MARGIN, EXP_ARG_LIMIT, MTParams, _phi_tail, mt_integral, universal_lower_bound
+from .functional import (
+    CERTIFY_MARGIN,
+    EXP_ARG_LIMIT,
+    MTParams,
+    _phi_tail,
+    constraint_terms,
+    mt_integral,
+    universal_lower_bound,
+)
 from .radial import (
     DEFAULT_CELL_ORDER,
     MAX_RADIUS,
@@ -142,7 +153,7 @@ class MaximizerReport:
             "restarts": self.restarts,
             "seed": self.seed,
             "restart_values": [v if np.isfinite(v) else None for v in self.restart_values],
-            "grid": self.grid_meta,
+            "grid": {**self.grid_meta, "best_profile_nodes": self.best_profile.grid.n_nodes},
         }
 
 
@@ -165,19 +176,16 @@ def project_to_constraint(u: RadialProfile, p: MTParams) -> RadialProfile:
     if not np.any(values):
         raise DegenerateProfileError("cannot project the zero profile onto the constraint")
     prof = decreasing_rearrangement(RadialProfile(u.grid, values))
-    g_term = grad_norm_pow(prof) ** (p.a / p.N)
-    l_term = lp_norm_pow(prof, p.N) ** (p.b / p.N)
-    beta = solve_amplitude(g_term, l_term, p.a, p.b)
-    return prof.scaled(beta)
+    return prof.scaled(solve_amplitude(*constraint_terms(prof, p), p.a, p.b))
 
 
-def _grad_share(u: RadialProfile, p: MTParams) -> float:
-    return grad_norm_pow(u) ** (p.a / p.N)
+def _concentrated(u: RadialProfile, p: MTParams) -> bool:
+    """At alpha_N, whether the gradient term of u exceeds CONCENTRATION_GUARD."""
+    return p.is_critical and constraint_terms(u, p)[0] > CONCENTRATION_GUARD
 
 
 def _mode_label(u: RadialProfile, p: MTParams) -> str:
-    norm_share = lp_norm_pow(u, p.N) ** (p.b / p.N)
-    grad_share = _grad_share(u, p)
+    grad_share, norm_share = constraint_terms(u, p)
     if norm_share > 1.0 - MODE_EPS:
         return "near-vanishing"
     if grad_share > 1.0 - MODE_EPS:
@@ -262,9 +270,8 @@ def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
     return (val, prof) if val > value else (value, u)
 
 
-def _ascend(start: RadialProfile, p: MTParams):
-    """Projected gradient ascent from one start; returns (value, profile, iters)."""
-    u = project_to_constraint(start, p)
+def _ascend(u: RadialProfile, p: MTParams):
+    """Projected gradient ascent from a start on the constraint; returns (value, profile, iters)."""
     value = mt_integral(u, p)
     history = [value]
     eta = 0.25
@@ -295,7 +302,7 @@ def _ascend(start: RadialProfile, p: MTParams):
             eta *= 0.4
         if not improved:
             break
-        if p.is_critical and _grad_share(u, p) > CONCENTRATION_GUARD:
+        if _concentrated(u, p):
             break
         history.append(value)
         if len(history) > STALL_ITERS:
@@ -333,7 +340,14 @@ def _vanishing(grid: RadialGrid, p: MTParams, depth: float) -> RadialProfile:
 
 
 def _candidate_starts(p: MTParams, opts: MaximizeOptions, grid: RadialGrid, rng):
+    """Builders of the opts.restarts starts; a random Gaussian mixture draws from rng when it is built."""
     scale = min(grid.r_max / 8.0, 2.0)
+
+    def mixture() -> RadialProfile:
+        widths = 10.0 ** rng.uniform(-1.0, 1.0, size=3) * scale
+        weights = rng.uniform(0.2, 1.0, size=3)
+        return RadialProfile(grid, sum(amp * np.exp(-((grid.nodes / wdt) ** 2)) for wdt, amp in zip(widths, weights)))
+
     builders = [
         lambda: _vanishing(grid, p, 1e-8),
         lambda: _gaussian(grid, scale),
@@ -347,16 +361,8 @@ def _candidate_starts(p: MTParams, opts: MaximizeOptions, grid: RadialGrid, rng)
         lambda: _moser_bubble(grid, 1e-2 * grid.r_max, grid.r_max / 4.0),
         lambda: _gaussian(grid, 2.5 * scale),
         lambda: _vanishing(grid, p, 1e-4),
-    ]
-    starts = [build() for build in builders[: opts.restarts]]
-    while len(starts) < opts.restarts:
-        widths = 10.0 ** rng.uniform(-1.0, 1.0, size=3) * scale
-        weights = rng.uniform(0.2, 1.0, size=3)
-        vals = np.zeros_like(grid.nodes)
-        for wdt, amp in zip(widths, weights):
-            vals += amp * np.exp(-((grid.nodes / wdt) ** 2))
-        starts.append(RadialProfile(grid, vals))
-    return starts
+    ][: opts.restarts]
+    return builders + [mixture] * (opts.restarts - len(builders))
 
 
 def maximize_d(
@@ -369,21 +375,16 @@ def maximize_d(
     opts.check_regime(p)
     grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    starts = _candidate_starts(p, opts, grid, rng) + list(extra_candidates)
-
-    def run(start):
-        try:
-            projected = project_to_constraint(start, p)
-        except DegenerateProfileError:
-            return (np.nan, None, 0)
-        if p.is_critical and _grad_share(projected, p) > CONCENTRATION_GUARD:
-            return (np.nan, None, 0)
-        return _ascend(projected, p)
+    builders = _candidate_starts(p, opts, grid, rng) + [lambda c=c: c for c in extra_candidates]
 
     # Only the running best is kept: the first strict maximum over the starts.
     best_value, best_profile, restart_values, total_iters = -np.inf, None, [], 0
-    for start in starts:
-        val, prof, iters = run(start)
+    for build in builders:
+        try:
+            u = project_to_constraint(build(), p)
+            val, prof, iters = (np.nan, None, 0) if _concentrated(u, p) else _ascend(u, p)
+        except (DegenerateProfileError, GridOverflowError, SeriesOverflowError):
+            val, prof, iters = np.nan, None, 0
         restart_values.append(float(val))
         total_iters += iters
         if prof is not None and val > best_value:
@@ -404,7 +405,7 @@ def maximize_d(
         exceeds_lower_bound=margin > CERTIFY_MARGIN,
         mode_diagnostic=_mode_label(best_profile, p),
         iterations=total_iters,
-        restarts=len(starts),
+        restarts=len(builders),
         seed=opts.seed,
         restart_values=tuple(restart_values),
         grid_meta={

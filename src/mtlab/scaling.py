@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateProfileError, InvalidParameterError
-from .functional import MTParams
+from .functional import MTParams, constraint_terms
 from .radial import RadialProfile, grad_norm_pow, lp_norm_pow
 
 __all__ = [
@@ -48,11 +48,11 @@ def dilate(v: RadialProfile, t: float) -> RadialProfile:
 def solve_amplitude(grad_pow_a: float, norm_pow_b: float, a: float, b: float) -> float:
     """Unique beta > 0 with beta^a * G + beta^b * L = 1 for G, L >= 0.
 
-    Solved as x = log beta: h(x) = G e^{ax} + L e^{bx} - 1 is convex and
-    strictly increasing, so Newton from the upper bracket edge descends
-    monotonically; bisection takes over whenever a step leaves the
-    bracket.  Working in log space keeps the iteration conditioned even
-    when the root is many orders of magnitude from 1.
+    Solved as x = log beta by plain Newton: h(x) = G e^{ax} + L e^{bx} - 1 is
+    convex and increasing, and h >= 0 at x0 = min(-log G / a, -log L / b), so
+    the iterates descend monotonically onto the root with no bracket.  Log
+    space keeps the iteration conditioned even when the root is many orders
+    of magnitude from 1.
     """
     G, L = grad_pow_a, norm_pow_b
     if G <= 0.0 and L <= 0.0:
@@ -63,41 +63,29 @@ def solve_amplitude(grad_pow_a: float, norm_pow_b: float, a: float, b: float) ->
         tb = L * np.exp(b * x) if L > 0 else 0.0
         return ta + tb - 1.0, a * ta + b * tb
 
-    hi = np.inf
-    if G > 0:
-        hi = min(hi, -np.log(G) / a)
-    if L > 0:
-        hi = min(hi, -np.log(L) / b)
-    lo = hi - 1.0
-    while h(lo)[0] > 0.0:
-        lo = hi + 2.0 * (lo - hi)
-    x = hi
+    x = min(-np.log(G) / a if G > 0 else np.inf, -np.log(L) / b if L > 0 else np.inf)
     tol = 1e-15 * max(1.0, a, b)
     for _ in range(200):
         val, slope = h(x)
         if abs(val) <= tol:
             break
-        if val > 0:
-            hi = x
-        else:
-            lo = x
-        candidate = x - val / slope
-        if not (lo < candidate < hi) or not np.isfinite(candidate):
-            candidate = 0.5 * (lo + hi)
-        if abs(candidate - x) <= 1e-16 * max(abs(x), 1.0):
-            x = candidate
+        x, previous = x - val / slope, x
+        if abs(x - previous) <= 1e-16 * max(abs(previous), 1.0):
             break
-        x = candidate
     return float(np.exp(x))
+
+
+def _beta_star(v: RadialProfile, t: float, p: MTParams) -> tuple[float, float, float]:
+    """v's gradient and norm terms and beta_star(t), the amplitude that puts beta v_t on the constraint."""
+    if t <= 0:
+        raise InvalidParameterError(f"dilation parameter must be positive, got {t}")
+    grad_a, norm_b = constraint_terms(v, p)
+    return grad_a, norm_b, solve_amplitude(grad_a * t ** (p.a / p.N), norm_b, p.a, p.b)
 
 
 def solve_beta_star(v: RadialProfile, t: float, p: MTParams) -> float:
     """beta_star(t): the root of beta^a t^{a/N} ||grad v||_N^a + beta^b ||v||_N^b = 1."""
-    if t <= 0:
-        raise InvalidParameterError(f"dilation parameter must be positive, got {t}")
-    grad_a = grad_norm_pow(v) ** (p.a / p.N) * t ** (p.a / p.N)
-    norm_b = lp_norm_pow(v, p.N) ** (p.b / p.N)
-    return solve_amplitude(grad_a, norm_b, p.a, p.b)
+    return _beta_star(v, t, p)[2]
 
 
 def beta_star_derivative(v: RadialProfile, t: float, p: MTParams) -> float:
@@ -106,10 +94,8 @@ def beta_star_derivative(v: RadialProfile, t: float, p: MTParams) -> float:
     Always negative: stretching transfers weight to the gradient term, so
     the admissible amplitude shrinks.
     """
-    beta = solve_beta_star(v, t, p)
+    grad_a, norm_b, beta = _beta_star(v, t, p)
     a, b, N = p.a, p.b, p.N
-    grad_a = grad_norm_pow(v) ** (a / N)
-    norm_b = lp_norm_pow(v, p.N) ** (b / N)
     numerator = (a / N) * t ** (a / N - 1.0) * beta ** a * grad_a
     denominator = a * beta ** (a - 1) * t ** (a / N) * grad_a + b * beta ** (b - 1) * norm_b
     return -numerator / denominator

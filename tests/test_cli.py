@@ -106,6 +106,13 @@ class TestMaximize:
         assert payload["seed"] == 7
         assert payload["exceeds_lower_bound"] is True
 
+    def test_one_unbuildable_start_does_not_abort(self, capsys):
+        # the x = 0.99 GN start cannot be built at a = 0.1; it scores null and the run goes on
+        code, out, _ = run_cli(capsys, "maximize", "--N", "2", "--alpha", "3", "--a", "0.1", "--b", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["restart_values"][5] is None and payload["exceeds_lower_bound"] is False
+
     def test_human_disclaimer(self, capsys):
         code, out, _ = run_cli(
             capsys, "maximize", "--N", "2", "--alpha", "3", "--a", "3", "--b", "2",

@@ -28,3 +28,21 @@ def test_package_reexports_only_listed_names():
         if alias.name not in importlib.import_module(f"mtlab.{node.module}").__all__
     ]
     assert unlisted == []
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer rebinds these names by module; a missing one breaks traced runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    )
+    missing = [
+        f"{module}.{name}"
+        for module, names in traced.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"mtlab.{module}"), name)
+    ]
+    assert traced and missing == []

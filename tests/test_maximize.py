@@ -167,6 +167,20 @@ class TestMaximizeD:
         assert rep.best_profile is profs[1] and rep.best_value == 5.0
         assert rep.restart_values == (1.0, 5.0, 5.0, 2.0) and rep.iterations == 18
 
+    def test_unbuildable_start_scores_nan(self):
+        # at a = 0.1 the x = 0.99 GN start (restart 5) dilates past MAX_RADIUS; the others still run
+        rep = maximize_d(MTParams(N=2, alpha=3.0, a=0.1, b=2.0))
+        assert len(rep.restart_values) == 12 and math.isnan(rep.restart_values[5])
+        assert all(math.isfinite(v) for i, v in enumerate(rep.restart_values) if i != 5)
+        assert rep.to_json_dict()["restart_values"][5] is None
+
+    def test_report_names_the_grid_of_its_profile(self):
+        # the winner at alpha = 1 is a GN start, which lives on the GN grid, not the options' grid
+        rep = maximize_d(MTParams(N=2, alpha=1.0, a=3.0, b=2.0), mtlab.MaximizeOptions(seed=7))
+        grid = rep.to_json_dict()["grid"]
+        assert grid["best_profile_nodes"] == rep.best_profile.grid.n_nodes == maximize_mod.GN_NODES
+        assert grid["n_nodes"] == 512
+
     @pytest.mark.parametrize(
         "kw", [{"n_nodes": 8}, {"restarts": 0}, {"r_max": -1.0}, {"scheme": "chebyshev"}],
         ids=["n_nodes", "restarts", "r_max", "scheme"],

@@ -226,6 +226,42 @@ class TestSolveAmplitude:
 
         check()
 
+    def test_residual_off_the_beaten_range(self):
+        # beta <= G^{-1/a} and beta <= L^{-1/b}, so beta^a and beta^b stay finite here
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+        from mtlab.scaling import solve_amplitude
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            st.floats(0.1, 20.0),
+            st.floats(0.1, 20.0),
+            st.floats(1e-30, 1e30),
+            st.floats(1e-30, 1e30),
+        )
+        def check(a, b, G, L):
+            beta = solve_amplitude(G, L, a, b)
+            assert abs(G * beta ** a + L * beta ** b - 1.0) <= 1e-13
+
+        check()
+
+    def test_single_term_closed_form(self):
+        # with one term zero, beta = G^{-1/a} or L^{-1/b}; exp(log beta) carries the
+        # rounding of log beta, so the relative tolerance grows with |log beta|
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+        from mtlab.scaling import solve_amplitude
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.floats(0.1, 20.0), st.floats(0.1, 20.0), st.floats(1e-30, 1e30))
+        def check(a, b, T):
+            for G, L, power in ((0.0, T, b), (T, 0.0, a)):
+                expected = T ** (-1.0 / power)
+                tol = 1e-14 * max(1.0, abs(math.log(expected)))
+                assert solve_amplitude(G, L, a, b) == pytest.approx(expected, rel=tol)
+
+        check()
+
     def test_degenerate(self):
         from mtlab.scaling import solve_amplitude
 
