@@ -23,7 +23,11 @@ built, projected or evaluated scores NaN and the other restarts still run.
 Each ascent step preconditions the nodal gradient by the radial masses
 (so the direction is a function-space gradient, monotone for monotone
 iterates), projects back onto the monotone cone and the constraint, and
-is accepted only if the objective improves.  A line search along the
+is accepted at the first of 25 rungs, each 0.4 times the last, that improves
+the objective.  When the first rung fails and the closed-form slope of the
+projected path at the start (`_ascent_slope`) is <= 0, the step descends the
+constraint surface; under a quadratic model no shorter rung can then gain, so
+the ascent stops as it would after the whole ladder.  A line search along the
 norm-share curve x -> on_constraint(u, x) finishes each restart, since a
 plain nodal ascent is slow to translate profiles across scales; it scores
 each x by the scaling laws, with no root solve, and builds only the winner.
@@ -67,6 +71,7 @@ from .radial import (
     MAX_RADIUS,
     RadialGrid,
     RadialProfile,
+    _cell_slopes,
     build_grid,
     check_grid,
     decreasing_rearrangement,
@@ -270,14 +275,27 @@ def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
     return (val, prof) if val > value else (value, u)
 
 
+def _ascent_slope(u: RadialProfile, p: MTParams, g: np.ndarray, d: np.ndarray) -> float:
+    """d/deta at 0 of F(project_to_constraint(u + eta d)), for u on the constraint and g = F'(u).
+
+    The constraint terms (t_grad, t_norm) are homogeneous of degrees a and b in the amplitude, so
+    beta'(0) = -<C', d> / (a t_grad + b t_norm) and the slope is <g, d> + beta'(0) <g, u>.
+    """
+    t_grad, t_norm = constraint_terms(u, p)
+    grid = u.grid
+    s_u = _cell_slopes(grid, u.values)
+    w_grad, w_norm = np.abs(s_u) ** (p.N - 2) * s_u * grid.cell_moments, grid.mass * u.values ** (p.N - 1)
+    dc = p.a * t_grad * np.dot(w_grad, _cell_slopes(grid, d)) / np.dot(w_grad, s_u)  # <C', d>
+    dc += p.b * t_norm * np.dot(w_norm, d) / np.dot(w_norm, u.values)
+    return float(np.dot(g, d) - dc * np.dot(g, u.values) / (p.a * t_grad + p.b * t_norm))
+
+
 def _ascend(u: RadialProfile, p: MTParams):
     """Projected gradient ascent from a start on the constraint; returns (value, profile, iters)."""
     value = mt_integral(u, p)
     history = [value]
     eta = 0.25
-    iters = 0
-    for _ in range(MAX_ITERS):
-        iters += 1
+    for iters in range(1, MAX_ITERS + 1):
         g = functional_gradient(u, p)
         direction = g / (u.grid.omega * u.grid.mass)
         dmax = float(np.max(np.abs(direction)))
@@ -286,7 +304,7 @@ def _ascend(u: RadialProfile, p: MTParams):
         umax = float(np.max(u.values))
         step_scale = umax / dmax if dmax > 0 else 0.0
         improved = False
-        for _bt in range(25):
+        for rung in range(25):
             trial = RadialProfile(u.grid, u.values + eta * step_scale * direction)
             try:
                 prof = project_to_constraint(trial, p)
@@ -299,15 +317,14 @@ def _ascend(u: RadialProfile, p: MTParams):
                 eta = min(eta * 1.4, 4.0)
                 improved = True
                 break
+            if rung == 0 and _ascent_slope(u, p, g, direction) <= 0:
+                break  # the step descends the constraint surface: no shorter rung can gain
             eta *= 0.4
-        if not improved:
-            break
-        if _concentrated(u, p):
+        if not improved or _concentrated(u, p):
             break
         history.append(value)
-        if len(history) > STALL_ITERS:
-            if value - history[-STALL_ITERS - 1] < STALL_RTOL * max(1.0, value):
-                break
+        if len(history) > STALL_ITERS and value - history[-STALL_ITERS - 1] < STALL_RTOL * max(1.0, value):
+            break
     value, u = _dilation_line_search(u, p, value)
     return value, u, iters
 
@@ -383,7 +400,7 @@ def maximize_d(
         try:
             u = project_to_constraint(build(), p)
             val, prof, iters = (np.nan, None, 0) if _concentrated(u, p) else _ascend(u, p)
-        except (DegenerateProfileError, GridOverflowError, SeriesOverflowError):
+        except (BracketNotFoundError, DegenerateProfileError, GridOverflowError, SeriesOverflowError):
             val, prof, iters = np.nan, None, 0
         restart_values.append(float(val))
         total_iters += iters
@@ -529,18 +546,19 @@ def _check_straddle(N: int, events: np.ndarray, lo: float, hi: float) -> None:
 def _bracket_q0(N: int, lo: float, hi: float, r_end: float) -> tuple[float, float]:
     """Narrow [lo, hi] on Q(0) in GN_ROUNDS rounds of GN_SHOTS equally spaced shots.
 
-    Each round keeps the adjacent undershoot/overshoot pair around the
-    first overshoot.  The bracket must undershoot at lo and overshoot at hi.
+    Each round keeps the adjacent undershoot/overshoot pair around the first
+    overshoot.  hi must overshoot and lo must not; lo's shot may have no event.
     """
     if not 1.0 < lo < hi:
         raise InvalidParameterError(f"a Q(0) bracket needs 1 < lo < hi (Q(0) > 1 is necessary), got [{lo}, {hi}]")
     for _ in range(GN_ROUNDS):
         q0 = np.linspace(lo, hi, GN_SHOTS)
         events = _shoot(N, q0, r_end)[0]
-        _check_straddle(N, events, lo, hi)
         j = int(np.argmax(events == OVERSHOOT))
-        i = int(np.flatnonzero(events[:j] == UNDERSHOOT)[-1])
-        lo, hi = float(q0[i]), float(q0[j])
+        under = np.flatnonzero(events[:j] == UNDERSHOOT)
+        if events[-1] != OVERSHOOT or not under.size:
+            raise BracketNotFoundError(f"Q(0) in [{lo!r}, {hi!r}] must undershoot, then overshoot (N = {N})")
+        lo, hi = float(q0[under[-1]]), float(q0[j])
     return lo, hi
 
 

@@ -318,11 +318,14 @@ def lp_norm_pow(u: RadialProfile, p: float) -> float:
     return u.grid.omega * float(np.dot(u.grid.mass, u.values ** p))
 
 
-def _edge_values(u: RadialProfile) -> np.ndarray:
+def _edge_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Values at grid.cell_edges(): the nodal values, then 0 at a decay node (r_max, 0)."""
-    if u.grid.r_max > u.grid.nodes[-1]:
-        return np.concatenate([u.values, [0.0]])
-    return u.values
+    return np.concatenate([values, [0.0]]) if grid.r_max > grid.nodes[-1] else values
+
+
+def _cell_slopes(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Slopes of the piecewise-linear interpolant of nodal `values` on the gradient cells."""
+    return np.diff(_edge_values(grid, values)) / grid.cell_widths
 
 
 def grad_norm_pow(u: RadialProfile) -> float:
@@ -333,8 +336,7 @@ def grad_norm_pow(u: RadialProfile) -> float:
     Zero iff u is identically zero.
     """
     grid = u.grid
-    slopes = np.diff(_edge_values(u)) / grid.cell_widths
-    return grid.omega * float(np.dot(np.abs(slopes) ** grid.N, grid.cell_moments))
+    return grid.omega * float(np.dot(np.abs(_cell_slopes(grid, u.values)) ** grid.N, grid.cell_moments))
 
 
 def pl_norm_pow(u: RadialProfile, p: float) -> float:
@@ -350,7 +352,7 @@ def pl_norm_pow(u: RadialProfile, p: float) -> float:
         raise InvalidParameterError(f"p must be >= 1, got {p}")
     grid = u.grid
     edges = np.concatenate([[0.0], grid.cell_edges()])
-    vals = np.concatenate([u.values[:1], _edge_values(u)])
+    vals = np.concatenate([u.values[:1], _edge_values(grid, u.values)])
     left, width = edges[:-1], np.diff(edges)
     total = 0.0
     for x, w in zip(*leggauss(PL_GAUSS_ORDER)):
@@ -387,7 +389,7 @@ def evaluate(u: RadialProfile, r) -> np.ndarray:
     """Pointwise values of the piecewise-linear profile at radii r."""
     grid = u.grid
     r = np.asarray(r, dtype=float)
-    out = np.interp(r, grid.cell_edges(), _edge_values(u), left=u.values[0], right=0.0)
+    out = np.interp(r, grid.cell_edges(), _edge_values(grid, u.values), left=u.values[0], right=0.0)
     return np.where(r > grid.r_max, 0.0, out)
 
 

@@ -140,6 +140,12 @@ class TestBgn:
         payload = json.loads(out)
         assert payload["bgn_estimate"] > 1 / (2 * math.pi) + 1e-3
 
+    def test_searched_bracket_where_lo_has_no_event(self, capsys):
+        # N = 11 is searched from [1.05, 4], and the shot from 1.05 has no event by r = 30
+        code, out, _ = run_cli(capsys, "bgn", "--N", "11")
+        assert code == 0
+        assert json.loads(out)["low_accuracy"] is False
+
 
 class TestBounds:
     def test_g_test(self, capsys):

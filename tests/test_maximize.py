@@ -33,6 +33,8 @@ from mtlab.maximize import (
     GN_R_MAX,
     GN_ROUNDS,
     GN_SHOTS,
+    UNDERSHOOT,
+    _ascent_slope,
     _bracket_q0,
     _dilation_curve,
     _mode_label,
@@ -174,6 +176,16 @@ class TestMaximizeD:
         assert all(math.isfinite(v) for i, v in enumerate(rep.restart_values) if i != 5)
         assert rep.to_json_dict()["restart_values"][5] is None
 
+    def test_unbuildable_gn_start_scores_nan(self, monkeypatch):
+        # a GN state whose Q(0) bracket cannot be found costs its three starts (2, 5, 8), not the run
+        def no_bracket(N):
+            raise mtlab.BracketNotFoundError("no bracket")
+
+        monkeypatch.setattr(maximize_mod, "cached_gn_report", no_bracket)
+        rep = maximize_d(MTParams(N=2, alpha=3.0, a=3.0, b=2.0), mtlab.MaximizeOptions(n_nodes=256))
+        assert [i for i, v in enumerate(rep.restart_values) if math.isnan(v)] == [2, 5, 8]
+        assert math.isfinite(rep.best_value)
+
     def test_report_names_the_grid_of_its_profile(self):
         # the winner at alpha = 1 is a GN start, which lives on the GN grid, not the options' grid
         rep = maximize_d(MTParams(N=2, alpha=1.0, a=3.0, b=2.0), mtlab.MaximizeOptions(seed=7))
@@ -230,6 +242,61 @@ class TestMaximizeD:
             "seed",
         ):
             assert key in payload
+
+
+class TestAscentSlope:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.floats(0.05, 0.95),
+        st.floats(0.5, 8.0),
+        st.floats(0.5, 8.0),
+        st.floats(0.5, 8.0),
+    )
+    def test_slope_is_the_derivative_along_the_projected_path(self, N, frac, a, b, width):
+        # the ascent's direction, scaled as its step is, from a Gaussian start on the constraint
+        p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
+        grid = build_grid(N, 40.0, 512)
+        u = project_to_constraint(sample_profile(grid, lambda r: np.exp(-((r / width) ** 2))), p)
+        g = functional_gradient(u, p)
+        d = g / (grid.omega * grid.mass)
+        d *= np.max(u.values) / np.max(d)
+        h = 1e-6
+
+        def f(eta):
+            return mtlab.mt_integral(project_to_constraint(RadialProfile(grid, u.values + eta * d), p), p)
+
+        central = (f(h) - f(-h)) / (2 * h)
+        slope = _ascent_slope(u, p, g, d)
+        assert abs(slope - central) <= max(1e-5 * abs(central), 1e-8 * mtlab.mt_integral(u, p))
+
+    def test_slope_stop_keeps_the_full_ladder_results(self, monkeypatch):
+        # an infinite slope never stops a step, which is the full 25-rung ladder
+        count = [0]
+        project = maximize_mod.project_to_constraint
+
+        def counted(u, p):
+            count[0] += 1
+            return project(u, p)
+
+        monkeypatch.setattr(maximize_mod, "project_to_constraint", counted)
+        problems = [
+            MTParams(N=3, alpha=0.3 * critical_exponent(3), a=2.1, b=1.8),
+            MTParams(N=2, alpha=0.9 * critical_exponent(2), a=2.8, b=4.0),
+            MTParams(N=2, alpha=0.05, a=2.0, b=2.0),
+        ]
+        opts = mtlab.MaximizeOptions(seed=7)
+        stopped = [maximize_d(p, opts) for p in problems]
+        with_stop = count[0]
+        monkeypatch.setattr(maximize_mod, "_ascent_slope", lambda u, p, g, d: math.inf)
+        count[0] = 0
+        ladder = [maximize_d(p, opts) for p in problems]
+        assert with_stop <= count[0] / 2
+        assert stopped[-1].mode_diagnostic == "near-vanishing"
+        for fast, full in zip(stopped, ladder):
+            assert fast.best_value == pytest.approx(full.best_value, rel=1e-12, abs=0)
+            assert fast.mode_diagnostic == full.mode_diagnostic
+            assert fast.exceeds_lower_bound == full.exceeds_lower_bound
 
 
 class TestDiagnoseMode:
@@ -337,6 +404,13 @@ class TestGNShooting:
     def test_bracket_must_straddle_ground_state(self, lo, hi):
         with pytest.raises(mtlab.BracketNotFoundError):
             _bracket_q0(2, lo, hi, 30.0)
+
+    def test_search_lo_may_have_no_event(self):
+        # from Q(0) = 1.05 the N = 11 shot has no event by r = 30; the search still narrows onto Q(0)
+        assert _shoot(11, np.array([GN_BRACKET[0]]), GN_R_MAX)[0][0] == 0
+        lo, hi = _bracket_q0(11, *GN_BRACKET, GN_R_MAX)
+        assert 0 < hi - lo < 1e-8
+        assert _shoot(11, np.array([lo]), GN_R_MAX)[0][0] == UNDERSHOOT
 
     def test_bracket_needs_q0_above_one(self):
         with pytest.raises(InvalidParameterError):
