@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BracketNotFoundError, InvalidParameterError
 from .functional import CERTIFY_MARGIN, MTParams, universal_lower_bound
-from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, golden_section_max, maximize_d
+from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, maximize_d
 from .radial import check_dimension, critical_exponent
 
 __all__ = [
@@ -96,6 +96,32 @@ def g_function(t, alpha: float, a: float, b: float, N: int, bgn: float):
     t = np.asarray(t, dtype=float)
     n_prime = N / (N - 1.0)
     return t ** (N / b) * (1.0 + (alpha / N) * bgn * (1.0 - t) ** (n_prime / a))
+
+
+INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, max_iter: int, tol: float):
+    """Golden-section search for a maximum of f on [lo, hi].
+
+    Stops after max_iter shrinks or once the bracket is narrower than tol;
+    returns (x, f(x)) of the better of the last two points, x1 on a tie.
+    """
+    x1 = hi - INV_GOLDEN * (hi - lo)
+    x2 = lo + INV_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_iter):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - INV_GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + INV_GOLDEN * (hi - lo)
+            f2 = f(x2)
+        if hi - lo < tol:
+            break
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def _check_constant(name: str, value: float) -> None:

@@ -28,9 +28,15 @@ the objective.  When the first rung fails and the closed-form slope of the
 projected path at the start (`_ascent_slope`) is <= 0, the step descends the
 constraint surface; under a quadratic model no shorter rung can then gain, so
 the ascent stops as it would after the whole ladder.  A line search along the
-norm-share curve x -> on_constraint(u, x) finishes each restart, since a
-plain nodal ascent is slow to translate profiles across scales; it scores
-each x by the scaling laws, with no root solve, and builds only the winner.
+norm-share curve x -> on_constraint(u, x) = c u(lam .) finishes each restart,
+since a plain nodal ascent is slow to translate profiles across scales.  It
+scores 33 points of s = logit(x) by the scaling laws, in blocks of at most
+SCAN_BLOCK values with one dot product per point (the bits of single sweeps),
+then runs Newton on the slope: with t_k = alpha c^{N'} u_k^{N'}, Phi_j' =
+Phi_{j-1} (Phi_{-1} = Phi_0 = e^t), A, B, C = sum_k m_k t_k^i Phi_{N-1-i}(t_k)
+(i = 0, 1, 2), q = (1-x)/b + x/a and r = N'x/a, F = omega A / lam^N and
+F' = omega g / lam^N for g = N q A - r B, g' = N x(1-x)(1/a - 1/b) A -
+(N q + 1 - x) r B + r^2 (B + C).  No root is solved; only the winner is built.
 
 `maximize_gn` computes the Gagliardo-Nirenberg maximizer from its
 Euler-Lagrange equation, the radial ground state of
@@ -103,6 +109,8 @@ GRAD_TOL = 1e-8
 CONCENTRATION_GUARD = 0.999
 #: Mode labels: a norm (gradient) share above 1 - MODE_EPS is near-vanishing (near-concentration).
 MODE_EPS = 0.05
+#: The dilation scan sweeps Phi_N over blocks of at most this many values (32 KiB per temporary).
+SCAN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -199,76 +207,95 @@ def _mode_label(u: RadialProfile, p: MTParams) -> str:
 
 
 def _dilation_curve(u: RadialProfile, p: MTParams):
-    """s -> F(on_constraint(u, x, p)), x = 1 / (1 + e^{-s}) the norm share, by the scaling laws.
+    """(scores, slope) of s -> F(on_constraint(u, x, p)), x = 1 / (1 + e^{-s}) the norm share, by the scaling laws.
 
-    Masses m_k / lam^N, values c u_k: one Phi_N sweep per s, no root solve.  An s
-    that cannot be built (r_max past MAX_RADIUS, lam^{+-N} past 2^1000) or
-    evaluated (a series argument above EXP_ARG_LIMIT) scores -inf.
+    scores(ss) sweeps Phi_N over blocks of at most SCAN_BLOCK values, one dot product per s; an s that cannot
+    be built (r_max past MAX_RADIUS, lam^{+-N} past 2^1000) or evaluated (a series argument above
+    EXP_ARG_LIMIT) scores -inf, and its slope(s), (g, g') of the module docstring, is nan.
     """
-    N = p.N
+    N, mass = p.N, u.grid.mass
     G, L = grad_norm_pow(u), lp_norm_pow(u, N)
     if not (G > 0 and L > 0):  # a term underflowed: no curve to walk
-        return lambda s: -np.inf
+        return (lambda ss: np.full(len(ss), -np.inf)), None
     powers = u.values ** p.n_prime
+    top, rows = float(np.max(powers)), max(1, SCAN_BLOCK // powers.size)
     lam_lo, lam_hi = max(u.grid.r_max / MAX_RADIUS, 2.0 ** (-1000 / N)), 2.0 ** (1000 / N)
 
-    def value(s: float) -> float:
-        c, lam = _share_scales(G, L, _norm_share(s), p)
-        if not lam_lo <= lam <= lam_hi:
-            return -np.inf
-        args = p.alpha * c ** p.n_prime * powers
-        if np.max(args) > EXP_ARG_LIMIT:
-            return -np.inf
-        return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, N - 1))) / lam ** N
+    def point(s: float):
+        """(x, alpha c^{N'}, lam) at s, or None; alpha c^{N'} top is the largest series argument."""
+        x = _norm_share(s)
+        c, lam = _share_scales(G, L, x, p)
+        coef = p.alpha * c**p.n_prime if lam_lo <= lam <= lam_hi else np.inf
+        return (x, coef, lam) if coef * top <= EXP_ARG_LIMIT else None
 
-    return value
+    def scores(ss) -> np.ndarray:
+        out = np.full(len(ss), -np.inf)
+        live = [(i, pt) for i, pt in enumerate(map(point, ss)) if pt is not None]
+        for j in range(0, len(live), rows):
+            block = live[j : j + rows]
+            tails = _phi_tail(np.array([pt[1] for _, pt in block])[:, None] * powers, N - 1)
+            for (i, (_, _, lam)), tail in zip(block, tails):
+                out[i] = u.grid.omega * float(np.dot(mass, tail)) / lam**N
+        return out
+
+    def slope(s: float) -> tuple[float, float]:
+        if (pt := point(s)) is None:
+            return np.nan, np.nan
+        x, t = pt[0], pt[1] * powers
+        tails = [_phi_tail(t, N - 1)]  # Phi_{N-1}, Phi_{N-2}, Phi_{N-3}, with Phi_{-1} = Phi_0 = e^t
+        for j in (N - 2, N - 3):
+            tails.append(tails[-1] + (t**j / math.factorial(j) if j >= 0 else 0.0))
+        A, B, C = (float(np.dot(mass, t**i * tail)) for i, tail in enumerate(tails))
+        q, r = (1.0 - x) / p.b + x / p.a, p.n_prime * x / p.a
+        dg = N * x * (1.0 - x) * (1.0 / p.a - 1.0 / p.b) * A - (N * q + 1.0 - x) * r * B + r * r * (B + C)
+        return N * q * A - r * B, dg
+
+    return scores, slope
 
 
 def _norm_share(s: float) -> float:
     return 1.0 / (1.0 + math.exp(-s))
 
 
-INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _newton_max(slope, lo: float, s: float, hi: float) -> float:
+    """Safeguarded Newton on the curve's slope (g, g') from s in [lo, hi]; the last s whose slope formed.
 
-
-def golden_section_max(f, lo: float, hi: float, max_iter: int, tol: float):
-    """Golden-section search for a maximum of f on [lo, hi].
-
-    Stops after max_iter shrinks or once the bracket is narrower than tol;
-    returns (x, f(x)) of the better of the last two points, x1 on a tie.
+    Each step shrinks [lo, hi] by the sign of g and bisects when the Newton step leaves it or g' >= 0, up to
+    |ds| <= 1e-13 max(1, |s|) or 50 steps.  lam and c are monotone in s, so a slope that is nan at s is nan
+    past it: the bracket is cut there.
     """
-    x1 = hi - INV_GOLDEN * (hi - lo)
-    x2 = lo + INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
+    good = s
+    for _ in range(50):
+        g, dg = slope(s)
+        if np.isfinite([g, dg]).all():
+            good, step = s, s - g / dg if dg < 0 else np.nan
+            lo, hi = (s, hi) if g > 0 else (lo, s)
+        elif s == good:  # the start itself
+            return s
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-        if hi - lo < tol:
+            lo, hi, step = (lo, s, np.nan) if s > good else (s, hi, np.nan)
+        new = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(new - s) <= 1e-13 * max(1.0, abs(s)):
             break
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        s = new
+    return good
 
 
 def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
-    """Best point of u's constraint curve: s = logit(x) at 33 points of [-30, 30], then golden section.
+    """Best point of u's constraint curve: s = logit(x) at 33 points of [-30, 30], then `_newton_max`.
 
     Only the best-scoring s is built; it replaces u only if its own value
     beats `value`, so the returned value is mt_integral of the returned profile.
     """
-    curve = _dilation_curve(u, p)
+    scores, slope = _dilation_curve(u, p)
     ss = np.linspace(-30.0, 30.0, 33)
-    scan_vals = [curve(float(s)) for s in ss]
+    scan_vals = scores(ss)
     k = int(np.argmax(scan_vals))
     if not np.isfinite(scan_vals[k]):
         return value, u
-    s, fs = golden_section_max(curve, float(ss[max(k - 1, 0)]), float(ss[min(k + 1, len(ss) - 1)]), 40, 1e-10)
+    s = _newton_max(slope, float(ss[max(k - 1, 0)]), float(ss[k]), float(ss[min(k + 1, len(ss) - 1)]))
     try:
-        prof = on_constraint(u, _norm_share(s if fs > scan_vals[k] else float(ss[k])), p)
+        prof = on_constraint(u, _norm_share(s if scores([s])[0] > scan_vals[k] else float(ss[k])), p)
         val = mt_integral(prof, p)
     except (SeriesOverflowError, GridOverflowError):
         return value, u

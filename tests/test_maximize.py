@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtlab
@@ -37,12 +37,16 @@ from mtlab.maximize import (
     _ascent_slope,
     _bracket_q0,
     _dilation_curve,
+    _dilation_line_search,
     _mode_label,
+    _newton_max,
     _norm_share,
     _shoot,
 )
-from mtlab.radial import pl_norm_pow
-from mtlab.scaling import rescale_to_norms
+from mtlab.bounds import golden_section_max
+from mtlab.functional import EXP_ARG_LIMIT, _phi_tail
+from mtlab.radial import MAX_RADIUS, pl_norm_pow
+from mtlab.scaling import _share_scales, rescale_to_norms
 from conftest import random_monotone_profile
 
 
@@ -140,7 +144,7 @@ class TestMaximizeD:
         assert constraint_value(w, p) == pytest.approx(1.0, abs=1e-12)
         lam = grid.r_max / w.grid.r_max
         built = mtlab.mt_integral(project_to_constraint(mtlab.dilate(u, lam**N), p), p)
-        assert _dilation_curve(u, p)(s) == pytest.approx(built, rel=1e-12)
+        assert _dilation_curve(u, p)[0]([s])[0] == pytest.approx(built, rel=1e-12)
 
     def test_duplicated_extra_candidate(self):
         # one vanishing start, then a rejected zero start and twice the same Gaussian
@@ -297,6 +301,105 @@ class TestAscentSlope:
             assert fast.best_value == pytest.approx(full.best_value, rel=1e-12, abs=0)
             assert fast.mode_diagnostic == full.mode_diagnostic
             assert fast.exceeds_lower_bound == full.exceeds_lower_bound
+
+
+def _single_point_score(u, p, s):
+    """The curve's value at s by one Phi_N sweep of its own, as the scan scored each point one by one."""
+    G, L = grad_norm_pow(u), lp_norm_pow(u, p.N)
+    c, lam = _share_scales(G, L, _norm_share(s), p)
+    if not max(u.grid.r_max / MAX_RADIUS, 2.0 ** (-1000 / p.N)) <= lam <= 2.0 ** (1000 / p.N):
+        return -np.inf
+    args = p.alpha * c ** p.n_prime * u.values ** p.n_prime
+    if np.max(args) > EXP_ARG_LIMIT:
+        return -np.inf
+    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, p.N - 1))) / lam**p.N
+
+
+def _newton_and_golden(u, p):
+    """The line search's value by `_newton_max` and by golden section on the same bracket."""
+    scores, slope = _dilation_curve(u, p)
+    ss = np.linspace(-30.0, 30.0, 33)
+    scan = scores(ss)
+    k = int(np.argmax(scan))
+    if not np.isfinite(scan[k]):
+        return None
+    lo, hi = float(ss[max(k - 1, 0)]), float(ss[min(k + 1, 32)])
+    newton = scores([_newton_max(slope, lo, float(ss[k]), hi)])[0]
+    golden = golden_section_max(lambda s: scores([s])[0], lo, hi, 40, 1e-10)[1]
+    return max(newton, scan[k]), max(golden, scan[k])
+
+
+class TestDilationCurve:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4]),
+        st.floats(0.05, 0.9),
+        st.floats(0.5, 8.0),
+        st.floats(0.5, 8.0),
+        st.floats(-8.0, 8.0),
+    )
+    def test_slope_is_the_derivative_of_the_curve(self, seed, N, frac, a, b, s):
+        # F' = omega g / lam^N and g' against central differences; where a derivative nearly
+        # vanishes the differences carry the rounding of F (of A = F lam^N / omega), hence the floor
+        grid = build_grid(N, 20.0, 128)
+        u = random_monotone_profile(grid, np.random.default_rng(seed))
+        p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
+        scores, slope = _dilation_curve(u, p)
+        h = 1e-5
+        lam = _share_scales(grad_norm_pow(u), lp_norm_pow(u, N), _norm_share(s), p)[1]
+        g, dg = slope(s)
+        value = scores([s])[0]
+        central = (scores([s + h])[0] - scores([s - h])[0]) / (2 * h)
+        assert grid.omega * g / lam**N == pytest.approx(central, rel=1e-7, abs=1e-9 * value)
+        central = (slope(s + h)[0] - slope(s - h)[0]) / (2 * h)
+        assert dg == pytest.approx(central, rel=1e-7, abs=1e-9 * value * lam**N / grid.omega)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("n_nodes", [512, 2048])
+    def test_block_scores_equal_single_point_scores(self, N, n_nodes):
+        # a = 0.3 puts lam below its bound at the scan's top end, so -inf points are scored too
+        grid = build_grid(N, 40.0, n_nodes)
+        rng = np.random.default_rng(n_nodes + N)
+        ss, unbuilt = np.linspace(-30.0, 30.0, 33), 0
+        for a, b in ((0.3, 2.0), (2.0, 0.4), (3.0, 5.0)):
+            p = MTParams(N=N, alpha=0.7 * critical_exponent(N), a=a, b=b)
+            for u in (random_monotone_profile(grid, rng), sample_profile(grid, lambda r: np.exp(-((r / 3.0) ** 2)))):
+                blocked = _dilation_curve(u, p)[0](ss)
+                assert blocked.tolist() == [_single_point_score(u, p, float(s)) for s in ss]
+                unbuilt += int(np.isneginf(blocked).sum())
+        assert unbuilt > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4]),
+        st.floats(0.05, 0.95),
+        st.floats(0.5, 8.0),
+        st.floats(0.5, 8.0),
+    )
+    @example(0, 2, 0.5, 0.5, 1.0)  # the curve rises up to where lam leaves its bounds: the bracket is cut there
+    def test_newton_is_no_worse_than_golden_section(self, seed, N, frac, a, b):
+        grid = build_grid(N, 20.0, 128)
+        u = random_monotone_profile(grid, np.random.default_rng(seed))
+        p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
+        newton, golden = _newton_and_golden(u, p)
+        assert newton >= golden * (1 - 1e-14)
+
+    def test_newton_is_no_worse_than_golden_section_on_criterion_06_cells(self, monkeypatch):
+        # every restart's line search of the three attained-regime cells
+        pairs = []
+
+        def recorded(u, p, value):
+            pairs.append(_newton_and_golden(u, p))
+            return _dilation_line_search(u, p, value)
+
+        monkeypatch.setattr(maximize_mod, "_dilation_line_search", recorded)
+        for alpha in (1.0, 2.0, 3.0):
+            maximize_d(MTParams(N=2, alpha=alpha, a=3.0, b=2.0), mtlab.MaximizeOptions(seed=7))
+        assert len(pairs) == 36 and None not in pairs
+        for newton, golden in pairs:
+            assert newton >= golden * (1 - 1e-14)
 
 
 class TestDiagnoseMode:
