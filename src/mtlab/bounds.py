@@ -30,6 +30,8 @@ __all__ = [
     "VERDICT_CERTIFIED",
     "VERDICT_NONE",
     "VERDICT_NONEXISTENCE_REGIME",
+    "VERDICT_INFINITE_SUP",
+    "VERDICT_ERROR",
     "BoundReport",
     "universal_lower_bound",
     "attainment_test",
@@ -45,6 +47,9 @@ __all__ = [
 VERDICT_CERTIFIED = "attained-certified-numerically"
 VERDICT_NONE = "no-verdict"
 VERDICT_NONEXISTENCE_REGIME = "nonexistence-regime"
+#: Sweep rows of cells that ran no maximization: the infinite-supremum regime, and cells that raised.
+VERDICT_INFINITE_SUP = "infinite-sup-regime"
+VERDICT_ERROR = "error"
 
 #: The g-test certifies iff max g > 1 + G_TEST_MARGIN; g is scanned at G_TEST_SAMPLES points first.
 G_TEST_MARGIN = 1e-8
@@ -61,12 +66,7 @@ class BoundReport:
     provenance: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "values": self.values,
-            "verdict": self.verdict,
-            "provenance": self.provenance,
-        }
+        return dict(vars(self))
 
 
 def attainment_test(best_value: float, alpha: float, N: int) -> BoundReport:
@@ -280,17 +280,7 @@ class BracketReport:
     bgn_estimate: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "N": self.N,
-            "alpha_low": self.alpha_low,
-            "alpha_high": self.alpha_high,
-            "grid": list(self.grid),
-            "certified": list(self.certified),
-            "bgn_estimate": self.bgn_estimate,
-            "semantics": "alpha_star <= alpha_high certified; alpha_low heuristic only",
-        }
+        return dict(vars(self), semantics="alpha_star <= alpha_high certified; alpha_low heuristic only")
 
 
 def _certify_cell(p: MTParams, opts: BracketOptions, bgn: float | None, extra) -> tuple[bool, MaximizerReport | None]:
@@ -317,35 +307,30 @@ def bracket_alpha_star(
     """
     opts = opts or BracketOptions()
     alpha_lo, alpha_hi = opts.alpha_range(a, b, N)
-    alphas = np.linspace(alpha_lo, alpha_hi, opts.count)
+    grid = tuple(float(x) for x in np.linspace(alpha_lo, alpha_hi, opts.count))
     bgn = cached_gn_report(N).bgn_estimate if opts.use_g_test else None
 
     certified: list[bool] = []
-    chained: list = []
-    alpha_high = None
-    alpha_low = 0.0
-    for alpha in alphas:
-        p = MTParams(N=N, alpha=float(alpha), a=a, b=b)
-        ok, report = _certify_cell(p, opts, bgn, tuple(chained))
+    chained: tuple = ()
+    for alpha in grid:
+        ok, report = _certify_cell(MTParams(N=N, alpha=alpha, a=a, b=b), opts, bgn, chained)
         certified.append(ok)
         if report is not None:
-            chained = [report.best_profile]
-        if ok and alpha_high is None:
-            alpha_high = float(alpha)
-        if not ok and alpha_high is None:
-            alpha_low = float(alpha)
-    if alpha_high is None:
+            chained = (report.best_profile,)
+    if True not in certified:
         raise BracketNotFoundError(
             f"no alpha in [{alpha_lo:.6g}, {alpha_hi:.6g}] certified attainment for "
             f"(a={a}, b={b}, N={N})",
-            grid=tuple(float(x) for x in alphas),
+            grid=grid,
         )
+    first = certified.index(True)
+    alpha_high = grid[first]
+    alpha_low = grid[first - 1] if first else 0.0
     for _ in range(opts.bisect_iters):
         if alpha_high - alpha_low < 1e-12:
             break
         mid = 0.5 * (alpha_low + alpha_high)
-        p = MTParams(N=N, alpha=mid, a=a, b=b)
-        ok, _ = _certify_cell(p, opts, bgn, tuple(chained))
+        ok, _ = _certify_cell(MTParams(N=N, alpha=mid, a=a, b=b), opts, bgn, chained)
         if ok:
             alpha_high = mid
         else:
@@ -356,7 +341,7 @@ def bracket_alpha_star(
         N=N,
         alpha_low=alpha_low,
         alpha_high=alpha_high,
-        grid=tuple(float(x) for x in alphas),
+        grid=grid,
         certified=tuple(certified),
         bgn_estimate=bgn,
     )

@@ -401,7 +401,7 @@ def _run_plan(args, axes, fixed: dict) -> int:
     else:
         payload = {
             "plan": result.plan.to_json_dict(),
-            "rows": [{k: v for k, v in vars(row).items() if k != "index"} for row in result.rows],
+            "rows": [vars(row) for row in result.rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True)
     _emit(text, args.out)

@@ -211,8 +211,7 @@ def mt_integral(u: RadialProfile, p: MTParams) -> float:
     """int Phi_N(alpha |u|^{N'}) dx by pointwise quadrature of the integrand."""
     if u.grid.N != p.N:
         raise InvalidParameterError("profile grid dimension does not match params")
-    t = _series_arguments(u, p)
-    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(t, p.N - 1)))
+    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(p.alpha * u.values ** p.n_prime, p.N - 1)))
 
 
 def mt_integral_series(u: RadialProfile, p: MTParams) -> float:

@@ -184,11 +184,10 @@ def functional_gradient(u: RadialProfile, p: MTParams) -> np.ndarray:
 
 
 def project_to_constraint(u: RadialProfile, p: MTParams) -> RadialProfile:
-    """Clip, rearrange into the monotone cone, rescale onto the constraint."""
-    values = np.maximum(u.values, 0.0)
-    if not np.any(values):
+    """Rearrange into the monotone cone, rescale onto the constraint."""
+    if not np.any(u.values):
         raise DegenerateProfileError("cannot project the zero profile onto the constraint")
-    prof = decreasing_rearrangement(RadialProfile(u.grid, values))
+    prof = decreasing_rearrangement(u)
     return prof.scaled(solve_amplitude(*constraint_terms(prof, p), p.a, p.b))
 
 
@@ -329,7 +328,7 @@ def _ascend(u: RadialProfile, p: MTParams):
         if dmax < GRAD_TOL:
             break
         umax = float(np.max(u.values))
-        step_scale = umax / dmax if dmax > 0 else 0.0
+        step_scale = umax / dmax
         improved = False
         for rung in range(25):
             trial = RadialProfile(u.grid, u.values + eta * step_scale * direction)

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidParameterError
+from .errors import GridOverflowError, InvalidParameterError
 
 __all__ = [
     "RadialGrid",
@@ -182,8 +182,6 @@ class RadialGrid:
 
     def rescaled(self, factor: float) -> "RadialGrid":
         """Grid for r -> factor * r; preserves quadrature exactness."""
-        from .errors import GridOverflowError
-
         new_rmax = self.r_max * factor
         if not np.isfinite(new_rmax) or new_rmax > MAX_RADIUS or new_rmax <= 0:
             raise GridOverflowError(f"rescaled r_max {new_rmax!r} outside (0, {MAX_RADIUS:g}]")

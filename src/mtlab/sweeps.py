@@ -11,11 +11,13 @@ regime and cells that raise get the `infinite-sup-regime` and `error`
 rows instead.  A plan is valid iff `MTParams` accepts its cell where
 every axis takes its max.
 
-Cells along an alpha axis are chained: the best profile found at a lower
-alpha is injected as a candidate at the next one.  Evaluating a fixed
-profile at a larger alpha strictly increases the normalized objective
-(N-1)!/alpha^{N-1} * F, so the chained sweep inherits the monotonicity
-of the normalized supremum instead of fighting optimizer noise.
+Cells run in grid order.  Cells that differ only in alpha form a chain:
+the best profile found at a lower alpha is injected as a candidate at
+the chain's next one, and since every axis ascends, a chain meets its
+alphas in ascending order.  Evaluating a fixed profile at a larger alpha
+strictly increases the normalized objective (N-1)!/alpha^{N-1} * F, so
+the chained sweep inherits the monotonicity of the normalized supremum
+instead of fighting optimizer noise.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from __future__ import annotations
 import io
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import VERDICT_CERTIFIED, VERDICT_NONE
+from .bounds import VERDICT_CERTIFIED, VERDICT_ERROR, VERDICT_INFINITE_SUP, VERDICT_NONE
 from .errors import InvalidParameterError
 from .functional import CERTIFY_MARGIN, MTParams
 from .maximize import MaximizeOptions, maximize_d
@@ -104,29 +106,16 @@ class SweepPlan:
         return [dict(zip(self.axis_names(), map(float, values))) for values in grids]
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "axes": [
-                {"name": ax.name, "min": ax.min, "max": ax.max, "count": ax.count, "spacing": ax.spacing}
-                for ax in self.axes
-            ],
-            "fixed": self.fixed,
-            "seed": self.seed,
-            "margin": CERTIFY_MARGIN,
-            "options": {
-                "r_max": self.options.r_max,
-                "n_nodes": self.options.n_nodes,
-                "scheme": self.options.scheme,
-                "restarts": self.options.restarts,
-            },
-        }
+        out = dict(asdict(self), margin=CERTIFY_MARGIN)
+        # options.seed is replaced per cell, and a sweep never runs an infinite-regime cell
+        del out["options"]["seed"], out["options"]["allow_infinite_regime"]
+        return out
 
 
 @dataclass(frozen=True)
 class SweepRow:
     """One cell's outcome; a cell that ran no maximization keeps the empty defaults."""
 
-    index: int
     params: dict
     verdict: str
     seed: int
@@ -155,11 +144,10 @@ def _run_cell(plan: SweepPlan, index: int, cell: dict, extra) -> tuple[SweepRow,
     try:
         p = MTParams(N=plan.N, alpha=params_dict["alpha"], a=params_dict["a"], b=params_dict["b"])
         if not p.finite_supremum:
-            return SweepRow(index=index, params=params_dict, verdict="infinite-sup-regime", seed=seed), None
+            return SweepRow(params=params_dict, verdict=VERDICT_INFINITE_SUP, seed=seed), None
         opts = replace(plan.options, seed=seed)
         report = maximize_d(p, opts, extra_candidates=extra)
         row = SweepRow(
-            index=index,
             params=params_dict,
             best_value=report.best_value,
             lower_bound=report.lower_bound,
@@ -171,35 +159,19 @@ def _run_cell(plan: SweepPlan, index: int, cell: dict, extra) -> tuple[SweepRow,
         )
         return row, report.best_profile
     except Exception as exc:  # per-cell failures never abort the sweep
-        return SweepRow(index=index, params=params_dict, verdict="error", seed=seed, mode=type(exc).__name__), None
+        return SweepRow(params=params_dict, verdict=VERDICT_ERROR, seed=seed, mode=type(exc).__name__), None
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Execute the plan serially; rows come back in cell-grid order."""
-    cells = plan.cells()
-    names = plan.axis_names()
-    # Group cells into alpha-chains: cells that differ only in alpha are
-    # processed in ascending alpha order with warm-started candidates.
-    if "alpha" in names:
-        groups: dict = {}
-        for idx, cell in enumerate(cells):
-            key = tuple((k, v) for k, v in sorted(cell.items()) if k != "alpha")
-            groups.setdefault(key, []).append((idx, cell))
-        for key in groups:
-            groups[key].sort(key=lambda item: item[1]["alpha"])
-        group_list = list(groups.values())
-    else:
-        group_list = [[(idx, cell)] for idx, cell in enumerate(cells)]
-
+    """Execute the plan serially in cell-grid order, chaining each setting of the non-alpha axes along alpha."""
+    chains: dict = {}
     rows = []
-    for group in group_list:
-        extra: tuple = ()
-        for idx, cell in group:
-            row, best_profile = _run_cell(plan, idx, cell, extra)
-            rows.append(row)
-            if best_profile is not None:
-                extra = (best_profile,)
-    rows.sort(key=lambda r: r.index)
+    for index, cell in enumerate(plan.cells()):
+        key = tuple(v for k, v in cell.items() if k != "alpha")
+        row, best_profile = _run_cell(plan, index, cell, chains.get(key, ()))
+        rows.append(row)
+        if best_profile is not None:
+            chains[key] = (best_profile,)
     return SweepResult(plan=plan, rows=tuple(rows))
 
 

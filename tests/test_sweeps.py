@@ -109,6 +109,46 @@ class TestRunSweep:
         assert payload["fixed"] == {"a": 3.0, "b": 2.0}
 
 
+class TestAlphaChains:
+    """Each setting of the non-alpha axes chains its best profile along ascending alpha."""
+
+    @staticmethod
+    def recorded_calls(monkeypatch, axes, fixed):
+        real = mtlab.sweeps.maximize_d
+        calls = []
+
+        def recorder(p, opts, extra_candidates=()):
+            report = real(p, opts, extra_candidates=extra_candidates)
+            calls.append((p, tuple(extra_candidates), report.best_profile))
+            return report
+
+        monkeypatch.setattr("mtlab.sweeps.maximize_d", recorder)
+        run_sweep(SweepPlan(N=2, axes=axes, fixed=fixed, seed=3, options=light_opts(restarts=2, n_nodes=64)))
+        return calls
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (AxisSpec("alpha", 0.5, 4.0, 3), AxisSpec("b", 1.0, 4.0, 2)),
+            (AxisSpec("b", 1.0, 4.0, 2), AxisSpec("alpha", 0.5, 4.0, 3, "log")),
+        ],
+        ids=["alpha-b", "b-alpha"],
+    )
+    def test_previous_alpha_of_the_same_setting_is_injected(self, monkeypatch, axes):
+        calls = self.recorded_calls(monkeypatch, axes, {"a": 3.0})
+        assert len(calls) == 6
+        for p, extra, _ in calls:
+            below = [(q.alpha, best) for q, _, best in calls if q.b == p.b and q.alpha < p.alpha]
+            expected = (max(below, key=lambda item: item[0])[1],) if below else ()
+            assert [id(u) for u in extra] == [id(u) for u in expected]
+
+    def test_no_chain_without_an_alpha_axis(self, monkeypatch):
+        axes = (AxisSpec("a", 2.0, 3.0, 2), AxisSpec("b", 1.0, 4.0, 2))
+        calls = self.recorded_calls(monkeypatch, axes, {"alpha": 3.0})
+        assert len(calls) == 4
+        assert all(extra == () for _, extra, _ in calls)
+
+
 class TestUncertifiedSideValue:
     def test_normalized_value_is_one_below_threshold(self):
         # where no verdict is possible the computed value sits at the
