@@ -74,7 +74,6 @@ from .functional import (
 )
 from .radial import (
     DEFAULT_CELL_ORDER,
-    MAX_RADIUS,
     RadialGrid,
     RadialProfile,
     _cell_slopes,
@@ -184,9 +183,7 @@ def functional_gradient(u: RadialProfile, p: MTParams) -> np.ndarray:
 
 
 def project_to_constraint(u: RadialProfile, p: MTParams) -> RadialProfile:
-    """Rearrange into the monotone cone, rescale onto the constraint."""
-    if not np.any(u.values):
-        raise DegenerateProfileError("cannot project the zero profile onto the constraint")
+    """Rearrange into the monotone cone, rescale onto the constraint (DegenerateProfileError for zero)."""
     prof = decreasing_rearrangement(u)
     return prof.scaled(solve_amplitude(*constraint_terms(prof, p), p.a, p.b))
 
@@ -209,8 +206,8 @@ def _dilation_curve(u: RadialProfile, p: MTParams):
     """(scores, slope) of s -> F(on_constraint(u, x, p)), x = 1 / (1 + e^{-s}) the norm share, by the scaling laws.
 
     scores(ss) sweeps Phi_N over blocks of at most SCAN_BLOCK values, one dot product per s; an s that cannot
-    be built (r_max past MAX_RADIUS, lam^{+-N} past 2^1000) or evaluated (a series argument above
-    EXP_ARG_LIMIT) scores -inf, and its slope(s), (g, g') of the module docstring, is nan.
+    be built (lam outside [max(r_max, 1) / R, R], R = grid.max_radius: its grid past R, or lam^{+-N} past
+    2^1000) or evaluated (a series argument above EXP_ARG_LIMIT) scores -inf, and its slope(s) is nan.
     """
     N, mass = p.N, u.grid.mass
     G, L = grad_norm_pow(u), lp_norm_pow(u, N)
@@ -218,7 +215,7 @@ def _dilation_curve(u: RadialProfile, p: MTParams):
         return (lambda ss: np.full(len(ss), -np.inf)), None
     powers = u.values ** p.n_prime
     top, rows = float(np.max(powers)), max(1, SCAN_BLOCK // powers.size)
-    lam_lo, lam_hi = max(u.grid.r_max / MAX_RADIUS, 2.0 ** (-1000 / N)), 2.0 ** (1000 / N)
+    lam_lo, lam_hi = max(u.grid.r_max, 1.0) / u.grid.max_radius, u.grid.max_radius
 
     def point(s: float):
         """(x, alpha c^{N'}, lam) at s, or None; alpha c^{N'} top is the largest series argument."""
@@ -373,12 +370,12 @@ def _vanishing(grid: RadialGrid, p: MTParams, depth: float) -> RadialProfile:
     """Spread profile whose gradient constraint share is ~depth, any (a, N).
 
     The dilation parameter enters the constraint as t^{a/N}, so the depth
-    is converted through the exponent N/a and clipped so the rescaled
-    grid stays inside the configured radial bounds.
+    is converted through the exponent N/a and clipped at t_min, where the
+    rescaled grid reaches half of grid.max_radius.
     """
     base = project_to_constraint(_gaussian(grid, grid.r_max / 8.0), p)
     t = depth ** (p.N / p.a)
-    t_min = (grid.r_max / (0.5 * MAX_RADIUS)) ** p.N
+    t_min = (grid.r_max / (0.5 * grid.max_radius)) ** p.N
     return dilate(base, max(t, t_min))
 
 

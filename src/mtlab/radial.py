@@ -63,9 +63,6 @@ __all__ = [
     "profile_from_csv",
 ]
 
-#: Largest admissible outer radius after grid rescaling.
-MAX_RADIUS = 1e18
-
 GRID_SCHEMES = ("composite-gauss", "graded", "equal-mass")
 
 #: Gauss points per cell of the composite grids.
@@ -157,6 +154,11 @@ class RadialGrid:
     def n_nodes(self) -> int:
         return self.nodes.size
 
+    @property
+    def max_radius(self) -> float:
+        """2^{1000/N}, the largest r_max `rescaled` admits: r^N = 2^1000 leaves masses and moments finite."""
+        return 2.0 ** (1000 / self.N)
+
     @cached_property
     def omega(self) -> float:
         return sphere_area(self.N)
@@ -181,10 +183,10 @@ class RadialGrid:
         return float(np.dot(self.weights, values))
 
     def rescaled(self, factor: float) -> "RadialGrid":
-        """Grid for r -> factor * r; preserves quadrature exactness."""
+        """Grid for r -> factor * r; preserves quadrature exactness.  Its r_max must lie in (0, max_radius]."""
         new_rmax = self.r_max * factor
-        if not np.isfinite(new_rmax) or new_rmax > MAX_RADIUS or new_rmax <= 0:
-            raise GridOverflowError(f"rescaled r_max {new_rmax!r} outside (0, {MAX_RADIUS:g}]")
+        if not 0 < new_rmax <= self.max_radius:
+            raise GridOverflowError(f"rescaled r_max {new_rmax!r} outside (0, {self.max_radius:g}]")
         return RadialGrid(
             N=self.N,
             nodes=self.nodes * factor,

@@ -146,5 +146,5 @@ def on_constraint(u: RadialProfile, x: float, p: MTParams) -> RadialProfile:
     if not (G > 0 and L > 0):
         raise DegenerateProfileError("a profile with a vanishing norm has no constraint curve")
     c, lam = _share_scales(G, L, x, p)
-    # a lam that underflowed to 0 dilates past MAX_RADIUS: rescaled raises GridOverflowError
+    # a lam that underflowed to 0 dilates past grid.max_radius: rescaled raises GridOverflowError
     return RadialProfile(u.grid.rescaled(1.0 / lam if lam else np.inf), u.values * c)

@@ -1,12 +1,17 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mtlab
 from mtlab.cli import main
@@ -107,11 +112,30 @@ class TestMaximize:
         assert payload["exceeds_lower_bound"] is True
 
     def test_one_unbuildable_start_does_not_abort(self, capsys):
-        # the x = 0.99 GN start cannot be built at a = 0.1; it scores null and the run goes on
-        code, out, _ = run_cli(capsys, "maximize", "--N", "2", "--alpha", "3", "--a", "0.1", "--b", "2")
+        # the x = 0.99 GN start cannot be built at a = 0.01; it scores null and the run goes on
+        code, out, _ = run_cli(capsys, "maximize", "--N", "2", "--alpha", "3", "--a", "0.01", "--b", "2")
         assert code == 0
         payload = json.loads(out)
         assert payload["restart_values"][5] is None and payload["exceeds_lower_bound"] is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4, 6, 11, 16, 20]),
+        st.floats(0.05, 0.99),
+        st.floats(-2.0, 0.8),
+        st.floats(-1.3, 1.5),
+    )
+    @example(20, 0.5, -1.0, 0.0)  # the vanishing starts spread toward max_radius, where r^20 nears 2^1000
+    def test_every_failure_maps_to_an_exit_code(self, N, frac, log_a, log_b):
+        # a run either reports (0) or fails as a computation (1); no exception or RuntimeWarning escapes
+        argv = [
+            "maximize", "--N", str(N), "--alpha", repr(frac * mtlab.critical_exponent(N)),
+            "--a", repr(10.0**log_a), "--b", repr(10.0**log_b), "--n-nodes", "64", "--restarts", "4", "--seed", "3",
+        ]
+        with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        assert code in (0, 1)
 
     def test_human_disclaimer(self, capsys):
         code, out, _ = run_cli(

@@ -45,7 +45,7 @@ from mtlab.maximize import (
 )
 from mtlab.bounds import golden_section_max
 from mtlab.functional import EXP_ARG_LIMIT, _phi_tail
-from mtlab.radial import MAX_RADIUS, pl_norm_pow
+from mtlab.radial import pl_norm_pow
 from mtlab.scaling import _share_scales, rescale_to_norms
 from conftest import random_monotone_profile
 
@@ -174,11 +174,27 @@ class TestMaximizeD:
         assert rep.restart_values == (1.0, 5.0, 5.0, 2.0) and rep.iterations == 18
 
     def test_unbuildable_start_scores_nan(self):
-        # at a = 0.1 the x = 0.99 GN start (restart 5) dilates past MAX_RADIUS; the others still run
-        rep = maximize_d(MTParams(N=2, alpha=3.0, a=0.1, b=2.0))
+        # at a = 0.01 the x = 0.99 GN start (restart 5) dilates past max_radius; the others still run
+        rep = maximize_d(MTParams(N=2, alpha=3.0, a=0.01, b=2.0))
         assert len(rep.restart_values) == 12 and math.isnan(rep.restart_values[5])
         assert all(math.isfinite(v) for i, v in enumerate(rep.restart_values) if i != 5)
         assert rep.to_json_dict()["restart_values"][5] is None
+
+    @pytest.mark.parametrize("N, alpha", [(2, 3.0), (3, 10.0), (4, 8.0)])
+    @pytest.mark.parametrize("a", [0.05, 0.1])
+    def test_small_a_reaches_the_universal_bound(self, N, alpha, a):
+        # the vanishing starts spread until their grid reaches max_radius, far enough to meet alpha^{N-1}/(N-1)!
+        rep = maximize_d(MTParams(N=N, alpha=alpha, a=a, b=N), mtlab.MaximizeOptions(seed=7))
+        assert rep.margin >= -1e-12
+        assert all(math.isfinite(v) for v in rep.restart_values)
+
+    @pytest.mark.parametrize("N", [11, 20])
+    def test_concentrated_start_scans_without_underflow(self, N):
+        # at b = 0.05 the x = 0.5 GN start lives on a grid with r_max ~ 1e-5, where r_max / max_radius alone
+        # would let the scan's lam^N underflow to 0; the bound max(r_max, 1) / max_radius keeps it >= 2^-1000
+        p = MTParams(N=N, alpha=0.3 * critical_exponent(N), a=0.3, b=0.05)
+        rep = maximize_d(p, mtlab.MaximizeOptions(n_nodes=64, seed=3))
+        assert math.isfinite(rep.restart_values[8]) and rep.best_value >= rep.restart_values[8]
 
     def test_unbuildable_gn_start_scores_nan(self, monkeypatch):
         # a GN state whose Q(0) bracket cannot be found costs its three starts (2, 5, 8), not the run
@@ -307,7 +323,7 @@ def _single_point_score(u, p, s):
     """The curve's value at s by one Phi_N sweep of its own, as the scan scored each point one by one."""
     G, L = grad_norm_pow(u), lp_norm_pow(u, p.N)
     c, lam = _share_scales(G, L, _norm_share(s), p)
-    if not max(u.grid.r_max / MAX_RADIUS, 2.0 ** (-1000 / p.N)) <= lam <= 2.0 ** (1000 / p.N):
+    if not max(u.grid.r_max, 1.0) / u.grid.max_radius <= lam <= u.grid.max_radius:
         return -np.inf
     args = p.alpha * c ** p.n_prime * u.values ** p.n_prime
     if np.max(args) > EXP_ARG_LIMIT:
@@ -358,11 +374,11 @@ class TestDilationCurve:
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("n_nodes", [512, 2048])
     def test_block_scores_equal_single_point_scores(self, N, n_nodes):
-        # a = 0.3 puts lam below its bound at the scan's top end, so -inf points are scored too
+        # a = 0.08 puts lam below its bound at the scan's top end, so -inf points are scored too
         grid = build_grid(N, 40.0, n_nodes)
         rng = np.random.default_rng(n_nodes + N)
         ss, unbuilt = np.linspace(-30.0, 30.0, 33), 0
-        for a, b in ((0.3, 2.0), (2.0, 0.4), (3.0, 5.0)):
+        for a, b in ((0.08, 2.0), (2.0, 0.4), (3.0, 5.0)):
             p = MTParams(N=N, alpha=0.7 * critical_exponent(N), a=a, b=b)
             for u in (random_monotone_profile(grid, rng), sample_profile(grid, lambda r: np.exp(-((r / 3.0) ** 2)))):
                 blocked = _dilation_curve(u, p)[0](ss)

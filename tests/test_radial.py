@@ -321,7 +321,16 @@ class TestProfileBasics:
     def test_grid_rescale_overflow(self):
         g = build_grid(2, 40.0, 64)
         with pytest.raises(GridOverflowError):
-            g.rescaled(1e18)
+            g.rescaled(1e150)
+
+    @pytest.mark.parametrize("N", [2, 4, 20])
+    def test_rescale_limit_follows_N(self, N):
+        # up to max_radius = 2^{1000/N} every mass and moment is finite; a step past it is refused
+        g = build_grid(N, 40.0, 64)
+        inside = g.rescaled(0.99 * g.max_radius / 40.0)
+        assert np.isfinite(inside.mass).all() and np.isfinite(inside.cell_moments).all()
+        with pytest.raises(GridOverflowError):
+            g.rescaled(1.01 * g.max_radius / 40.0)
 
 
 class TestProfileCsv:

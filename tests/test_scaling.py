@@ -71,7 +71,7 @@ class TestDilate:
         g = build_grid(2, 40.0, 64)
         v = sample_profile(g, lambda r: np.exp(-r))
         with pytest.raises(GridOverflowError):
-            dilate(v, 1e-200)
+            dilate(v, 1e-300)
 
 
 class TestBetaStar:
