@@ -49,6 +49,9 @@ DISCLAIMER = (
     "numerics never certify non-attainment."
 )
 
+#: Every flag that sets an option takes its default from the options class.
+_OPTS, _SCAN = MaximizeOptions(), BracketOptions()
+
 
 class UsageError(Exception):
     pass
@@ -94,21 +97,17 @@ def _add_param_args(sp):
 
 
 def _add_grid_args(sp):
-    sp.add_argument("--r-max", type=float, default=40.0, help="truncation radius (default 40)")
-    sp.add_argument("--n-nodes", type=int, default=512, help="quadrature nodes (default 512)")
-    sp.add_argument(
-        "--grid-scheme",
-        choices=["composite-gauss", "graded"],
-        default="composite-gauss",
-        help="node layout (default composite-gauss)",
-    )
+    schemes = ["composite-gauss", "graded"]
+    sp.add_argument("--r-max", type=float, default=_OPTS.r_max, help="truncation radius (default %(default)s)")
+    sp.add_argument("--n-nodes", type=int, default=_OPTS.n_nodes, help="quadrature nodes (default %(default)s)")
+    sp.add_argument("--grid-scheme", choices=schemes, default=_OPTS.scheme, help="node layout (default %(default)s)")
 
 
 def _add_common_args(sp, restarts: bool = False, csv: bool = False):
     """--seed, --format and --out; --restarts only where maximize_d runs, csv only for tables."""
-    sp.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
+    sp.add_argument("--seed", type=int, default=_OPTS.seed, help="RNG seed (default %(default)s)")
     if restarts:
-        sp.add_argument("--restarts", type=int, default=12, help="multi-start count (default 12)")
+        sp.add_argument("--restarts", type=int, default=_OPTS.restarts, help="multi-start count (default %(default)s)")
     formats = ["json", "csv", "human"] if csv else ["json", "human"]
     sp.add_argument("--format", choices=formats, default="json")
     sp.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
@@ -170,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--alpha-min", type=float, default=None)
     sp.add_argument("--alpha-max", type=float, default=None)
-    sp.add_argument("--count", type=int, default=12)
-    sp.add_argument("--bisect", type=int, default=0, help="bisection refinements after the scan")
+    sp.add_argument("--count", type=int, default=_SCAN.count, help="alpha grid points (default %(default)s)")
+    sp.add_argument("--bisect", type=int, default=_SCAN.bisect_iters, help="bisection steps (default %(default)s)")
     _add_grid_args(sp)
     _add_common_args(sp, restarts=True)
 

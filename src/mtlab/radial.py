@@ -212,8 +212,8 @@ class RadialProfile:
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.nodes.shape:
             raise InvalidParameterError("profile values must match the grid node count")
-        if not np.all(values >= 0):
-            raise InvalidParameterError("profile values must be non-negative")
+        if not (0 <= values.min() and values.max() < np.inf):  # also false for NaN
+            raise InvalidParameterError("profile values must be finite and non-negative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

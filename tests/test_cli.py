@@ -50,6 +50,19 @@ class TestParsing:
         assert code == 2
         assert "csv" in err
 
+    def test_defaults_are_the_options_defaults(self):
+        from mtlab.cli import _make_options, build_parser
+
+        parser = build_parser()
+        problem = ["--N", "2", "--a", "2", "--b", "8"]
+        args = parser.parse_args(["maximize", *problem, "--alpha", "3"])
+        assert _make_options(args) == mtlab.MaximizeOptions()
+        args = parser.parse_args(["alpha-star", *problem])
+        bracket = mtlab.BracketOptions()
+        assert (args.alpha_min, args.alpha_max) == (bracket.alpha_min, bracket.alpha_max)
+        assert (args.count, args.bisect) == (bracket.count, bracket.bisect_iters)
+        assert _make_options(args) == bracket.maximize_opts
+
 
 class TestEval:
     def test_family_eval_json(self, capsys):
@@ -81,8 +94,10 @@ class TestEval:
             ("x,y\n1,2\n2,1\n", "header"),
             ("r,u\n2,1\n1,0.5\n", "strictly increasing"),
             ("r,u\n1,abc\n2,0\n", "abc"),
+            ("r,u\n1,inf\n2,0\n", "finite and non-negative"),
+            ("r,u\n1,1e400\n2,0\n", "finite and non-negative"),
         ],
-        ids=["bad-header", "decreasing-radii", "non-numeric"],
+        ids=["bad-header", "decreasing-radii", "non-numeric", "infinite-value", "overflowing-value"],
     )
     def test_malformed_profile_csv_is_usage_error(self, capsys, tmp_path, text, reason):
         path = tmp_path / "bad.csv"
@@ -116,7 +131,7 @@ class TestMaximize:
         code, out, _ = run_cli(capsys, "maximize", "--N", "2", "--alpha", "3", "--a", "0.01", "--b", "2")
         assert code == 0
         payload = json.loads(out)
-        assert payload["restart_values"][5] is None and payload["exceeds_lower_bound"] is False
+        assert payload["restart_values"][4] is None and payload["exceeds_lower_bound"] is False
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -174,11 +174,11 @@ class TestMaximizeD:
         assert rep.restart_values == (1.0, 5.0, 5.0, 2.0) and rep.iterations == 18
 
     def test_unbuildable_start_scores_nan(self):
-        # at a = 0.01 the x = 0.99 GN start (restart 5) dilates past max_radius; the others still run
+        # at a = 0.01 the x = 0.99 GN start (restart 4) dilates past max_radius; the others still run
         rep = maximize_d(MTParams(N=2, alpha=3.0, a=0.01, b=2.0))
-        assert len(rep.restart_values) == 12 and math.isnan(rep.restart_values[5])
-        assert all(math.isfinite(v) for i, v in enumerate(rep.restart_values) if i != 5)
-        assert rep.to_json_dict()["restart_values"][5] is None
+        assert len(rep.restart_values) == 9 and math.isnan(rep.restart_values[4])
+        assert all(math.isfinite(v) for i, v in enumerate(rep.restart_values) if i != 4)
+        assert rep.to_json_dict()["restart_values"][4] is None
 
     @pytest.mark.parametrize("N, alpha", [(2, 3.0), (3, 10.0), (4, 8.0)])
     @pytest.mark.parametrize("a", [0.05, 0.1])
@@ -194,16 +194,16 @@ class TestMaximizeD:
         # would let the scan's lam^N underflow to 0; the bound max(r_max, 1) / max_radius keeps it >= 2^-1000
         p = MTParams(N=N, alpha=0.3 * critical_exponent(N), a=0.3, b=0.05)
         rep = maximize_d(p, mtlab.MaximizeOptions(n_nodes=64, seed=3))
-        assert math.isfinite(rep.restart_values[8]) and rep.best_value >= rep.restart_values[8]
+        assert math.isfinite(rep.restart_values[6]) and rep.best_value >= rep.restart_values[6]
 
     def test_unbuildable_gn_start_scores_nan(self, monkeypatch):
-        # a GN state whose Q(0) bracket cannot be found costs its three starts (2, 5, 8), not the run
+        # a GN state whose Q(0) bracket cannot be found costs its three starts (2, 4, 6), not the run
         def no_bracket(N):
             raise mtlab.BracketNotFoundError("no bracket")
 
         monkeypatch.setattr(maximize_mod, "cached_gn_report", no_bracket)
         rep = maximize_d(MTParams(N=2, alpha=3.0, a=3.0, b=2.0), mtlab.MaximizeOptions(n_nodes=256))
-        assert [i for i, v in enumerate(rep.restart_values) if math.isnan(v)] == [2, 5, 8]
+        assert [i for i, v in enumerate(rep.restart_values) if math.isnan(v)] == [2, 4, 6]
         assert math.isfinite(rep.best_value)
 
     def test_report_names_the_grid_of_its_profile(self):
@@ -413,9 +413,57 @@ class TestDilationCurve:
         monkeypatch.setattr(maximize_mod, "_dilation_line_search", recorded)
         for alpha in (1.0, 2.0, 3.0):
             maximize_d(MTParams(N=2, alpha=alpha, a=3.0, b=2.0), mtlab.MaximizeOptions(seed=7))
-        assert len(pairs) == 36 and None not in pairs
+        assert len(pairs) == 27 and None not in pairs
         for newton, golden in pairs:
             assert newton >= golden * (1 - 1e-14)
+
+
+def _moser_bubble(grid, eps, outer):
+    """The truncated logarithm log(outer / max(r, eps)), cut at 0: a critical-growth concentrator."""
+    return RadialProfile(grid, np.maximum(np.log(outer / np.maximum(grid.nodes, eps)), 0.0))
+
+
+def _cell(label, N, alpha, a, b, seed=1):
+    return pytest.param(MTParams(N=N, alpha=alpha, a=a, b=b), seed, id=label)
+
+
+PORTFOLIO_CELLS = [
+    *(_cell(f"criterion06-alpha{alpha:g}", 2, alpha, 3.0, 2.0, seed=7) for alpha in (1.0, 2.0, 3.0)),
+    _cell("alphaN-N2", 2, critical_exponent(2), 1.0, 1.0),
+    _cell("alphaN-N3", 3, critical_exponent(3), 1.5, 3.0),
+    _cell("alphaN-N4", 4, critical_exponent(4), 8.0 / 3.0, 2.0),
+    _cell("N11", 11, 0.3 * critical_exponent(11), 2.2, 6.6),  # GN x = 0.99 wins, by 4.9e-6 relative
+    _cell("N5", 5, 0.9 * critical_exponent(5), 2.5, 3.0),
+]
+
+
+class TestPortfolio:
+    """The default starts and step budget lose nothing the pruned starts and budget found."""
+
+    @pytest.mark.parametrize("p, seed", PORTFOLIO_CELLS)
+    def test_pruned_starts_and_budget_never_win(self, p, seed, monkeypatch):
+        opts = mtlab.MaximizeOptions(seed=seed)
+        base = maximize_d(p, opts)
+        grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme)
+        scale = min(grid.r_max / 8.0, 2.0)
+        pruned = [
+            _moser_bubble(grid, 1e-4 * grid.r_max, grid.r_max / 4.0),
+            sample_profile(grid, lambda r: np.exp(-((r / (0.4 * scale)) ** 2))),
+            _moser_bubble(grid, 1e-2 * grid.r_max, grid.r_max / 4.0),
+        ]
+        assert maximize_d(p, opts, extra_candidates=pruned).best_value == base.best_value
+        monkeypatch.setattr(maximize_mod, "MAX_ITERS", 300)
+        assert maximize_d(p, opts).best_value == base.best_value
+
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_default_starts_draw_nothing_from_the_rng(self, N):
+        opts = mtlab.MaximizeOptions()
+        p = MTParams(N=N, alpha=0.5 * critical_exponent(N), a=1.0, b=float(N))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        grid = build_grid(N, opts.r_max, opts.n_nodes, opts.scheme)
+        starts = [build() for build in maximize_mod._candidate_starts(p, opts, grid, rng)]
+        assert len(starts) == 9 and rng.bit_generator.state == state
 
 
 class TestDiagnoseMode:

@@ -309,6 +309,14 @@ class TestProfileBasics:
         with pytest.raises(InvalidParameterError):
             RadialProfile(g, np.full(g.n_nodes, -1.0))
 
+    @pytest.mark.parametrize("bad", [np.inf, float("1e400"), np.nan])
+    def test_non_finite_values_rejected(self, bad):
+        g = build_grid(2, 1.0, 64)
+        values = np.linspace(1.0, 0.0, g.n_nodes)
+        values[0] = bad
+        with pytest.raises(InvalidParameterError, match="finite and non-negative"):
+            RadialProfile(g, values)
+
     def test_evaluate_piecewise_linear(self):
         g = build_grid(2, 2.0, 64)
         u = sample_profile(g, lambda r: np.exp(-r))
