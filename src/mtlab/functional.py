@@ -184,6 +184,13 @@ def _phi_tail(t, k: int):
     return out
 
 
+def _tail_ratio(t: np.ndarray, k: int) -> np.ndarray:
+    """_phi_tail(t, k) / t^k = sum_{j >= 0} t^j / (k + j)!, k >= 1: the series alone below s_k, so 1/k! at t = 0."""
+    switch, series, _ = _tail_kernel(int(k))
+    big = np.maximum(t, switch)
+    return np.where(t >= switch, _phi_tail(big, k) / big**k, _horner(t, series))
+
+
 def phi(t, N: int):
     """Phi_N(t) = sum_{j >= N-1} t^j / j!, for t >= 0."""
     check_dimension(N)

@@ -28,11 +28,14 @@ projected path at the start (`_ascent_slope`) is <= 0, the step descends the
 constraint surface; under a quadratic model no shorter rung can then gain, so
 the ascent stops as it would after the whole ladder.  A line search along the
 norm-share curve x -> on_constraint(u, x) = c u(lam .) finishes each restart,
-since a plain nodal ascent is slow to translate profiles across scales.  It
-scores 33 points of s = logit(x) by the scaling laws, in blocks of at most
-SCAN_BLOCK values with one dot product per point (the bits of single sweeps),
-then runs Newton on the slope: with t_k = alpha c^{N'} u_k^{N'}, Phi_j' =
-Phi_{j-1} (Phi_{-1} = Phi_0 = e^t), A, B, C = sum_k m_k t_k^i Phi_{N-1-i}(t_k)
+since a plain nodal ascent is slow to translate profiles across scales.  As
+||w||_{N'j}^{N'j} <= ||w||_inf^{N'j-N} ||w||_N^N, a point w of the curve has
+F(w) <= alpha^{N-1} x^{N/b} R(T), T = alpha ||w||_inf^{N'}, R = Phi_{N-1}(T) /
+T^{N-1} (1/(N-1)! at T = 0).  The scan bounds 33 points of s = logit(x) at once,
+then scores them by the scaling laws, best bound first, one Phi_N sweep each,
+up to the first bound (with rounding slack) below the best score.  Newton on
+the slope ends it: with t_k = alpha c^{N'} u_k^{N'}, Phi_j' = Phi_{j-1}
+(Phi_{-1} = Phi_0 = e^t), A, B, C = sum_k m_k t_k^i Phi_{N-1-i}(t_k)
 (i = 0, 1, 2), q = (1-x)/b + x/a and r = N'x/a, F = omega A / lam^N and
 F' = omega g / lam^N for g = N q A - r B, g' = N x(1-x)(1/a - 1/b) A -
 (N q + 1 - x) r B + r^2 (B + C).  No root is solved; only the winner is built.
@@ -67,6 +70,7 @@ from .functional import (
     EXP_ARG_LIMIT,
     MTParams,
     _phi_tail,
+    _tail_ratio,
     constraint_terms,
     mt_integral,
     universal_lower_bound,
@@ -106,8 +110,6 @@ GRAD_TOL = 1e-8
 CONCENTRATION_GUARD = 0.999
 #: Mode labels: a norm (gradient) share above 1 - MODE_EPS is near-vanishing (near-concentration).
 MODE_EPS = 0.05
-#: The dilation scan sweeps Phi_N over blocks of at most this many values (32 KiB per temporary).
-SCAN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -201,19 +203,23 @@ def _mode_label(u: RadialProfile, p: MTParams) -> str:
 
 
 def _dilation_curve(u: RadialProfile, p: MTParams):
-    """(scores, slope) of s -> F(on_constraint(u, x, p)), x = 1 / (1 + e^{-s}) the norm share, by the scaling laws.
+    """(scan, slope) of s -> F(on_constraint(u, x, p)), x = 1 / (1 + e^{-s}) the norm share, by the scaling laws.
 
-    scores(ss) sweeps Phi_N over blocks of at most SCAN_BLOCK values, one dot product per s; an s that cannot
-    be built (lam outside [max(r_max, 1) / R, R], R = grid.max_radius: its grid past R, or lam^{+-N} past
-    2^1000) or evaluated (a series argument above EXP_ARG_LIMIT) scores -inf, and its slope(s) is nan.
+    scan(ss) is (scores, ceilings), a ceiling being the bound on F times 1 + slack: it scores best ceiling first, one
+    Phi_N sweep each, up to the first ceiling below the best score.  slope(s) is (g, g', F).  An s off the curve (lam
+    not in [max(r_max, 1) / R, R], R = grid.max_radius, or T > EXP_ARG_LIMIT) has both -inf and slope nan.
     """
     N, mass = p.N, u.grid.mass
     G, L = grad_norm_pow(u), lp_norm_pow(u, N)
     if not (G > 0 and L > 0):  # a term underflowed: no curve to walk
-        return (lambda ss: np.full(len(ss), -np.inf)), None
+        return (lambda ss: (np.full(len(ss), -np.inf),) * 2), None
     powers = u.values ** p.n_prime
-    top, rows = float(np.max(powers)), max(1, SCAN_BLOCK // powers.size)
+    top = float(np.max(powers))
     lam_lo, lam_hi = max(u.grid.r_max, 1.0) / u.grid.max_radius, u.grid.max_radius
+    # The bound's rounding slack, first order in u = 2^-53: n u per dot product of n positive terms (the score's and
+    # L's), 6N u each for c^N L / lam^N ~ x^{N/b} and t_k^{N-1} ~ alpha^{N-1} c^N u_k^N, 40 u for the other powers,
+    # products and Horner sums, 3e-15 for Phi_{N-1} at the t_k and as much at T.
+    lead = (1.0 + (powers.size + 6 * N + 20) * 2.0**-52 + 6e-15) * p.alpha ** (N - 1)
 
     def point(s: float):
         """(x, alpha c^{N'}, lam) at s, or None; alpha c^{N'} top is the largest series argument."""
@@ -222,19 +228,20 @@ def _dilation_curve(u: RadialProfile, p: MTParams):
         coef = p.alpha * c**p.n_prime if lam_lo <= lam <= lam_hi else np.inf
         return (x, coef, lam) if coef * top <= EXP_ARG_LIMIT else None
 
-    def scores(ss) -> np.ndarray:
+    def scan(ss) -> tuple[np.ndarray, np.ndarray]:
+        pts = [point(s) or (np.nan,) * 3 for s in ss]  # nan where s cannot be built
+        x, coef, _ = np.array(pts).T
+        bounds = np.nan_to_num(lead * x ** (N / p.b) * _tail_ratio(coef * top, N - 1), nan=-np.inf)
         out = np.full(len(ss), -np.inf)
-        live = [(i, pt) for i, pt in enumerate(map(point, ss)) if pt is not None]
-        for j in range(0, len(live), rows):
-            block = live[j : j + rows]
-            tails = _phi_tail(np.array([pt[1] for _, pt in block])[:, None] * powers, N - 1)
-            for (i, (_, _, lam)), tail in zip(block, tails):
-                out[i] = u.grid.omega * float(np.dot(mass, tail)) / lam**N
-        return out
+        for i in np.argsort(-bounds, kind="stable"):
+            if bounds[i] == -np.inf or bounds[i] < out.max():
+                break
+            out[i] = u.grid.omega * float(np.dot(mass, _phi_tail(pts[i][1] * powers, N - 1))) / pts[i][2] ** N
+        return out, bounds
 
-    def slope(s: float) -> tuple[float, float]:
+    def slope(s: float) -> tuple[float, float, float]:
         if (pt := point(s)) is None:
-            return np.nan, np.nan
+            return np.nan, np.nan, -np.inf
         x, t = pt[0], pt[1] * powers
         tails = [_phi_tail(t, N - 1)]  # Phi_{N-1}, Phi_{N-2}, Phi_{N-3}, with Phi_{-1} = Phi_0 = e^t
         for j in (N - 2, N - 3):
@@ -242,37 +249,37 @@ def _dilation_curve(u: RadialProfile, p: MTParams):
         A, B, C = (float(np.dot(mass, t**i * tail)) for i, tail in enumerate(tails))
         q, r = (1.0 - x) / p.b + x / p.a, p.n_prime * x / p.a
         dg = N * x * (1.0 - x) * (1.0 / p.a - 1.0 / p.b) * A - (N * q + 1.0 - x) * r * B + r * r * (B + C)
-        return N * q * A - r * B, dg
+        return N * q * A - r * B, dg, u.grid.omega * A / pt[2] ** N
 
-    return scores, slope
+    return scan, slope
 
 
 def _norm_share(s: float) -> float:
     return 1.0 / (1.0 + math.exp(-s))
 
 
-def _newton_max(slope, lo: float, s: float, hi: float) -> float:
-    """Safeguarded Newton on the curve's slope (g, g') from s in [lo, hi]; the last s whose slope formed.
+def _newton_max(slope, lo: float, s: float, hi: float) -> tuple[float, float]:
+    """Safeguarded Newton on the curve's slope (g, g') from s in [lo, hi]: the last s whose slope formed, F there.
 
     Each step shrinks [lo, hi] by the sign of g and bisects when the Newton step leaves it or g' >= 0, up to
     |ds| <= 1e-13 max(1, |s|) or 50 steps.  lam and c are monotone in s, so a slope that is nan at s is nan
-    past it: the bracket is cut there.
+    past it: the bracket is cut there (F = -inf if it is cut at the start).
     """
-    good = s
+    good, value = s, -np.inf
     for _ in range(50):
-        g, dg = slope(s)
+        g, dg, val = slope(s)
         if np.isfinite([g, dg]).all():
-            good, step = s, s - g / dg if dg < 0 else np.nan
+            good, value, step = s, val, s - g / dg if dg < 0 else np.nan
             lo, hi = (s, hi) if g > 0 else (lo, s)
         elif s == good:  # the start itself
-            return s
+            return s, value
         else:
             lo, hi, step = (lo, s, np.nan) if s > good else (s, hi, np.nan)
         new = step if lo < step < hi else 0.5 * (lo + hi)
         if abs(new - s) <= 1e-13 * max(1.0, abs(s)):
             break
         s = new
-    return good
+    return good, value
 
 
 def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
@@ -281,15 +288,15 @@ def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
     Only the best-scoring s is built; it replaces u only if its own value
     beats `value`, so the returned value is mt_integral of the returned profile.
     """
-    scores, slope = _dilation_curve(u, p)
+    scan, slope = _dilation_curve(u, p)
     ss = np.linspace(-30.0, 30.0, 33)
-    scan_vals = scores(ss)
+    scan_vals = scan(ss)[0]
     k = int(np.argmax(scan_vals))
     if not np.isfinite(scan_vals[k]):
         return value, u
-    s = _newton_max(slope, float(ss[max(k - 1, 0)]), float(ss[k]), float(ss[min(k + 1, len(ss) - 1)]))
+    s, val = _newton_max(slope, float(ss[max(k - 1, 0)]), float(ss[k]), float(ss[min(k + 1, len(ss) - 1)]))
     try:
-        prof = on_constraint(u, _norm_share(s if scores([s])[0] > scan_vals[k] else float(ss[k])), p)
+        prof = on_constraint(u, _norm_share(s if val > scan_vals[k] else float(ss[k])), p)
         val = mt_integral(prof, p)
     except (SeriesOverflowError, GridOverflowError):
         return value, u

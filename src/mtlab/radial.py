@@ -28,8 +28,8 @@ Design notes:
   the scaling laws for norms hold to machine precision.
 
 All values are immutable after construction (a grid's cached geometry is
-read-only) and all operations are pure functions; everything here is safe
-to use from multiple threads.
+read-only) and all operations are pure functions, so `build_grid` builds one
+grid per argument list per process, which every caller and thread shares.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -142,13 +142,9 @@ class RadialGrid:
             raise InvalidParameterError(
                 f"weights integrate the constant 1 to {total!r}, expected r_max={self.r_max!r}"
             )
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        mass = weights * nodes ** (self.N - 1)
-        mass.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "nodes", _read_only(nodes))
+        object.__setattr__(self, "weights", _read_only(weights))
+        object.__setattr__(self, "mass", _read_only(weights * nodes ** (self.N - 1)))
 
     @property
     def n_nodes(self) -> int:
@@ -214,8 +210,7 @@ class RadialProfile:
             raise InvalidParameterError("profile values must match the grid node count")
         if not (0 <= values.min() and values.max() < np.inf):  # also false for NaN
             raise InvalidParameterError("profile values must be finite and non-negative")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
 
     @property
     def is_nonincreasing(self) -> bool:
@@ -247,6 +242,7 @@ def _gauss_on_cells(edges: np.ndarray, counts: list[int]) -> tuple[np.ndarray, n
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_grid(
     N: int,
     r_max: float,

@@ -24,7 +24,7 @@ from mtlab import (
     psi,
     sample_profile,
 )
-from mtlab.functional import _tail_kernel
+from mtlab.functional import _phi_tail, _tail_kernel, _tail_ratio
 from mtlab.scaling import rescale_to_norms
 from conftest import random_monotone_profile
 
@@ -108,6 +108,15 @@ class TestPhiPsi:
     def test_overflow(self):
         with pytest.raises(SeriesOverflowError):
             phi(800.0, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 19])
+    def test_tail_ratio_stays_finite_at_zero(self, k):
+        # Phi_k(t) / t^k, 1/k! at t = 0 and where t^k underflows; the quotient itself wherever it forms
+        tiny = np.array([0.0, 5e-324, 1e-300, 1e-30])
+        assert _tail_ratio(tiny, k).tolist() == [1.0 / math.factorial(k)] * 4
+        ts = np.geomspace(1e-3, 700.0, 50)
+        assert _tail_ratio(ts, k) == pytest.approx(_phi_tail(ts, k) / ts**k, rel=1e-14)
+        assert np.all(np.diff(_tail_ratio(ts, k)) > 0)
 
     def test_vectorized(self):
         out = phi(np.array([0.0, 1.0, 2.0]), 2)

@@ -47,7 +47,7 @@ from mtlab.bounds import golden_section_max
 from mtlab.functional import EXP_ARG_LIMIT, _phi_tail
 from mtlab.radial import pl_norm_pow
 from mtlab.scaling import _share_scales, rescale_to_norms
-from conftest import random_monotone_profile
+from conftest import random_monotone_profile, smooth_bump_profile
 
 
 class TestFunctionalGradient:
@@ -144,7 +144,7 @@ class TestMaximizeD:
         assert constraint_value(w, p) == pytest.approx(1.0, abs=1e-12)
         lam = grid.r_max / w.grid.r_max
         built = mtlab.mt_integral(project_to_constraint(mtlab.dilate(u, lam**N), p), p)
-        assert _dilation_curve(u, p)[0]([s])[0] == pytest.approx(built, rel=1e-12)
+        assert _dilation_curve(u, p)[0]([s])[0][0] == pytest.approx(built, rel=1e-12)
 
     def test_duplicated_extra_candidate(self):
         # one vanishing start, then a rejected zero start and twice the same Gaussian
@@ -333,16 +333,18 @@ def _single_point_score(u, p, s):
 
 def _newton_and_golden(u, p):
     """The line search's value by `_newton_max` and by golden section on the same bracket."""
-    scores, slope = _dilation_curve(u, p)
+    scan, slope = _dilation_curve(u, p)
+    score = lambda s: scan([s])[0][0]  # a scan of one buildable point scores it
     ss = np.linspace(-30.0, 30.0, 33)
-    scan = scores(ss)
-    k = int(np.argmax(scan))
-    if not np.isfinite(scan[k]):
+    vals = scan(ss)[0]
+    k = int(np.argmax(vals))
+    if not np.isfinite(vals[k]):
         return None
     lo, hi = float(ss[max(k - 1, 0)]), float(ss[min(k + 1, 32)])
-    newton = scores([_newton_max(slope, lo, float(ss[k]), hi)])[0]
-    golden = golden_section_max(lambda s: scores([s])[0], lo, hi, 40, 1e-10)[1]
-    return max(newton, scan[k]), max(golden, scan[k])
+    s, newton = _newton_max(slope, lo, float(ss[k]), hi)
+    assert newton == -np.inf or newton == score(s)  # the value Newton keeps is the score's, bit for bit
+    golden = golden_section_max(score, lo, hi, 40, 1e-10)[1]
+    return max(newton, vals[k]), max(golden, vals[k])
 
 
 class TestDilationCurve:
@@ -361,30 +363,61 @@ class TestDilationCurve:
         grid = build_grid(N, 20.0, 128)
         u = random_monotone_profile(grid, np.random.default_rng(seed))
         p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
-        scores, slope = _dilation_curve(u, p)
+        scan, slope = _dilation_curve(u, p)
+        score = lambda s: scan([s])[0][0]  # a scan of one buildable point scores it
         h = 1e-5
         lam = _share_scales(grad_norm_pow(u), lp_norm_pow(u, N), _norm_share(s), p)[1]
-        g, dg = slope(s)
-        value = scores([s])[0]
-        central = (scores([s + h])[0] - scores([s - h])[0]) / (2 * h)
+        g, dg, value = slope(s)
+        assert value == score(s)
+        central = (score(s + h) - score(s - h)) / (2 * h)
         assert grid.omega * g / lam**N == pytest.approx(central, rel=1e-7, abs=1e-9 * value)
         central = (slope(s + h)[0] - slope(s - h)[0]) / (2 * h)
         assert dg == pytest.approx(central, rel=1e-7, abs=1e-9 * value * lam**N / grid.omega)
 
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("n_nodes", [512, 2048])
-    def test_block_scores_equal_single_point_scores(self, N, n_nodes):
-        # a = 0.08 puts lam below its bound at the scan's top end, so -inf points are scored too
+    def test_scan_argmax_equals_single_point_argmax(self, N, n_nodes):
+        # a = 0.08 puts lam below its bound at the scan's top end, so unbuildable points take part too
         grid = build_grid(N, 40.0, n_nodes)
         rng = np.random.default_rng(n_nodes + N)
         ss, unbuilt = np.linspace(-30.0, 30.0, 33), 0
         for a, b in ((0.08, 2.0), (2.0, 0.4), (3.0, 5.0)):
             p = MTParams(N=N, alpha=0.7 * critical_exponent(N), a=a, b=b)
             for u in (random_monotone_profile(grid, rng), sample_profile(grid, lambda r: np.exp(-((r / 3.0) ** 2)))):
-                blocked = _dilation_curve(u, p)[0](ss)
-                assert blocked.tolist() == [_single_point_score(u, p, float(s)) for s in ss]
-                unbuilt += int(np.isneginf(blocked).sum())
+                scanned = _dilation_curve(u, p)[0](ss)[0]
+                single = np.array([_single_point_score(u, p, float(s)) for s in ss])
+                k = int(np.argmax(single))
+                assert int(np.argmax(scanned)) == k and scanned[k] == single[k]
+                scored = np.isfinite(scanned)
+                assert scanned[scored].tolist() == single[scored].tolist()
+                assert np.isneginf(scanned[np.isneginf(single)]).all()  # unbuildable points still lose
+                assert scored.sum() < 33
+                unbuilt += int(np.isneginf(single).sum())
         assert unbuilt > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.floats(0.01, 1.0),
+        st.floats(0.05, 8.0),
+        st.floats(0.05, 8.0),
+        st.sampled_from(["composite-gauss", "graded"]),
+        st.booleans(),
+    )
+    @example(0, 3, 7.7215486 / critical_exponent(3), 0.19556694, 4.4472999, "composite-gauss", False)  # c ~ 3e-55
+    @example(0, 20, 1e-6, 0.3, 2.0, "composite-gauss", False)  # T^{N-1} underflows to 0 at s = 9.375
+    def test_ceiling_dominates_every_score(self, seed, N, frac, a, b, scheme, bump):
+        grid = build_grid(N, 40.0, 256, scheme)
+        rng = np.random.default_rng(seed)
+        u = smooth_bump_profile(grid, rng) if bump else random_monotone_profile(grid, rng)
+        p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
+        ss = np.linspace(-30.0, 30.0, 33)
+        ceilings = _dilation_curve(u, p)[0](ss)[1]
+        for s, ceiling in zip(ss, ceilings):
+            value = _single_point_score(u, p, float(s))
+            assert value <= ceiling and (ceiling == -np.inf) == (value == -np.inf), (s, value, ceiling)
+        assert np.isfinite(ceilings[ceilings > -np.inf]).all()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -401,6 +434,32 @@ class TestDilationCurve:
         p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
         newton, golden = _newton_and_golden(u, p)
         assert newton >= golden * (1 - 1e-14)
+
+    def test_scan_scores_few_points_on_criterion_06_cells(self, monkeypatch):
+        # Phi_N sweeps per scan: a ceiling gone loose (inf, say) scores every buildable point, about 33 a scan
+        sweeps, per_scan = [0], []
+        phi_tail, curve = maximize_mod._phi_tail, maximize_mod._dilation_curve
+
+        def counted_tail(t, k):
+            sweeps[0] += 1
+            return phi_tail(t, k)
+
+        def counted_curve(u, p):
+            scan, slope = curve(u, p)
+
+            def counted_scan(ss):
+                before = sweeps[0]
+                out = scan(ss)
+                per_scan.append(sweeps[0] - before)
+                return out
+
+            return counted_scan, slope
+
+        monkeypatch.setattr(maximize_mod, "_phi_tail", counted_tail)
+        monkeypatch.setattr(maximize_mod, "_dilation_curve", counted_curve)
+        for alpha in (1.0, 2.0, 3.0):
+            maximize_d(MTParams(N=2, alpha=alpha, a=3.0, b=2.0), mtlab.MaximizeOptions(seed=7))
+        assert len(per_scan) == 27 and np.mean(per_scan) <= 12
 
     def test_newton_is_no_worse_than_golden_section_on_criterion_06_cells(self, monkeypatch):
         # every restart's line search of the three attained-regime cells

@@ -234,6 +234,15 @@ class TestCachedGeometry:
         edges = grid.cell_edges()
         assert np.array_equal(evaluate(u, edges), np.append(u.values, 0.0)[: edges.size])
 
+    def test_build_grid_builds_each_grid_once(self):
+        grid = build_grid(3, 40.0, 512, "graded")
+        assert build_grid(3, 40.0, 512, "graded") is grid
+        assert build_grid(3, 40.0, 512) is not grid
+        for arr in (grid.nodes, grid.weights, grid.mass, grid.cell_widths, grid.cell_moments):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
     def test_rescaled_grid_gets_its_own_cache(self):
         grid = build_grid(3, 12.0, 96)
         before = grid.cell_moments.copy()
