@@ -10,19 +10,20 @@ The bound and the margin are defined in `functional.py` and re-exported
 here; the verdict strings are defined here and nowhere else.  A
 maximize_d run certifies iff its report's `exceeds_lower_bound` is set,
 the rule `attainment_test` applies to a bare value, and
-`bracket_alpha_star` feeds the g-test the ratio of
-`maximize.cached_gn_report`.
+`bracket_alpha_star` runs the g-test, on the ratio of
+`maximize.cached_gn_report`, before any maximize_d at each alpha.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .errors import BracketNotFoundError, InvalidParameterError
-from .functional import CERTIFY_MARGIN, MTParams, universal_lower_bound
+from .errors import BracketNotFoundError, InvalidParameterError, SeriesOverflowError
+from .functional import CERTIFY_MARGIN, EXP_ARG_LIMIT, MTParams, universal_lower_bound
 from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, maximize_d
 from .radial import check_dimension, critical_exponent
 
@@ -139,6 +140,7 @@ def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> Bou
     g'(1) = N/b - alpha * bgn / N at a = N' (negative iff
     b > N^2/(alpha * bgn), the condition that forces max g > 1).
     """
+    check_dimension(N)
     _check_constant("bgn", bgn)
     ts = np.linspace(0.0, 1.0, G_TEST_SAMPLES)
     gs = g_function(ts, alpha, a, b, N, bgn)
@@ -165,31 +167,31 @@ def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> Bou
     )
 
 
-def c_tilde_series(N: int, gn_c: float, terms: int | None = None) -> float:
-    """C^N sum_{j>=0} (j+N)^{j+N}/(j+N-1)! (2e)^{-j}.
+@cache
+def _relative_series(N: int) -> float:
+    """T = C~ (N-1)! / (N C)^N = sum_j t_j, t_0 = 1, t_{j+1} = t_j (1 + 1/k)^{k+1} / (2e), k = j + N.
 
-    The term ratio tends to 1/2 (the bare power series has radius 1/e and
-    is evaluated at 1/(2e)), so the sum converges geometrically; with
-    `terms=None` it truncates once a term drops below 1e-16 of the sum.
+    The ratio is below 1 and tends to 1/2, so 1 <= T < 3; the sum stops at a term below 1e-16 of it, once j > 4.
+    """
+    total, term, k = 1.0, 1.0, N
+    while not (term < 1e-16 * total and k > N + 4):
+        term *= math.exp((k + 1) * math.log1p(1.0 / k) - 1.0) / 2.0
+        total += term
+        k += 1
+    return total
+
+
+def c_tilde_series(N: int, gn_c: float) -> float:
+    """C~ = C^N sum_{j>=0} (j+N)^{j+N}/(j+N-1)! (2e)^{-j} = (N C)^N T / (N-1)!, formed in log space.
+
+    Raises SeriesOverflowError where C~ leaves the double range.
     """
     check_dimension(N)
     _check_constant("interpolation constant", gn_c)
-    log_2e = math.log(2.0) + 1.0
-    total = 0.0
-    j = 0
-    while True:
-        k = j + N
-        term = math.exp(k * math.log(k) - math.lgamma(k) - j * log_2e)
-        total += term
-        j += 1
-        if terms is not None:
-            if j >= terms:
-                break
-        elif term < 1e-16 * total and j > 4:
-            break
-        if j > 100_000:
-            break
-    return gn_c ** N * total
+    log_c = N * math.log(N * gn_c) - math.lgamma(N) + math.log(_relative_series(N))
+    if log_c > EXP_ARG_LIMIT:
+        raise SeriesOverflowError(f"C~ = e^{log_c:.6g} for N = {N}, C = {gn_c:g} exceeds the double range")
+    return math.exp(log_c)
 
 
 def _check_alpha0_powers(a: float, b: float, N: int) -> None:
@@ -204,14 +206,19 @@ def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
 
     alpha_0 = min{ min{a/b, 1} / (C~ (N-2)!), 1/(2 e C), alpha_N }, valid
     for a <= N'; gn_c is a constant C for the interpolation inequality
-    ||v||_{N'j}^{N'j} <= C^j j^j ||v||_N^N ||grad v||_N^{N'j - N}.
+    ||v||_{N'j}^{N'j} <= C^j j^j ||v||_N^N ||grad v||_N^{N'j - N}.  The series
+    bound, min{a/b, 1} (N-1) / (T (N C)^N), is capped at alpha_N, where it stops
+    binding, and is 0 where (N C)^N overflows; SeriesOverflowError if C~ does.
     """
+    check_dimension(N)
     _check_alpha0_powers(a, b, N)
-    _check_constant("interpolation constant", gn_c)
+    alpha_critical = critical_exponent(N)
     c_tilde = c_tilde_series(N, gn_c)
-    first = min(a / b, 1.0) / (c_tilde * math.gamma(N - 1))
+    with np.errstate(over="ignore", divide="ignore"):  # (N C)^N may leave the doubles at either end
+        first = float(min(a / b, 1.0) * (N - 1) / (_relative_series(N) * np.float64(N * gn_c) ** N))
+    first = min(first, alpha_critical)
     second = 1.0 / (2.0 * math.e * gn_c)
-    alpha0 = min(first, second, critical_exponent(N))
+    alpha0 = min(first, second, alpha_critical)
     return BoundReport(
         kind="alpha0",
         values={
@@ -219,7 +226,7 @@ def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
             "c_tilde": c_tilde,
             "series_bound": first,
             "radius_bound": second,
-            "alpha_critical": critical_exponent(N),
+            "alpha_critical": alpha_critical,
         },
         verdict=VERDICT_NONEXISTENCE_REGIME,
         provenance="alpha0:series-contradiction-bound",
@@ -228,13 +235,12 @@ def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
 
 @dataclass(frozen=True)
 class BracketOptions:
-    """alpha grid and refinement policy for bracket_alpha_star."""
+    """alpha grid, bisection steps and maximize_d options of bracket_alpha_star; every cell runs the g-test first."""
 
     alpha_min: float | None = None
     alpha_max: float | None = None
     count: int = 12
     bisect_iters: int = 0
-    use_g_test: bool = True
     maximize_opts: MaximizeOptions = field(default_factory=MaximizeOptions)
 
     def __post_init__(self):
@@ -277,17 +283,16 @@ class BracketReport:
     alpha_high: float
     grid: tuple[float, ...]
     certified: tuple[bool, ...]
-    bgn_estimate: float | None
+    bgn_estimate: float
 
     def to_json_dict(self) -> dict:
         return dict(vars(self), semantics="alpha_star <= alpha_high certified; alpha_low heuristic only")
 
 
-def _certify_cell(p: MTParams, opts: BracketOptions, bgn: float | None, extra) -> tuple[bool, MaximizerReport | None]:
-    if opts.use_g_test and bgn is not None:
-        g_report = g_function_test(p.alpha, p.a, p.b, p.N, bgn)
-        if g_report.verdict == VERDICT_CERTIFIED:
-            return True, None
+def _certify_cell(p: MTParams, opts: BracketOptions, bgn: float, extra) -> tuple[bool, MaximizerReport | None]:
+    """The g-test, then maximize_d where it gives no verdict; the report is None when the g-test certified."""
+    if g_function_test(p.alpha, p.a, p.b, p.N, bgn).verdict == VERDICT_CERTIFIED:
+        return True, None
     report = maximize_d(p, opts.maximize_opts, extra_candidates=extra)
     return report.exceeds_lower_bound, report
 
@@ -300,15 +305,16 @@ def bracket_alpha_star(
 ) -> BracketReport:
     """Bracket the attainment threshold on an alpha grid, one-sided.
 
-    Scans alpha ascending, warm-chaining the best profile between cells
-    (evaluating a lower cell's maximizer at a higher alpha never lowers
-    the normalized value, so certification is monotone along the scan).
-    Optional bisection tightens [alpha_low, alpha_high].
+    Scans alpha ascending, each cell by the g-test on cached_gn_report(N)
+    and, where that gives no verdict, maximize_d, warm-chaining the best
+    profile between cells (evaluating a lower cell's maximizer at a higher
+    alpha never lowers the normalized value, so certification is monotone
+    along the scan).  Optional bisection tightens [alpha_low, alpha_high].
     """
     opts = opts or BracketOptions()
     alpha_lo, alpha_hi = opts.alpha_range(a, b, N)
     grid = tuple(float(x) for x in np.linspace(alpha_lo, alpha_hi, opts.count))
-    bgn = cached_gn_report(N).bgn_estimate if opts.use_g_test else None
+    bgn = cached_gn_report(N).bgn_estimate
 
     certified: list[bool] = []
     chained: tuple = ()

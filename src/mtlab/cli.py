@@ -31,6 +31,7 @@ from .functional import (
 )
 from .maximize import MaximizeOptions, cached_gn_report, maximize_d, project_to_constraint
 from .radial import (
+    GRID_SCHEMES,
     build_grid,
     check_dimension,
     critical_exponent,
@@ -89,25 +90,33 @@ def _request(source: str = ""):
         raise UsageError(f"{source}{exc}") from exc
 
 
-def _add_param_args(sp):
-    sp.add_argument("--N", type=_dimension, required=True, help="dimension, integer >= 2")
-    sp.add_argument("--alpha", type=float, required=True, help="growth parameter in (0, alpha_N]")
-    sp.add_argument("--a", type=float, required=True, help="gradient-norm power")
-    sp.add_argument("--b", type=float, required=True, help="norm power")
+_PARAM_HELP = dict(
+    N="dimension, integer >= 2", alpha="growth parameter in (0, alpha_N]", a="gradient-norm power", b="norm power"
+)
+
+
+def _add_param_args(sp, names=("N", "alpha", "a", "b"), required: bool = True):
+    """The problem flags `names` of --N, --alpha, --a, --b; one that is not required defaults to None."""
+    for name in names:
+        kind = _dimension if name == "N" else float
+        sp.add_argument(f"--{name}", type=kind, required=required, help=_PARAM_HELP[name])
 
 
 def _add_grid_args(sp):
-    schemes = ["composite-gauss", "graded"]
     sp.add_argument("--r-max", type=float, default=_OPTS.r_max, help="truncation radius (default %(default)s)")
     sp.add_argument("--n-nodes", type=int, default=_OPTS.n_nodes, help="quadrature nodes (default %(default)s)")
-    sp.add_argument("--grid-scheme", choices=schemes, default=_OPTS.scheme, help="node layout (default %(default)s)")
+    sp.add_argument(
+        "--grid-scheme", choices=GRID_SCHEMES, default=_OPTS.scheme, help="node layout (default %(default)s)"
+    )
 
 
-def _add_common_args(sp, restarts: bool = False, csv: bool = False):
-    """--seed, --format and --out; --restarts only where maximize_d runs, csv only for tables."""
+def _add_common_args(sp, restarts: bool = False, csv: bool = False, profile: bool = False):
+    """--seed, --format and --out; --restarts only where maximize_d runs, csv only for tables, --profile-out."""
     sp.add_argument("--seed", type=int, default=_OPTS.seed, help="RNG seed (default %(default)s)")
     if restarts:
         sp.add_argument("--restarts", type=int, default=_OPTS.restarts, help="multi-start count (default %(default)s)")
+    if profile:
+        sp.add_argument("--profile-out", type=str, default=None, help="write the reported profile CSV here")
     formats = ["json", "csv", "human"] if csv else ["json", "human"]
     sp.add_argument("--format", choices=formats, default="json")
     sp.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
@@ -138,18 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("maximize", help="maximize the functional over the constraint surface")
     _add_param_args(sp)
     _add_grid_args(sp)
-    sp.add_argument("--profile-out", type=str, default=None, help="write the best profile CSV here")
     sp.add_argument(
         "--allow-infinite-regime",
         action="store_true",
         help="evaluate even at alpha = alpha_N with b > N (infinite supremum)",
     )
-    _add_common_args(sp, restarts=True)
+    _add_common_args(sp, restarts=True, profile=True)
 
     sp = sub.add_parser("bgn", help="lower-bound the Gagliardo-Nirenberg best constant")
-    sp.add_argument("--N", type=_dimension, required=True)
-    sp.add_argument("--profile-out", type=str, default=None, help="write the maximizer CSV here")
-    _add_common_args(sp)
+    _add_param_args(sp, ["N"])
+    _add_common_args(sp, profile=True)
 
     sp = sub.add_parser("g-test", help="sufficient attainment test from the GN family")
     _add_param_args(sp)
@@ -157,16 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(sp)
 
     sp = sub.add_parser("alpha0", help="explicit non-attainment bound for small alpha (a <= N')")
-    sp.add_argument("--N", type=_dimension, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
+    _add_param_args(sp, ["N", "a", "b"])
     sp.add_argument("--gn-c", type=float, default=None, help="interpolation constant C (default: derived)")
     _add_common_args(sp)
 
     sp = sub.add_parser("alpha-star", help="bracket the attainment threshold, one-sided")
-    sp.add_argument("--N", type=_dimension, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
+    _add_param_args(sp, ["N", "a", "b"])
     sp.add_argument("--alpha-min", type=float, default=None)
     sp.add_argument("--alpha-max", type=float, default=None)
     sp.add_argument("--count", type=int, default=_SCAN.count, help="alpha grid points (default %(default)s)")
@@ -175,21 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(sp, restarts=True)
 
     sp = sub.add_parser("sweep", help="1D parameter sweep with the remaining parameters fixed")
-    sp.add_argument("--N", type=_dimension, required=True)
+    _add_param_args(sp, ["N"])
+    _add_param_args(sp, ["alpha", "a", "b"], required=False)
     sp.add_argument("--axis", choices=["alpha", "a", "b"], required=True)
     sp.add_argument("--min", type=float, required=True)
     sp.add_argument("--max", type=float, required=True)
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--spacing", choices=["linear", "log"], default="linear")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
     _add_grid_args(sp)
     _add_common_args(sp, restarts=True, csv=True)
 
     sp = sub.add_parser("phase-map", help="attainment map over (a, b) at fixed alpha")
-    sp.add_argument("--N", type=_dimension, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    _add_param_args(sp, ["N", "alpha"])
     sp.add_argument("--a-min", type=float, required=True)
     sp.add_argument("--a-max", type=float, required=True)
     sp.add_argument("--a-count", type=int, required=True)
@@ -217,14 +217,16 @@ def _emit(text: str, out: str | None):
             sys.stdout.write("\n")
 
 
-def _report_text(payload: dict, fmt: str, human_lines=None) -> str:
-    if fmt == "human" and human_lines is not None:
-        return "\n".join(human_lines) + "\n"
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _report(args, payload: dict, human_lines: list[str]) -> int:
+    """Emit the payload under --format json, else the human lines; 0, the exit code."""
+    as_json = args.format == "json"
+    _emit(json.dumps(payload, indent=2, sort_keys=True) if as_json else "\n".join(human_lines) + "\n", args.out)
+    return 0
 
 
 def _make_options(args, allow_infinite: bool = False) -> MaximizeOptions:
-    return MaximizeOptions(
+    """The maximize_d options of the flags; its grid is built here, so an r_max past 2^{1000/N} is a usage error."""
+    opts = MaximizeOptions(
         r_max=args.r_max,
         n_nodes=args.n_nodes,
         scheme=args.grid_scheme,
@@ -232,6 +234,16 @@ def _make_options(args, allow_infinite: bool = False) -> MaximizeOptions:
         seed=args.seed,
         allow_infinite_regime=allow_infinite,
     )
+    build_grid(args.N, opts.r_max, opts.n_nodes, opts.scheme)
+    return opts
+
+
+def _write_profile(args, profile, payload: dict) -> None:
+    """Write --profile-out, if given, and name it in the payload."""
+    if args.profile_out:
+        with open(args.profile_out, "w", encoding="utf-8") as fh:
+            fh.write(profile_to_csv(profile))
+        payload["profile_out"] = args.profile_out
 
 
 def _params(args) -> MTParams:
@@ -273,8 +285,7 @@ def _cmd_eval(args) -> int:
         "seed": args.seed,
     }
     human = [f"{k}: {v}" for k, v in payload.items()]
-    _emit(_report_text(payload, args.format, human), args.out)
-    return 0
+    return _report(args, payload, human)
 
 
 def _cmd_maximize(args) -> int:
@@ -284,10 +295,7 @@ def _cmd_maximize(args) -> int:
         opts.check_regime(p, "--allow-infinite-regime")
     report = maximize_d(p, opts)
     payload = report.to_json_dict()
-    if args.profile_out:
-        with open(args.profile_out, "w", encoding="utf-8") as fh:
-            fh.write(profile_to_csv(report.best_profile))
-        payload["profile_out"] = args.profile_out
+    _write_profile(args, report.best_profile, payload)
     human = [
         f"best_value (certified lower bound): {report.best_value:.12g}",
         f"universal lower bound: {report.lower_bound:.12g}",
@@ -298,17 +306,13 @@ def _cmd_maximize(args) -> int:
         f"iterations: {report.iterations}, restarts: {report.restarts}, seed: {report.seed}",
         DISCLAIMER,
     ]
-    _emit(_report_text(payload, args.format, human), args.out)
-    return 0
+    return _report(args, payload, human)
 
 
 def _cmd_bgn(args) -> int:
     report = cached_gn_report(args.N)
     payload = report.to_json_dict()
-    if args.profile_out:
-        with open(args.profile_out, "w", encoding="utf-8") as fh:
-            fh.write(profile_to_csv(report.maximizer_profile))
-        payload["profile_out"] = args.profile_out
+    _write_profile(args, report.maximizer_profile, payload)
     human = [
         f"bgn_estimate (certified lower bound, PL interpolant): {report.bgn_estimate:.12g}",
         f"grid_ratio (working value, grid quadrature): {report.grid_ratio:.12g}",
@@ -316,8 +320,7 @@ def _cmd_bgn(args) -> int:
         f"shots: {report.iterations}, low_accuracy: {report.low_accuracy}",
         DISCLAIMER,
     ]
-    _emit(_report_text(payload, args.format, human), args.out)
-    return 0
+    return _report(args, payload, human)
 
 
 def _cmd_g_test(args) -> int:
@@ -332,8 +335,7 @@ def _cmd_g_test(args) -> int:
         f"g'(1) at a = N': {report.values['gprime_at_1_for_a_conjugate']:.6g}",
         f"verdict: {report.verdict}",
     ]
-    _emit(_report_text(payload, args.format, human), args.out)
-    return 0
+    return _report(args, payload, human)
 
 
 def _cmd_alpha0(args) -> int:
@@ -351,8 +353,7 @@ def _cmd_alpha0(args) -> int:
         f"series constant C~: {report.values['c_tilde']:.12g}",
         "below alpha0 the supremum is not attained (closed-form regime)",
     ]
-    _emit(_report_text(payload, args.format, human), args.out)
-    return 0
+    return _report(args, payload, human)
 
 
 def _cmd_alpha_star(args) -> int:
@@ -377,34 +378,21 @@ def _cmd_alpha_star(args) -> int:
         f"alpha_N: {critical_exponent(args.N):.12g}",
         DISCLAIMER,
     ]
-    _emit(_report_text(payload, args.format, human), args.out)
-    return 0
+    return _report(args, payload, human)
 
 
 def _run_plan(args, axes, fixed: dict) -> int:
     """Build the SweepPlan of (name, min, max, count[, spacing]) axes, run it and emit the table."""
     with _request():
-        plan = SweepPlan(
-            N=args.N,
-            axes=tuple(AxisSpec(*axis) for axis in axes),
-            fixed=fixed,
-            seed=args.seed,
-            options=_make_options(args),
-        )
+        axes = tuple(AxisSpec(*axis) for axis in axes)
+        plan = SweepPlan(N=args.N, axes=axes, fixed=fixed, seed=args.seed, options=_make_options(args))
     result = run_sweep(plan)
-    if args.format == "csv":
-        text = sweep_to_csv(result)
-    elif args.format == "human":
-        lines = [sweep_to_csv(result).rstrip("\n"), DISCLAIMER]
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "plan": result.plan.to_json_dict(),
-            "rows": [vars(row) for row in result.rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    _emit(text, args.out)
-    if args.out and args.format == "csv":
+    table = sweep_to_csv(result)
+    if args.format != "csv":
+        payload = {"plan": result.plan.to_json_dict(), "rows": [vars(row) for row in result.rows]}
+        return _report(args, payload, [table.rstrip("\n"), DISCLAIMER])
+    _emit(table, args.out)
+    if args.out:
         with open(args.out + ".plan.json", "w", encoding="utf-8") as fh:
             fh.write(plan_to_json(result.plan))
     return 0
@@ -423,24 +411,18 @@ def _cmd_phase_map(args) -> int:
 def _cmd_verify_appendix(args) -> int:
     with _request():  # its only InvalidParameterError is its n_max check
         ledger = claim_ledger(args.n_max)
-    csv_text = ledger.to_csv()
-    ok = ledger.all_claims_hold
-    if args.format == "json":
-        payload = {
-            "n_max": args.n_max,
-            "all_claims_hold": ok,
-            "exp5": {k: (str(v) if not isinstance(v, (bool, float, int)) else v) for k, v in ledger.exp5.items()},
-            "decomposition_max_error": ledger.decomposition_max_error,
-            "csv": csv_text,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        tail = "all claims hold" if ok else "CLAIM FAILURE"
-        text = csv_text + tail + "\n"
-    _emit(text, args.out)
+    csv_text, ok = ledger.to_csv(), ledger.all_claims_hold
+    tail = "all claims hold" if ok else "CLAIM FAILURE"
+    payload = {
+        "n_max": args.n_max,
+        "all_claims_hold": ok,
+        "exp5": {k: (str(v) if not isinstance(v, (bool, float, int)) else v) for k, v in ledger.exp5.items()},
+        "decomposition_max_error": ledger.decomposition_max_error,
+        "csv": csv_text,
+    }
+    _report(args, payload, [csv_text.rstrip("\n"), tail])  # the ledger CSV, then the verdict line
     if args.out:
-        # keep the console confirmation even when the ledger goes to a file
-        print("all claims hold" if ok else "CLAIM FAILURE")
+        print(tail)  # keep the console confirmation even when the ledger goes to a file
     return 0 if ok else 1
 
 

@@ -29,7 +29,8 @@ Design notes:
 
 All values are immutable after construction (a grid's cached geometry is
 read-only) and all operations are pure functions, so `build_grid` builds one
-grid per argument list per process, which every caller and thread shares.
+grid per (N, r_max, n_nodes, scheme, grading) per process, which every
+caller and thread shares.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ __all__ = [
     "profile_from_csv",
 ]
 
-GRID_SCHEMES = ("composite-gauss", "graded", "equal-mass")
+#: The node layouts build_grid offers; equal_mass_grid builds the equal-mass grid directly.
+GRID_SCHEMES = ("composite-gauss", "graded")
 
 #: Gauss points per cell of the composite grids.
 DEFAULT_CELL_ORDER = 3
@@ -93,14 +95,18 @@ def check_grid(r_max: float, n_nodes: int, scheme: str) -> None:
         raise InvalidParameterError(f"unknown grid scheme {scheme!r}; expected one of {GRID_SCHEMES}")
 
 
+def _log_sphere_area(N: int) -> float:
+    return math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)
+
+
 def sphere_area(N: int) -> float:
-    """Surface area omega_{N-1} of the unit sphere in R^N."""
-    return float(2.0 * np.pi ** (N / 2.0) / math.gamma(N / 2.0))
+    """Surface area omega_{N-1} of the unit sphere in R^N; from its log past N = 343, where Gamma(N/2) overflows."""
+    return math.exp(_log_sphere_area(N)) if N > 343 else float(2.0 * np.pi ** (N / 2.0) / math.gamma(N / 2.0))
 
 
 def critical_exponent(N: int) -> float:
-    """Critical exponential-growth constant alpha_N = N * omega_{N-1}^{1/(N-1)}."""
-    return float(N * sphere_area(N) ** (1.0 / (N - 1)))
+    """Critical exponential-growth constant alpha_N = N * omega_{N-1}^{1/(N-1)}; by log omega past N = 343."""
+    return N * math.exp(_log_sphere_area(N) / (N - 1)) if N > 343 else float(N * sphere_area(N) ** (1.0 / (N - 1)))
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,8 @@ class RadialGrid:
         r_max: outer truncation radius.
         scheme: construction scheme label, kept for report provenance.
 
-    The product weights * nodes^{N-1} (the nodal masses of the radial
-    measure) is computed at construction.  omega, cell_widths and
+    r_max is at most max_radius.  The nodal masses weights * nodes^{N-1} are
+    computed at construction.  omega, cell_widths and
     cell_moments are computed on first use and cached on the grid; the
     arrays are read-only.
     """
@@ -131,6 +137,8 @@ class RadialGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         check_dimension(self.N)
+        if not self.r_max <= self.max_radius:
+            raise InvalidParameterError(f"r_max {self.r_max!r} exceeds 2^(1000/N) = {self.max_radius:.6g}")
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size < 2:
             raise InvalidParameterError("nodes and weights must be 1D arrays of equal length >= 2")
         if not (np.all(np.diff(nodes) > 0) and nodes[0] > 0 and nodes[-1] <= self.r_max):
@@ -152,7 +160,7 @@ class RadialGrid:
 
     @property
     def max_radius(self) -> float:
-        """2^{1000/N}, the largest r_max `rescaled` admits: r^N = 2^1000 leaves masses and moments finite."""
+        """2^{1000/N}, the largest r_max of any grid: r^N = 2^1000 leaves masses and moments finite."""
         return 2.0 ** (1000 / self.N)
 
     @cached_property
@@ -220,13 +228,13 @@ class RadialProfile:
         return RadialProfile(self.grid, self.values * amplitude)
 
 
-def _cell_counts(n_nodes: int, cell_order: int) -> list[int]:
-    """Split n_nodes into per-cell Gauss point counts, sizes q or q+1.
+def _cell_counts(n_nodes: int) -> list[int]:
+    """Split n_nodes into per-cell Gauss point counts, sizes q or q+1 for q = DEFAULT_CELL_ORDER.
 
     Odd-sized cells go at the outer end: the near-origin spacing pattern
     dominates the piecewise-linear gradient error, so it stays uniform.
     """
-    n_cells = max(1, n_nodes // cell_order)
+    n_cells = max(1, n_nodes // DEFAULT_CELL_ORDER)
     base = n_nodes // n_cells
     rem = n_nodes - base * n_cells
     return [base] * (n_cells - rem) + [base + 1] * rem
@@ -242,30 +250,29 @@ def _gauss_on_cells(edges: np.ndarray, counts: list[int]) -> tuple[np.ndarray, n
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-@lru_cache(maxsize=None, typed=True)
 def build_grid(
     N: int,
     r_max: float,
     n_nodes: int,
     scheme: str = "composite-gauss",
-    cell_order: int = DEFAULT_CELL_ORDER,
     grading: float = 1.05,
 ) -> RadialGrid:
-    """Build a quadrature grid on [0, r_max].
+    """Build a quadrature grid on [0, r_max], once per process for each value of the arguments.
 
-    composite-gauss: equal cells, `cell_order`-point Gauss-Legendre each.
+    composite-gauss: equal cells, DEFAULT_CELL_ORDER-point Gauss-Legendre each.
     graded: cell widths grow geometrically by `grading` away from the
         origin (clusters nodes where concentrating profiles live), same
         per-cell Gauss rule.
-    equal-mass: see :func:`equal_mass_grid`.
+    The cache sees normalized arguments (40 and 40.0 give one grid); r_max past 2^{1000/N} is refused.
     """
     check_dimension(N)
     check_grid(r_max, n_nodes, scheme)
-    if scheme == "equal-mass":
-        return equal_mass_grid(N, r_max, n_nodes)
-    if not (2 <= cell_order <= 16):
-        raise InvalidParameterError(f"cell_order must be in [2, 16], got {cell_order}")
-    counts = _cell_counts(n_nodes, cell_order)
+    return _build_grid(int(N), float(r_max), int(n_nodes), scheme, float(grading))
+
+
+@lru_cache(maxsize=None)
+def _build_grid(N: int, r_max: float, n_nodes: int, scheme: str, grading: float) -> RadialGrid:
+    counts = _cell_counts(n_nodes)
     n_cells = len(counts)
     if scheme == "composite-gauss":
         edges = np.linspace(0.0, r_max, n_cells + 1)

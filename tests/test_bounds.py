@@ -7,6 +7,7 @@ from scipy.special import gammaln
 import mtlab
 from mtlab import (
     BracketNotFoundError,
+    SeriesOverflowError,
     BracketOptions,
     InvalidParameterError,
     MTParams,
@@ -19,18 +20,27 @@ from mtlab import (
     g_function_test,
     universal_lower_bound,
 )
-from mtlab.bounds import VERDICT_CERTIFIED, VERDICT_NONE, g_function
+from mtlab.bounds import VERDICT_CERTIFIED, VERDICT_NONE, BoundReport, g_function
 from mtlab.functional import CERTIFY_MARGIN
 
 
 def light_bracket_opts(**kw):
     defaults = dict(
         count=6,
-        use_g_test=False,
         maximize_opts=MaximizeOptions(restarts=6, n_nodes=256, seed=3),
     )
     defaults.update(kw)
     return BracketOptions(**defaults)
+
+
+@pytest.fixture
+def no_g_test(monkeypatch):
+    """Send every bracket cell to maximize_d: the g-test gives no verdict."""
+
+    def no_verdict(alpha, a, b, N, bgn):
+        return BoundReport(kind="g-test", values={}, verdict=VERDICT_NONE, provenance="test:no-verdict")
+
+    monkeypatch.setattr(mtlab.bounds, "g_function_test", no_verdict)
 
 
 class TestUniversalLowerBound:
@@ -120,9 +130,13 @@ class TestCTildeSeries:
         assert c_tilde_series(3, 2.0) == pytest.approx(2 ** 3 * base, rel=1e-13)
 
     def test_truncation_stability(self):
-        v200 = c_tilde_series(2, 1.0, terms=200)
-        v400 = c_tilde_series(2, 1.0, terms=400)
-        assert abs(v200 - v400) <= 1e-12 * v400
+        # the sum's own stop rule against an exactly rounded sum of 400 raw terms
+        log_2e = math.log(2.0) + 1.0
+        for N in (2, 3, 5, 20):
+            reference = math.fsum(
+                math.exp((j + N) * math.log(j + N) - gammaln(j + N) - j * log_2e) for j in range(400)
+            )
+            assert c_tilde_series(N, 1.0) == pytest.approx(reference, rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(InvalidParameterError):
@@ -155,6 +169,36 @@ class TestAlpha0:
         with pytest.raises(InvalidParameterError):
             alpha0_nonexistence(2.5, 2.0, 2, 1.0)  # N' = 2 for N = 2
 
+    def test_dimension_is_checked_first(self):
+        # N' = N/(N-1) divided by zero at N = 1
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            alpha0_nonexistence(1.0, 1.0, 1, 1.0)
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            g_function_test(1.0, 1.0, 1.0, 1, 0.1)
+
+    def test_series_bound_against_exact_arithmetic(self):
+        import mpmath
+
+        for N in (2, 3, 7, 20):
+            for a, b, C in [(N / (N - 1), N, 5.85), (0.5, 3 * N, 1.0), (1.0, 0.5, 0.3)]:
+                with mpmath.workdps(40):
+                    S = mpmath.nsum(
+                        lambda j: (j + N) ** (j + N) / mpmath.factorial(j + N - 1) / (2 * mpmath.e) ** j, [0, mpmath.inf]
+                    )
+                    exact = min(mpmath.mpf(a) / b, 1) / (mpmath.mpf(C) ** N * S * mpmath.factorial(N - 2))
+                got = alpha0_nonexistence(a, b, N, C).values["series_bound"]
+                assert got == pytest.approx(float(exact), rel=5e-15)
+
+    def test_bounds_past_the_double_range(self):
+        # (N-2)! overflowed at N = 173: the series bound underflows to a vacuous 0 instead
+        assert alpha0_nonexistence(1.0, 1.0, 173, 1.0).values["series_bound"] == 0.0
+        # C~ underflows to 0 at C = 1e-300: the series bound is capped at alpha_N, where it stops binding
+        rep = alpha0_nonexistence(1.0, 1.0, 2, 1e-300).values
+        assert rep["c_tilde"] == 0.0 and rep["series_bound"] == rep["alpha0"] == critical_exponent(2)
+        for N, C in [(800, 1.0), (2, 1e300)]:  # C~ itself leaves the doubles
+            with pytest.raises(SeriesOverflowError, match="C~"):
+                alpha0_nonexistence(1.0, 1.0, N, C)
+
 
 class TestBgnCondition:
     def test_threshold_drops_with_b(self, gn_report_n2):
@@ -167,7 +211,7 @@ class TestBgnCondition:
 
 
 class TestBracketAlphaStar:
-    def test_supercritical_a_brackets_low(self):
+    def test_supercritical_a_brackets_low(self, no_g_test):
         report = bracket_alpha_star(
             3.0, 2.0, 2, light_bracket_opts(alpha_min=0.3, alpha_max=2.0, count=7)
         )
@@ -175,14 +219,23 @@ class TestBracketAlphaStar:
         assert report.alpha_low < report.alpha_high
 
     def test_conjugate_a_large_b(self, gn_report_n2):
-        opts = light_bracket_opts(count=8, use_g_test=True)
+        opts = light_bracket_opts(count=8)
         report = bracket_alpha_star(2.0, 8.0, 2, opts)
         assert report.alpha_high < critical_exponent(2)
         # consistency with the closed-form non-attainment bound
         alpha0 = alpha0_nonexistence(2.0, 8.0, 2, 1.0 / gn_report_n2.bgn_estimate).values["alpha0"]
         assert report.alpha_low >= alpha0
 
-    def test_monotone_in_parameters(self):
+    def test_certified_cells_run_no_maximize_d(self, monkeypatch, gn_report_n2):
+        def refuse(*args, **kwargs):
+            raise AssertionError("maximize_d ran at a cell the g-test certified")
+
+        monkeypatch.setattr(mtlab.bounds, "maximize_d", refuse)
+        report = bracket_alpha_star(2.0, 8.0, 2, light_bracket_opts(alpha_min=4.0, alpha_max=6.0, count=2))
+        assert report.certified == (True, True)
+        assert report.bgn_estimate == gn_report_n2.bgn_estimate
+
+    def test_monotone_in_parameters(self, no_g_test):
         highs = {}
         for a, b in [(2.5, 2.0), (3.5, 3.0)]:
             rep = bracket_alpha_star(
@@ -197,14 +250,14 @@ class TestBracketAlphaStar:
         with pytest.raises(InvalidParameterError):
             BracketOptions(**kw)
 
-    def test_not_found(self):
+    def test_not_found(self, no_g_test):
         with pytest.raises(BracketNotFoundError) as err:
             bracket_alpha_star(
                 2.0, 2.0, 2, light_bracket_opts(alpha_min=0.01, alpha_max=0.05, count=3)
             )
         assert err.value.grid is not None
 
-    def test_bisection_refines(self):
+    def test_bisection_refines(self, no_g_test):
         coarse = light_bracket_opts(alpha_min=0.3, alpha_max=3.0, count=5)
         refined = light_bracket_opts(alpha_min=0.3, alpha_max=3.0, count=5, bisect_iters=3)
         r1 = bracket_alpha_star(3.0, 2.0, 2, coarse)
@@ -239,7 +292,7 @@ class TestLowerBoundChain:
 
 class TestCertificationAgreement:
     @pytest.mark.parametrize("factor", [0.99, 1.01])
-    def test_routes_agree_at_margin(self, monkeypatch, factor):
+    def test_routes_agree_at_margin(self, monkeypatch, no_g_test, factor):
         # Shift the lower bound so the seeded maximizer's margin sits just
         # below or just above CERTIFY_MARGIN; every certification route
         # must then give the same answer.  Four restarts use no random
@@ -269,7 +322,7 @@ class TestCertificationAgreement:
         assert (row.verdict == VERDICT_CERTIFIED) is expected
 
         bracket = bracket_alpha_star(
-            a, b, N, BracketOptions(alpha_min=alpha, alpha_max=3.0, count=2, use_g_test=False, maximize_opts=opts)
+            a, b, N, BracketOptions(alpha_min=alpha, alpha_max=3.0, count=2, maximize_opts=opts)
         )
         assert bracket.certified[0] is expected
 

@@ -63,6 +63,20 @@ class TestParsing:
         assert (args.count, args.bisect) == (bracket.count, bracket.bisect_iters)
         assert _make_options(args) == bracket.maximize_opts
 
+    def test_grid_schemes_are_every_grid_scheme_choice(self):
+        from mtlab.cli import build_parser
+        from mtlab.radial import GRID_SCHEMES
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+        choices = {
+            name: action.choices
+            for name, sp in commands.items()
+            for action in sp._actions
+            if action.dest == "grid_scheme"
+        }
+        assert sorted(choices) == ["alpha-star", "eval", "maximize", "phase-map", "sweep"]
+        assert all(c is GRID_SCHEMES for c in choices.values()) and GRID_SCHEMES == ("composite-gauss", "graded")
+
 
 class TestEval:
     def test_family_eval_json(self, capsys):
@@ -96,8 +110,9 @@ class TestEval:
             ("r,u\n1,abc\n2,0\n", "abc"),
             ("r,u\n1,inf\n2,0\n", "finite and non-negative"),
             ("r,u\n1,1e400\n2,0\n", "finite and non-negative"),
+            ("r,u\n1,1\n1e200,0\n", "exceeds 2^(1000/N)"),
         ],
-        ids=["bad-header", "decreasing-radii", "non-numeric", "infinite-value", "overflowing-value"],
+        ids=["bad-header", "decreasing-radii", "non-numeric", "infinite-value", "overflowing-value", "radii-past-limit"],
     )
     def test_malformed_profile_csv_is_usage_error(self, capsys, tmp_path, text, reason):
         path = tmp_path / "bad.csv"
@@ -107,6 +122,24 @@ class TestEval:
         )
         assert code == 2 and out == ""
         assert err.startswith("usage error: --profile") and reason in err
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 11]), st.floats(-1.0, 300.0), st.booleans())
+    @example(2, 300.0, False)  # every norm was NaN, and the command exited 0
+    @example(2, 300.0, True)  # solve_amplitude divided by zero
+    def test_every_failure_maps_to_an_exit_code(self, N, log_r, normalize):
+        # an r_max past 2^{1000/N} is a usage error (2); any other run reports finite numbers (0) or fails (1)
+        r_max = 10.0**log_r
+        argv = ["eval", "--N", str(N), "--alpha", "1", "--a", "2", "--b", "2", "--r-max", repr(r_max), "--n-nodes", "64"]
+        out = io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv + ["--normalize"] * normalize)
+        assert code == 2 if r_max > 2.0 ** (1000 / N) else code in (0, 1)
+        if code == 0:
+            payload = json.loads(out.getvalue())
+            assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
 
 
 class TestMaximize:
@@ -203,6 +236,27 @@ class TestBounds:
         payload = json.loads(out)
         assert 0 < payload["values"]["alpha0"] < mtlab.critical_exponent(2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 1000), st.floats(0.01, 1.0), st.floats(-2.0, 2.0), st.floats(-300.0, 300.0))
+    @example(173, 1.0, 0.0, 0.0)  # math.gamma(N - 1) overflowed
+    @example(800, 1.0, 0.0, 0.0)  # a term of the C~ series overflowed e^t
+    @example(2, 1.0, 0.0, 300.0)  # gn_c ** N overflowed
+    @example(2, 1.0, 0.0, -300.0)  # C~ underflowed to 0, then divided by
+    def test_alpha0_every_failure_maps_to_an_exit_code(self, N, a_frac, log_b, log_c):
+        # alpha0 either reports a finite bound (0) or fails as a computation (1); nothing escapes main
+        argv = [
+            "alpha0", "--N", str(N), "--a", repr(a_frac * N / (N - 1)), "--b", repr(10.0**log_b),
+            "--gn-c", repr(10.0**log_c),
+        ]
+        out = io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        assert code in (0, 1)
+        if code == 0:
+            alpha0 = json.loads(out.getvalue())["values"]["alpha0"]
+            assert 0 <= alpha0 <= mtlab.critical_exponent(N)
+
     def test_alpha0_invalid_a(self, capsys):
         code, _, err = run_cli(capsys, "alpha0", "--N", "2", "--a", "3", "--b", "2", "--gn-c", "3")
         assert code == 2
@@ -268,6 +322,10 @@ PHASE_MAP = [
         (["maximize", *PARAMS, "--r-max", "-1"], "r_max"),
         (["maximize", *PARAMS, "--n-nodes", "8"], "n_nodes must be >= 16"),
         (["maximize", *PARAMS, "--restarts", "0"], "restarts must be >= 1"),
+        (["maximize", *PARAMS, "--r-max", "1e200"], "r_max 1e+200 exceeds 2^(1000/N)"),
+        (["eval", *PARAMS, "--r-max", "1e300", "--normalize"], "r_max 1e+300 exceeds 2^(1000/N)"),
+        ([*SWEEP, "--r-max", "1e200"], "exceeds 2^(1000/N)"),
+        (["alpha-star", "--N", "20", "--a", "2", "--b", "8", "--r-max", "1e16"], "exceeds 2^(1000/N)"),
         (["eval", *PARAMS, "--n-nodes", "8"], "n_nodes must be >= 16"),
         (["eval", *PARAMS, "--width", "-1"], "--width must be positive"),
         (["sweep", "--N", "1", *SWEEP[3:]], "dimension N must be an integer >= 2"),
@@ -289,7 +347,8 @@ PHASE_MAP = [
          "constraint powers must be positive"),
     ],
     ids=[
-        "bgn-N1", "maximize-r-max", "maximize-n-nodes", "maximize-restarts", "eval-n-nodes", "eval-width",
+        "bgn-N1", "maximize-r-max", "maximize-n-nodes", "maximize-restarts", "maximize-r-max-past-limit",
+        "eval-r-max-past-limit", "sweep-r-max-past-limit", "alpha-star-r-max-past-limit", "eval-n-nodes", "eval-width",
         "sweep-N1", "sweep-n-nodes", "phase-map-N1", "phase-map-r-max", "alpha-star-bisect", "g-test-bgn",
         "maximize-infinite-regime", "maximize-b-inf", "maximize-a-nan", "g-test-a-nan", "g-test-bgn-inf",
         "alpha0-gn-c-nan", "alpha0-b-inf", "sweep-axis-max-inf", "sweep-fixed-a-negative",

@@ -194,7 +194,7 @@ class TestJTruncated:
 
     def test_exponential_closed_moments(self):
         # ||e^{-r}||_2^2 = 2 pi / 4, ||e^{-r}||_4^4 = 2 pi / 16 (2D)
-        g = build_grid(2, 40.0, 2048, cell_order=6)
+        g = build_grid(2, 40.0, 4096)
         u = sample_profile(g, lambda r: np.exp(-r))
         p = MTParams(N=2, alpha=1.0, a=2.0, b=2.0)
         assert lp_norm_pow(u, 2) == pytest.approx(math.pi / 2, rel=1e-10)

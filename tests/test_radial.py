@@ -49,7 +49,7 @@ class TestGridConstruction:
 
     def test_graded_cell_widths_grow(self):
         # n divisible by the cell order so node gaps chunk cleanly per cell
-        g = build_grid(2, 10.0, 240, scheme="graded", grading=1.05, cell_order=3)
+        g = build_grid(2, 10.0, 240, scheme="graded", grading=1.05)
         gaps = np.diff(g.nodes)
         cell_means = gaps[: 3 * 79].reshape(79, 3).mean(axis=1)
         assert np.all(np.diff(cell_means) > 0)
@@ -73,6 +73,17 @@ class TestGridConstruction:
         assert sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-14)
         assert sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
         assert sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("N", [300, 343, 344, 400, 455, 1000])
+    def test_sphere_area_and_alpha_N_past_the_gamma_overflow(self, N):
+        # Gamma(N/2) leaves the doubles at N = 344; both constants go on by logs, against 40-digit arithmetic
+        import mpmath
+
+        with mpmath.workdps(40):
+            omega = 2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(mpmath.mpf(N) / 2)
+            alpha_n = N * omega ** (mpmath.mpf(1) / (N - 1))
+        assert mtlab.critical_exponent(N) == pytest.approx(float(alpha_n), rel=1e-13)
+        assert sphere_area(N) == pytest.approx(float(omega), rel=1e-12, abs=1e-320)
 
 
 class TestNorms:
@@ -243,6 +254,13 @@ class TestCachedGeometry:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    def test_build_grid_normalizes_its_cache_key(self):
+        grid = build_grid(2, 40.0, 512)
+        assert build_grid(2, 40, 512) is grid
+        assert build_grid(2, np.array(40.0), 512) is grid
+        assert build_grid(2, 40.0, 512, "composite-gauss") is grid
+        assert build_grid(np.int64(2), np.float64(40.0), np.int64(512)) is grid
+
     def test_rescaled_grid_gets_its_own_cache(self):
         grid = build_grid(3, 12.0, 96)
         before = grid.cell_moments.copy()
@@ -286,7 +304,7 @@ class TestPLNormPow:
     @pytest.mark.parametrize("p", [1, 3, 5, 8])
     @pytest.mark.parametrize("kind", ["composite-gauss", "graded", "equal-mass"])
     def test_matches_cellwise_polynomials(self, N, p, kind):
-        grid = build_grid(N, 5.0, 24, scheme=kind)
+        grid = equal_mass_grid(N, 5.0, 24) if kind == "equal-mass" else build_grid(N, 5.0, 24, scheme=kind)
         rng = np.random.default_rng(N * 100 + p)
         u = RadialProfile(grid, rng.random(grid.n_nodes))  # not monotone: every cell shape
         assert pl_norm_pow(u, p) == pytest.approx(_pl_reference(u, p), rel=1e-12)
@@ -348,6 +366,18 @@ class TestProfileBasics:
         assert np.isfinite(inside.mass).all() and np.isfinite(inside.cell_moments).all()
         with pytest.raises(GridOverflowError):
             g.rescaled(1.01 * g.max_radius / 40.0)
+
+    @pytest.mark.parametrize("N", [2, 4, 20])
+    def test_every_grid_stops_at_the_stretch_limit(self, N):
+        # the rule `rescaled` applies holds for every grid, however it is built
+        limit = build_grid(N, 1.0, 64).max_radius
+        assert build_grid(N, limit, 64).r_max == limit
+        with pytest.raises(InvalidParameterError, match="exceeds"):
+            build_grid(N, 1.01 * limit, 64)
+        with pytest.raises(InvalidParameterError, match="exceeds"):
+            equal_mass_grid(N, 1.01 * limit, 64)
+        with pytest.raises(InvalidParameterError, match="exceeds"):
+            profile_from_csv(f"r,u\n1,1\n{limit!r},0\n", N)  # the outer edge lies half a gap past the last node
 
 
 class TestProfileCsv:
