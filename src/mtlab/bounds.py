@@ -142,6 +142,7 @@ def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> Bou
     """
     check_dimension(N)
     _check_constant("bgn", bgn)
+    _check_constant("alpha * bgn / N", alpha / N * bgn)  # finite, so g is: g <= 1 + alpha bgn / N
     ts = np.linspace(0.0, 1.0, G_TEST_SAMPLES)
     gs = g_function(ts, alpha, a, b, N, bgn)
     k = int(np.argmax(gs))

@@ -19,7 +19,7 @@ class InvalidParameterError(MTLabError, ValueError):
 
 
 class SeriesOverflowError(MTLabError, OverflowError):
-    """An exponential-series argument exceeds the floating range of e^t."""
+    """A value leaves the floating range: e^t of a series argument, or a power sum of a norm."""
 
 
 class DegenerateProfileError(MTLabError, ValueError):

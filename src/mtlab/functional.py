@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -112,27 +113,50 @@ def universal_lower_bound(alpha: float, N: int) -> float:
     check_dimension(N)
     if not alpha_in_range(alpha, N):
         raise InvalidParameterError(f"alpha must lie in (0, alpha_N], got {alpha}")
-    return float(alpha ** (N - 1) / math.gamma(N))
+    return _power_over_factorial(alpha, N - 1)
+
+
+def _power_over_factorial(t: float, j: int) -> float:
+    """t^j / j!, in exact rational arithmetic once t^j or j! leaves the double range (j > 170 for j!).
+
+    SeriesOverflowError if the quotient itself overflows; one that underflows is 0.
+    """
+    try:
+        return t**j / math.factorial(j)
+    except OverflowError:
+        pass
+    try:
+        return float(Fraction(t) ** j / math.factorial(j))
+    except OverflowError:
+        raise SeriesOverflowError(f"{t!r}^{j} / {j}! exceeds the double range") from None
 
 
 def _tail_terms(t: float, k: int, rel: float) -> list[float]:
     """t^j/j! for j = k, k+1, ... while the terms exceed rel times the first."""
-    terms = [t ** k / math.factorial(k)]
+    terms = [_power_over_factorial(t, k)]
     while (term := terms[-1] * t / (k + len(terms))) > rel * terms[0]:
         terms.append(term)
     return terms
 
 
 @lru_cache(maxsize=None)
-def _tail_kernel(k: int) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """Switch point s_k and the Horner coefficients (highest power first) of the order-k tail.
+def _tail_kernel(k: int) -> tuple[float, int, tuple[float, ...], tuple[float, ...]]:
+    """Switch point s_k, scale exponent e and the Horner coefficients (highest power first) of the order-k tail.
 
     s_k is where expm1(t) - head(t), head = sum_{j=1}^{k-1} t^j/j!, amplifies
     rounding by (expm1 + head) / tail = 2 expm1 / tail - 1 = TAIL_CANCELLATION;
     the ratio falls in t, so bisection finds s_k = 0.245, 0.956, 1.723, 2.493
     for k = 2..5.  Below s_k the series t^k sum_m t^m/(k+m)! keeps the terms
     above half a unit roundoff of the first at t = s_k: 12 for k = 2, 16 for k = 3.
+    Both sums run in x = t / 2^e with coefficients 2^{ej}/j!; e is the least
+    exponent with (EXP_ARG_LIMIT / 2^e)^k <= 2^1000, so 0 up to k = 105, and
+    x^k stays finite for every argument.  x^k underflows below 2^-1074, which
+    loses series values below 2^-1074 c_k, c_k = 2^{ek}/k!: SeriesOverflowError
+    once c_k > 2^64 (from k = 408 on), where that reaches normal doubles.
     """
+    e = max(0, math.ceil(math.log2(EXP_ARG_LIMIT) - 1000 / k))
+    if e * k - math.lgamma(k + 1) / math.log(2) > 64:
+        raise SeriesOverflowError(f"the order-{k} tail spans more than the double range")
     lo, hi = 0.0, float(k)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -141,8 +165,8 @@ def _tail_kernel(k: int) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
         else:
             hi = mid
     top = k + len(_tail_terms(hi, k, 2.0 ** -54)) - 1
-    series = tuple(1.0 / math.factorial(j) for j in range(top, k - 1, -1))
-    return hi, series, tuple(1.0 / math.factorial(j) for j in range(k - 1, 0, -1))
+    coeffs = [_power_over_factorial(2.0**e, j) for j in range(top, 0, -1)]
+    return hi, e, tuple(coeffs[: top - k + 1]), tuple(coeffs[top - k + 1 :])
 
 
 def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -173,22 +197,24 @@ def _phi_tail(t, k: int):
         return np.exp(t)
     if k == 1:
         return np.expm1(t)
-    switch, series, head = _tail_kernel(int(k))
+    switch, e, series, head = _tail_kernel(int(k))
     # Most nodes lie far below s_k, so the series runs on all of them and
     # only the few at or above s_k are recomputed.
-    out = _horner(t, series) * t ** k
+    x = np.ldexp(t, -e) if e else t
+    out = _horner(x, series) * x ** k
     if t_max >= switch:
         large = t >= switch
-        x = t[large]
-        out[large] = np.expm1(x) - _horner(x, head) * x
+        x_large = x[large]
+        out[large] = np.expm1(t[large]) - _horner(x_large, head) * x_large
     return out
 
 
 def _tail_ratio(t: np.ndarray, k: int) -> np.ndarray:
     """_phi_tail(t, k) / t^k = sum_{j >= 0} t^j / (k + j)!, k >= 1: the series alone below s_k, so 1/k! at t = 0."""
-    switch, series, _ = _tail_kernel(int(k))
+    switch, e, series, _ = _tail_kernel(int(k))
     big = np.maximum(t, switch)
-    return np.where(t >= switch, _phi_tail(big, k) / big**k, _horner(t, series))
+    ratio = np.where(t >= switch, _phi_tail(big, k) / np.ldexp(big, -e) ** k, _horner(np.ldexp(t, -e), series))
+    return np.ldexp(ratio, -e * k)
 
 
 def phi(t, N: int):
@@ -269,7 +295,7 @@ def j_truncated(u: RadialProfile, p: MTParams) -> float:
     if u.grid.N != p.N:
         raise InvalidParameterError("profile grid dimension does not match params")
     N = p.N
-    c1 = p.alpha ** (N - 1) / math.gamma(N)
-    c2 = p.alpha ** N / math.gamma(N + 1)
+    c1 = _power_over_factorial(p.alpha, N - 1)
+    c2 = _power_over_factorial(p.alpha, N)
     return c1 * lp_norm_pow(u, N) + c2 * lp_norm_pow(u, N * p.n_prime)
 

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import GridOverflowError, InvalidParameterError
+from .errors import GridOverflowError, InvalidParameterError, SeriesOverflowError
 
 __all__ = [
     "RadialGrid",
@@ -83,6 +83,11 @@ def check_dimension(N) -> None:
     """Reject any N but an integer >= 2, the dimensions the problem is posed in."""
     if N < 2 or N != int(N):
         raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
+
+
+def max_radius(N: int) -> float:
+    """2^{1000/N}, the largest r_max of any grid in R^N: r^N = 2^1000 leaves masses and moments finite."""
+    return 2.0 ** (1000 / N)
 
 
 def check_grid(r_max: float, n_nodes: int, scheme: str) -> None:
@@ -160,8 +165,7 @@ class RadialGrid:
 
     @property
     def max_radius(self) -> float:
-        """2^{1000/N}, the largest r_max of any grid: r^N = 2^1000 leaves masses and moments finite."""
-        return 2.0 ** (1000 / self.N)
+        return max_radius(self.N)
 
     @cached_property
     def omega(self) -> float:
@@ -318,7 +322,7 @@ def lp_norm_pow(u: RadialProfile, p: float) -> float:
     """||u||_p^p = omega_{N-1} int_0^inf r^{N-1} |u(r)|^p dr."""
     if p < 1:
         raise InvalidParameterError(f"p must be >= 1, got {p}")
-    return u.grid.omega * float(np.dot(u.grid.mass, u.values ** p))
+    return u.grid.omega * _power_sum(u.grid.mass, u.values, p)
 
 
 def _edge_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
@@ -339,7 +343,16 @@ def grad_norm_pow(u: RadialProfile) -> float:
     Zero iff u is identically zero.
     """
     grid = u.grid
-    return grid.omega * float(np.dot(np.abs(_cell_slopes(grid, u.values)) ** grid.N, grid.cell_moments))
+    return grid.omega * _power_sum(grid.cell_moments, np.abs(_cell_slopes(grid, u.values)), grid.N)
+
+
+@np.errstate(over="raise")
+def _power_sum(weights: np.ndarray, x: np.ndarray, p: float) -> float:
+    """sum_i weights_i x_i^p; SeriesOverflowError where a power or the sum leaves the double range."""
+    try:
+        return float(np.dot(weights, x**p))
+    except FloatingPointError:
+        raise SeriesOverflowError(f"a sum of {p:g}-th powers exceeds the double range") from None
 
 
 def pl_norm_pow(u: RadialProfile, p: float) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ class TestUniversalLowerBound:
         assert universal_lower_bound(4 * math.pi, 2) == pytest.approx(4 * math.pi, rel=1e-14)
         assert universal_lower_bound(1.0, 3) == pytest.approx(0.5, rel=1e-14)
         assert universal_lower_bound(2.0, 4) == pytest.approx(4.0 / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("N", [20, 172, 400])
+    def test_past_the_factorial_range(self, N):
+        # (N-1)! leaves the doubles from N = 172, alpha_N^{N-1} at N = 400; their quotient does not
+        alpha = mtlab.critical_exponent(N)
+        exact = Fraction(alpha) ** (N - 1) / math.factorial(N - 1)
+        assert universal_lower_bound(alpha, N) == pytest.approx(float(exact), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(InvalidParameterError):

@@ -23,6 +23,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_strict(argv):
+    """main(argv) in process with RuntimeWarning as an error: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestParsing:
     def test_usage_error_on_alpha_gate(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--N", "2", "--alpha", "20", "--a", "2", "--b", "2")
@@ -125,20 +134,19 @@ class TestEval:
 
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([2, 3, 4, 11]), st.floats(-1.0, 300.0), st.booleans())
+    @given(st.sampled_from([2, 3, 4, 11, 100, 200, 400]), st.floats(-1.0, 300.0), st.booleans())
     @example(2, 300.0, False)  # every norm was NaN, and the command exited 0
     @example(2, 300.0, True)  # solve_amplitude divided by zero
+    @example(100, math.log10(5.0), False)  # 1 / 171! of the Phi_N tail kernel overflowed
+    @example(400, math.log10(5.0), False)  # so did t^k / k! of its switch-point search, and Gamma(N)
     def test_every_failure_maps_to_an_exit_code(self, N, log_r, normalize):
         # an r_max past 2^{1000/N} is a usage error (2); any other run reports finite numbers (0) or fails (1)
         r_max = 10.0**log_r
         argv = ["eval", "--N", str(N), "--alpha", "1", "--a", "2", "--b", "2", "--r-max", repr(r_max), "--n-nodes", "64"]
-        out = io.StringIO()
-        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(io.StringIO()):
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv + ["--normalize"] * normalize)
+        code, out, _ = run_strict(argv + ["--normalize"] * normalize)
         assert code == 2 if r_max > 2.0 ** (1000 / N) else code in (0, 1)
         if code == 0:
-            payload = json.loads(out.getvalue())
+            payload = json.loads(out)
             assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
 
 
@@ -174,16 +182,14 @@ class TestMaximize:
         st.floats(-1.3, 1.5),
     )
     @example(20, 0.5, -1.0, 0.0)  # the vanishing starts spread toward max_radius, where r^20 nears 2^1000
+    @example(100, 0.05, 0.0, 0.0)  # 1 / 171! of the Phi_N tail kernel overflowed
     def test_every_failure_maps_to_an_exit_code(self, N, frac, log_a, log_b):
         # a run either reports (0) or fails as a computation (1); no exception or RuntimeWarning escapes
         argv = [
             "maximize", "--N", str(N), "--alpha", repr(frac * mtlab.critical_exponent(N)),
             "--a", repr(10.0**log_a), "--b", repr(10.0**log_b), "--n-nodes", "64", "--restarts", "4", "--seed", "3",
         ]
-        with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv)
-        assert code in (0, 1)
+        assert run_strict(argv)[0] in (0, 1)
 
     def test_human_disclaimer(self, capsys):
         code, out, _ = run_cli(
@@ -218,6 +224,13 @@ class TestBgn:
         assert code == 0
         assert json.loads(out)["low_accuracy"] is False
 
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(2, 400))
+    @example(400)  # the GN grid ran past 2^(1000/N): an r_max error, for a flag bgn does not take
+    def test_every_failure_maps_to_an_exit_code(self, N):
+        code, _, err = run_strict(["bgn", "--N", str(N)])
+        assert code in (0, 1) and "r_max" not in err
+
 
 class TestBounds:
     def test_g_test(self, capsys):
@@ -248,13 +261,10 @@ class TestBounds:
             "alpha0", "--N", str(N), "--a", repr(a_frac * N / (N - 1)), "--b", repr(10.0**log_b),
             "--gn-c", repr(10.0**log_c),
         ]
-        out = io.StringIO()
-        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(io.StringIO()):
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv)
+        code, out, _ = run_strict(argv)
         assert code in (0, 1)
         if code == 0:
-            alpha0 = json.loads(out.getvalue())["values"]["alpha0"]
+            alpha0 = json.loads(out)["values"]["alpha0"]
             assert 0 <= alpha0 <= mtlab.critical_exponent(N)
 
     def test_alpha0_invalid_a(self, capsys):
@@ -282,12 +292,51 @@ class TestBounds:
         assert "certified" in payload["semantics"]
 
     def test_alpha_star_not_found_exit_code(self, capsys):
-        code, _, err = run_cli(
+        # no cell certifies: exit 1, and the scanned grid goes to stdout beside the error
+        code, out, _ = run_cli(
             capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "2",
             "--alpha-min", "0.01", "--alpha-max", "0.05", "--count", "3",
-            "--restarts", "4", "--n-nodes", "256",
+            "--restarts", "2", "--n-nodes", "128",
         )
         assert code == 1
+        payload = json.loads(out)
+        assert set(payload) == {"error", "grid"} and payload["grid"] == pytest.approx([0.01, 0.03, 0.05])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.floats(0.01, 1.0),
+        st.floats(-2.0, 2.0),
+        st.floats(-2.0, 2.0),
+        st.one_of(st.none(), st.floats(-300.0, 308.25)),
+    )
+    @example(2, 1.0, -2.0, 2.0, 308.25)  # alpha bgn / N overflowed, and g was inf * 0 at t = 1
+    def test_g_test_every_failure_maps_to_an_exit_code(self, N, frac, log_a, log_b, log_bgn):
+        argv = [
+            "g-test", "--N", str(N), "--alpha", repr(frac * mtlab.critical_exponent(N)),
+            "--a", repr(10.0**log_a), "--b", repr(10.0**log_b),
+        ]
+        assert run_strict(argv + ([] if log_bgn is None else ["--bgn", repr(10.0**log_bgn)]))[0] in (0, 1, 2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.floats(-1.5, 1.0),
+        st.floats(-1.3, 1.5),
+        st.floats(0.005, 0.99),
+        st.floats(0.01, 1.0),
+        st.integers(2, 3),
+        st.integers(0, 2),
+    )
+    def test_alpha_star_every_failure_maps_to_an_exit_code(self, N, log_a, log_b, lo, width, count, bisect):
+        # the alpha range is alpha_N times [lo, hi], hi = lo + width (1 - lo)
+        alpha_n = mtlab.critical_exponent(N)
+        argv = [
+            "alpha-star", "--N", str(N), "--a", repr(10.0**log_a), "--b", repr(10.0**log_b),
+            "--alpha-min", repr(lo * alpha_n), "--alpha-max", repr((lo + width * (1.0 - lo)) * alpha_n),
+            "--count", str(count), "--bisect", str(bisect), "--n-nodes", "64", "--restarts", "2",
+        ]
+        assert run_strict(argv)[0] in (0, 1, 2)
 
 
     @pytest.mark.parametrize(
@@ -385,6 +434,49 @@ class TestSweepCommands:
             "--count", "3", "--alpha", "1.0", "--a", "2", "--b", "2",
         )
         assert code == 2
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from(["alpha", "a", "b"]),
+        st.floats(0.01, 0.99),
+        st.floats(0.01, 1.0),
+        st.integers(2, 3),
+        st.sampled_from(["linear", "log"]),
+        st.floats(0.01, 1.0),
+        st.floats(-1.5, 1.0),
+        st.floats(-1.3, 1.5),
+    )
+    def test_sweep_every_failure_maps_to_an_exit_code(self, N, axis, lo, width, count, spacing, frac, log_a, log_b):
+        # the axis runs over [lo, lo + width (1 - lo)] times alpha_N for alpha, times 8 for a or b
+        scale = mtlab.critical_exponent(N) if axis == "alpha" else 8.0
+        fixed = {"alpha": frac * mtlab.critical_exponent(N), "a": 10.0**log_a, "b": 10.0**log_b}
+        argv = [
+            "sweep", "--N", str(N), "--axis", axis, "--min", repr(lo * scale),
+            "--max", repr((lo + width * (1.0 - lo)) * scale), "--count", str(count), "--spacing", spacing,
+            "--n-nodes", "64", "--restarts", "2",
+        ]
+        argv += [arg for name, value in fixed.items() if name != axis for arg in (f"--{name}", repr(value))]
+        assert run_strict(argv)[0] in (0, 1, 2)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.floats(0.01, 1.0),
+        st.floats(-1.5, 1.0),
+        st.floats(0.01, 1.0),
+        st.floats(-1.3, 1.5),
+        st.floats(0.01, 1.0),
+    )
+    def test_phase_map_every_failure_maps_to_an_exit_code(self, N, frac, log_a, log_da, log_b, log_db):
+        # a 2 x 2 map over [10^log_a, 10^(log_a + log_da)] x [10^log_b, 10^(log_b + log_db)]
+        argv = [
+            "phase-map", "--N", str(N), "--alpha", repr(frac * mtlab.critical_exponent(N)),
+            "--a-min", repr(10.0**log_a), "--a-max", repr(10.0 ** (log_a + log_da)), "--a-count", "2",
+            "--b-min", repr(10.0**log_b), "--b-max", repr(10.0 ** (log_b + log_db)), "--b-count", "2",
+            "--n-nodes", "64", "--restarts", "2",
+        ]
+        assert run_strict(argv)[0] in (0, 1, 2)
 
     def test_phase_map_json(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -85,10 +86,10 @@ class TestPhiPsi:
             s = 1e-5
             assert psi(s, N) / s ** (N - 1) < 1e-4
 
-    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 100, 200, 400])
     def test_against_high_precision_reference(self, N):
         # Phi_N(t) = e^t P(N-1, t) and Psi_N(t) = e^t P(N, t), referenced at 40 digits,
-        # on both sides of each tail's series/subtraction switch point
+        # on both sides of each tail's series/subtraction switch point; from N = 106 the kernel is scaled
         ts = np.concatenate([[1e-50, 1e-12, 5e-11], np.geomspace(1e-10, 630.0, 64), [700.0]])
         with mpmath.workdps(40):
             for func, k in ((phi, N - 1), (psi, N)):
@@ -100,14 +101,16 @@ class TestPhiPsi:
                 args = np.concatenate([ts, seam])
                 for t, value in zip(args, func(args, N)):
                     ref = mpmath.exp(t) * mpmath.gammainc(k, 0, t, regularized=True)
-                    if float(ref) == 0.0:  # below the double range (t = 1e-50, k >= 7)
-                        assert value == 0.0, (func.__name__, t)
+                    if abs(float(ref)) < sys.float_info.min:  # below the normal doubles (t = 1e-50, k >= 7)
+                        assert value == float(ref), (func.__name__, t)
                     else:
                         assert abs(mpmath.mpf(float(value)) / ref - 1) <= 5e-14, (func.__name__, t)
 
     def test_overflow(self):
         with pytest.raises(SeriesOverflowError):
             phi(800.0, 2)
+        with pytest.raises(SeriesOverflowError):  # the order-408 tail's kernel would lose normal doubles
+            phi(1.0, 409)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 19])
     def test_tail_ratio_stays_finite_at_zero(self, k):
@@ -117,6 +120,14 @@ class TestPhiPsi:
         ts = np.geomspace(1e-3, 700.0, 50)
         assert _tail_ratio(ts, k) == pytest.approx(_phi_tail(ts, k) / ts**k, rel=1e-14)
         assert np.all(np.diff(_tail_ratio(ts, k)) > 0)
+
+    def test_tail_ratio_of_a_scaled_kernel(self):
+        # from k = 106 the kernel runs in t / 2^e (e = 3 at k = 150): still 1/k! at 0, Phi_k(t) / t^k beyond
+        k = 150
+        assert _tail_kernel(k)[1] == 3
+        assert _tail_ratio(np.array([0.0]), k)[0] == 1.0 / math.factorial(k)
+        ts = np.geomspace(1.0, 100.0, 50)
+        assert _tail_ratio(ts, k) == pytest.approx(_phi_tail(ts, k) / ts**k, rel=1e-14)
 
     def test_vectorized(self):
         out = phi(np.array([0.0, 1.0, 2.0]), 2)

@@ -176,7 +176,7 @@ class TestMaximizeD:
     def test_unbuildable_start_scores_nan(self):
         # at a = 0.01 the x = 0.99 GN start (restart 4) dilates past max_radius; the others still run
         rep = maximize_d(MTParams(N=2, alpha=3.0, a=0.01, b=2.0))
-        assert len(rep.restart_values) == 9 and math.isnan(rep.restart_values[4])
+        assert len(rep.restart_values) == 8 and math.isnan(rep.restart_values[4])
         assert all(math.isfinite(v) for i, v in enumerate(rep.restart_values) if i != 4)
         assert rep.to_json_dict()["restart_values"][4] is None
 
@@ -194,16 +194,16 @@ class TestMaximizeD:
         # would let the scan's lam^N underflow to 0; the bound max(r_max, 1) / max_radius keeps it >= 2^-1000
         p = MTParams(N=N, alpha=0.3 * critical_exponent(N), a=0.3, b=0.05)
         rep = maximize_d(p, mtlab.MaximizeOptions(n_nodes=64, seed=3))
-        assert math.isfinite(rep.restart_values[6]) and rep.best_value >= rep.restart_values[6]
+        assert math.isfinite(rep.restart_values[5]) and rep.best_value >= rep.restart_values[5]
 
     def test_unbuildable_gn_start_scores_nan(self, monkeypatch):
-        # a GN state whose Q(0) bracket cannot be found costs its three starts (2, 4, 6), not the run
+        # a GN state whose Q(0) bracket cannot be found costs its three starts (2, 4, 5), not the run
         def no_bracket(N):
             raise mtlab.BracketNotFoundError("no bracket")
 
         monkeypatch.setattr(maximize_mod, "cached_gn_report", no_bracket)
         rep = maximize_d(MTParams(N=2, alpha=3.0, a=3.0, b=2.0), mtlab.MaximizeOptions(n_nodes=256))
-        assert [i for i, v in enumerate(rep.restart_values) if math.isnan(v)] == [2, 4, 6]
+        assert [i for i, v in enumerate(rep.restart_values) if math.isnan(v)] == [2, 4, 5]
         assert math.isfinite(rep.best_value)
 
     def test_report_names_the_grid_of_its_profile(self):
@@ -459,7 +459,7 @@ class TestDilationCurve:
         monkeypatch.setattr(maximize_mod, "_dilation_curve", counted_curve)
         for alpha in (1.0, 2.0, 3.0):
             maximize_d(MTParams(N=2, alpha=alpha, a=3.0, b=2.0), mtlab.MaximizeOptions(seed=7))
-        assert len(per_scan) == 27 and np.mean(per_scan) <= 12
+        assert len(per_scan) == 24 and np.mean(per_scan) <= 12
 
     def test_newton_is_no_worse_than_golden_section_on_criterion_06_cells(self, monkeypatch):
         # every restart's line search of the three attained-regime cells
@@ -472,7 +472,7 @@ class TestDilationCurve:
         monkeypatch.setattr(maximize_mod, "_dilation_line_search", recorded)
         for alpha in (1.0, 2.0, 3.0):
             maximize_d(MTParams(N=2, alpha=alpha, a=3.0, b=2.0), mtlab.MaximizeOptions(seed=7))
-        assert len(pairs) == 27 and None not in pairs
+        assert len(pairs) == 24 and None not in pairs
         for newton, golden in pairs:
             assert newton >= golden * (1 - 1e-14)
 
@@ -514,6 +514,35 @@ class TestPortfolio:
         monkeypatch.setattr(maximize_mod, "MAX_ITERS", 300)
         assert maximize_d(p, opts).best_value == base.best_value
 
+    @pytest.mark.parametrize("p, seed", PORTFOLIO_CELLS)
+    def test_deep_vanishing_start_gains_only_last_bits(self, p, seed):
+        # the vanishing start at depth 1e-13 re-finds the plateau that depth 1e-8 reaches
+        opts = mtlab.MaximizeOptions(seed=seed)
+        base = maximize_d(p, opts)
+        grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme)
+        deep = maximize_d(p, opts, extra_candidates=[maximize_mod._vanishing(grid, p, 1e-13)])
+        assert base.best_value <= deep.best_value <= base.best_value * (1 + 3e-13)
+
+    def test_every_default_start_decides_a_cell(self):
+        # cell k is (N, alpha / alpha_N, a, b) where default start k beats the others by more than 1e-9 relative
+        cells = [
+            (3, 0.7, 4.0, 1.0),  # vanishing 1e-8
+            (2, 0.9, 3.0, 8.0),  # Gaussian
+            (4, 0.9, 3.0, 8.0),  # GN 0.9
+            (3, 0.9, 0.5, 8.0),  # exponential
+            (4, 1.0, 4.0, 4.0),  # GN 0.99
+            (2, 0.9, 2.0, 8.0),  # GN 0.5
+            (2, 0.9, 0.5, 8.0),  # wide Gaussian
+            (3, 0.7, 3.0, 4.0),  # vanishing 1e-4
+        ]
+        winners = []
+        for N, frac, a, b in cells:
+            values = np.array(maximize_d(MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)).restart_values)
+            k = int(np.nanargmax(values))
+            assert values[k] > np.nanmax(np.delete(values, k)) * (1 + 1e-9)
+            winners.append(k)
+        assert winners == list(range(mtlab.MaximizeOptions().restarts))
+
     @pytest.mark.parametrize("N", [2, 5])
     def test_default_starts_draw_nothing_from_the_rng(self, N):
         opts = mtlab.MaximizeOptions()
@@ -522,7 +551,7 @@ class TestPortfolio:
         state = rng.bit_generator.state
         grid = build_grid(N, opts.r_max, opts.n_nodes, opts.scheme)
         starts = [build() for build in maximize_mod._candidate_starts(p, opts, grid, rng)]
-        assert len(starts) == 9 and rng.bit_generator.state == state
+        assert len(starts) == 8 and rng.bit_generator.state == state
 
 
 class TestDiagnoseMode:
