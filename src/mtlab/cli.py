@@ -32,6 +32,7 @@ from .functional import (
 from .maximize import MaximizeOptions, cached_gn_report, maximize_d, project_to_constraint
 from .radial import (
     GRID_SCHEMES,
+    N_MAX,
     build_grid,
     check_dimension,
     critical_exponent,
@@ -91,7 +92,8 @@ def _request(source: str = ""):
 
 
 _PARAM_HELP = dict(
-    N="dimension, integer >= 2", alpha="growth parameter in (0, alpha_N]", a="gradient-norm power", b="norm power"
+    N=f"dimension, integer in [2, {N_MAX}]", alpha="growth parameter in (0, alpha_N]",
+    a="gradient-norm power", b="norm power",
 )
 
 

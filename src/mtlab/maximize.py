@@ -85,7 +85,6 @@ from .radial import (
     decreasing_rearrangement,
     grad_norm_pow,
     lp_norm_pow,
-    max_radius,
     pl_norm_pow,
 )
 from .scaling import _share_scales, dilate, on_constraint, rescale_to_norms, solve_amplitude
@@ -454,7 +453,7 @@ def maximize_d(
 # Gagliardo-Nirenberg best constant
 # ---------------------------------------------------------------------------
 
-#: The grid the GN ground state is sampled on; shots run to GN_R_MAX (or the stretch limit, if below).
+#: The grid the GN ground state is sampled on; shots run to GN_R_MAX.
 GN_R_MAX = 30.0
 GN_NODES = 1536
 #: Shooting policy of maximize_gn: RK4 step in r, shots per round, rounds, initial Q(0) bracket.
@@ -509,7 +508,6 @@ def gn_ratio(u: RadialProfile, norm_pow=lp_norm_pow) -> float:
     return norm_pow(u, N * N / (N - 1.0)) / (norm_pow(u, N) * I_g ** (1.0 / (N - 1.0)))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _shoot(N: int, q0: np.ndarray, r_end: float) -> tuple[np.ndarray, list]:
     """Fixed-step RK4 shots of the radial ground-state equation, one per Q(0) > 1.
 
@@ -519,8 +517,6 @@ def _shoot(N: int, q0: np.ndarray, r_end: float) -> tuple[np.ndarray, list]:
     where c = Q(0)^{N-1} - Q(0)^{NN'-1} < 0.  Returns each shot's first event
     (OVERSHOOT, UNDERSHOOT, or 0 if none by r_end; all shots stop once each
     has one) and the first shot's Q at r = 0, GN_STEP, ... up to its own event.
-    From N = 192 on r^{N-1} underflows to 0 in the first steps: such a shot
-    turns NaN and has no event, so a Q(0) search ends in BracketNotFoundError.
     """
     h, e = GN_STEP, N * N / (N - 1.0) - 1.0
 
@@ -587,13 +583,11 @@ def maximize_gn(N: int) -> GNReport:
     prove the Q(0) bracket (GN_Q0_BRACKETS[N] or searched) beside the midpoint
     shot, which is cut before its event, shifted to 0 there, sampled at the grid
     nodes (0 beyond) and normalized; bgn_estimate is its PL interpolant's ratio.
-    Shots and grid end at GN_R_MAX, or at the stretch limit 2^{1000/N} from N = 204 on.
     """
-    r_end = min(GN_R_MAX, max_radius(N))
-    grid = build_grid(N, r_end, GN_NODES)
-    lo, hi = GN_Q0_BRACKETS.get(N) or _bracket_q0(N, *GN_BRACKET, r_end)
+    grid = build_grid(N, GN_R_MAX, GN_NODES)
+    lo, hi = GN_Q0_BRACKETS.get(N) or _bracket_q0(N, *GN_BRACKET, GN_R_MAX)
     q0 = 0.5 * (lo + hi)
-    events, trajectory = _shoot(N, np.array([q0, lo, hi]), r_end)
+    events, trajectory = _shoot(N, np.array([q0, lo, hi]), GN_R_MAX)
     _check_straddle(N, events[1:], lo, hi)
     q = np.array(trajectory[:-1] if events[0] else trajectory)
     values = np.interp(grid.nodes, GN_STEP * np.arange(q.size), q - q[-1], right=0.0)

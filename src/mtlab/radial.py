@@ -73,6 +73,9 @@ DEFAULT_CELL_ORDER = 3
 #: Gauss points per cell of pl_norm_pow.
 PL_GAUSS_ORDER = 16
 
+#: The largest dimension any function accepts; check_dimension says why.
+N_MAX = 57
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -80,9 +83,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def check_dimension(N) -> None:
-    """Reject any N but an integer >= 2, the dimensions the problem is posed in."""
-    if N < 2 or N != int(N):
-        raise InvalidParameterError(f"dimension N must be an integer >= 2, got {N}")
+    """Reject any N but an integer in [2, N_MAX].
+
+    The problem is posed for every N >= 2, but the GN ground state (bgn, the
+    default --gn-c of alpha0, three starts of maximize_d) is found by
+    maximize_gn's shots for N = 2..57 only: from N = 58 the Q(0) bracket no
+    longer undershoots, then overshoots.  Up to 57 every double stays in range
+    without rescaling: 700^57 < 2^1000 for the Phi_N kernel, its 1/j! up to
+    j = 120, Gamma(N/2), and 2^{1000/N} >= GN_R_MAX for the GN grid.
+    """
+    if not (2 <= N <= N_MAX and N == int(N)):
+        raise InvalidParameterError(f"dimension N must be an integer >= 2 and at most {N_MAX}, got {N}")
 
 
 def max_radius(N: int) -> float:
@@ -100,18 +111,15 @@ def check_grid(r_max: float, n_nodes: int, scheme: str) -> None:
         raise InvalidParameterError(f"unknown grid scheme {scheme!r}; expected one of {GRID_SCHEMES}")
 
 
-def _log_sphere_area(N: int) -> float:
-    return math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)
-
-
 def sphere_area(N: int) -> float:
-    """Surface area omega_{N-1} of the unit sphere in R^N; from its log past N = 343, where Gamma(N/2) overflows."""
-    return math.exp(_log_sphere_area(N)) if N > 343 else float(2.0 * np.pi ** (N / 2.0) / math.gamma(N / 2.0))
+    """Surface area omega_{N-1} of the unit sphere in R^N."""
+    check_dimension(N)
+    return float(2.0 * np.pi ** (N / 2.0) / math.gamma(N / 2.0))
 
 
 def critical_exponent(N: int) -> float:
-    """Critical exponential-growth constant alpha_N = N * omega_{N-1}^{1/(N-1)}; by log omega past N = 343."""
-    return N * math.exp(_log_sphere_area(N) / (N - 1)) if N > 343 else float(N * sphere_area(N) ** (1.0 / (N - 1)))
+    """Critical exponential-growth constant alpha_N = N * omega_{N-1}^{1/(N-1)}."""
+    return float(N * sphere_area(N) ** (1.0 / (N - 1)))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from mtlab import (
 )
 from mtlab.bounds import VERDICT_CERTIFIED, VERDICT_NONE, BoundReport, g_function
 from mtlab.functional import CERTIFY_MARGIN
+from mtlab.radial import N_MAX
 
 
 def light_bracket_opts(**kw):
@@ -50,9 +51,9 @@ class TestUniversalLowerBound:
         assert universal_lower_bound(1.0, 3) == pytest.approx(0.5, rel=1e-14)
         assert universal_lower_bound(2.0, 4) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
-    @pytest.mark.parametrize("N", [20, 172, 400])
+    @pytest.mark.parametrize("N", [20, N_MAX])
     def test_past_the_factorial_range(self, N):
-        # (N-1)! leaves the doubles from N = 172, alpha_N^{N-1} at N = 400; their quotient does not
+        # alpha^{N-1} / (N-1)! in doubles matches exact rationals; (N-1)! leaves the doubles only past N_MAX, at 172
         alpha = mtlab.critical_exponent(N)
         exact = Fraction(alpha) ** (N - 1) / math.factorial(N - 1)
         assert universal_lower_bound(alpha, N) == pytest.approx(float(exact), rel=1e-15)
@@ -198,14 +199,16 @@ class TestAlpha0:
                 assert got == pytest.approx(float(exact), rel=5e-15)
 
     def test_bounds_past_the_double_range(self):
-        # (N-2)! overflowed at N = 173: the series bound underflows to a vacuous 0 instead
-        assert alpha0_nonexistence(1.0, 1.0, 173, 1.0).values["series_bound"] == 0.0
+        # (N C)^N overflows while C~ stays a double: the series bound underflows to a vacuous 0 instead
+        rep = alpha0_nonexistence(1.0, 1.0, N_MAX, 1.5e4).values
+        assert rep["series_bound"] == rep["alpha0"] == 0.0 and math.isfinite(rep["c_tilde"])
         # C~ underflows to 0 at C = 1e-300: the series bound is capped at alpha_N, where it stops binding
         rep = alpha0_nonexistence(1.0, 1.0, 2, 1e-300).values
         assert rep["c_tilde"] == 0.0 and rep["series_bound"] == rep["alpha0"] == critical_exponent(2)
-        for N, C in [(800, 1.0), (2, 1e300)]:  # C~ itself leaves the doubles
-            with pytest.raises(SeriesOverflowError, match="C~"):
-                alpha0_nonexistence(1.0, 1.0, N, C)
+        with pytest.raises(SeriesOverflowError, match="C~"):  # C~ itself leaves the doubles
+            alpha0_nonexistence(1.0, 1.0, 2, 1e300)
+        with pytest.raises(InvalidParameterError, match=f"at most {N_MAX}"):  # N = 173 and 800 were cases here
+            alpha0_nonexistence(1.0, 1.0, N_MAX + 1, 1.0)
 
 
 class TestBgnCondition:

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtlab
-from mtlab.cli import main
+from mtlab.cli import COMMANDS, main
+from mtlab.radial import N_MAX
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +31,13 @@ def run_strict(argv):
         warnings.simplefilter("error", RuntimeWarning)
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def alpha_n(N):
+    """alpha_N; past N_MAX, where mtlab refuses the dimension, by the same closed form."""
+    if N <= N_MAX:
+        return mtlab.critical_exponent(N)
+    return N * (2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)) ** (1.0 / (N - 1))
 
 
 class TestParsing:
@@ -134,17 +142,18 @@ class TestEval:
 
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([2, 3, 4, 11, 100, 200, 400]), st.floats(-1.0, 300.0), st.booleans())
+    @given(st.sampled_from([2, 3, 4, 11, 20, 40, N_MAX, N_MAX + 1]), st.floats(-1.0, 300.0), st.booleans())
     @example(2, 300.0, False)  # every norm was NaN, and the command exited 0
     @example(2, 300.0, True)  # solve_amplitude divided by zero
-    @example(100, math.log10(5.0), False)  # 1 / 171! of the Phi_N tail kernel overflowed
-    @example(400, math.log10(5.0), False)  # so did t^k / k! of its switch-point search, and Gamma(N)
+    @example(N_MAX + 1, math.log10(5.0), False)  # at N = 100 and 400 the Phi_N tail kernel overflowed
+    @example(100, -1.0, False)  # a power sum overflowed (exit 1) where the norm itself was a double
     def test_every_failure_maps_to_an_exit_code(self, N, log_r, normalize):
-        # an r_max past 2^{1000/N} is a usage error (2); any other run reports finite numbers (0) or fails (1)
+        # an N past N_MAX or an r_max past 2^{1000/N} is a usage error (2); any other run reports finite numbers (0)
+        # or fails (1)
         r_max = 10.0**log_r
         argv = ["eval", "--N", str(N), "--alpha", "1", "--a", "2", "--b", "2", "--r-max", repr(r_max), "--n-nodes", "64"]
         code, out, _ = run_strict(argv + ["--normalize"] * normalize)
-        assert code == 2 if r_max > 2.0 ** (1000 / N) else code in (0, 1)
+        assert code == 2 if N > N_MAX or r_max > 2.0 ** (1000 / N) else code in (0, 1)
         if code == 0:
             payload = json.loads(out)
             assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
@@ -180,16 +189,20 @@ class TestMaximize:
         st.floats(0.05, 0.99),
         st.floats(-2.0, 0.8),
         st.floats(-1.3, 1.5),
+        st.sampled_from([None, 2.0]),
     )
-    @example(20, 0.5, -1.0, 0.0)  # the vanishing starts spread toward max_radius, where r^20 nears 2^1000
-    @example(100, 0.05, 0.0, 0.0)  # 1 / 171! of the Phi_N tail kernel overflowed
-    def test_every_failure_maps_to_an_exit_code(self, N, frac, log_a, log_b):
-        # a run either reports (0) or fails as a computation (1); no exception or RuntimeWarning escapes
+    @example(20, 0.5, -1.0, 0.0, None)  # the vanishing starts spread toward max_radius, where r^20 nears 2^1000
+    @example(N_MAX + 1, 0.05, 0.0, 0.0, None)  # at N = 100, 1 / 171! of the Phi_N tail kernel overflowed
+    @example(200, 0.5, 0.0, 0.0, 2.0)  # the dilation curve's slope raised a raw OverflowError
+    def test_every_failure_maps_to_an_exit_code(self, N, frac, log_a, log_b, r_max):
+        # up to N_MAX a run either reports (0) or fails as a computation (1), past it --N is a usage error (2);
+        # no exception or RuntimeWarning escapes
         argv = [
-            "maximize", "--N", str(N), "--alpha", repr(frac * mtlab.critical_exponent(N)),
+            "maximize", "--N", str(N), "--alpha", repr(frac * alpha_n(N)),
             "--a", repr(10.0**log_a), "--b", repr(10.0**log_b), "--n-nodes", "64", "--restarts", "4", "--seed", "3",
         ]
-        assert run_strict(argv)[0] in (0, 1)
+        code = run_strict(argv + ([] if r_max is None else ["--r-max", repr(r_max)]))[0]
+        assert code == 2 if N > N_MAX else code in (0, 1)
 
     def test_human_disclaimer(self, capsys):
         code, out, _ = run_cli(
@@ -225,11 +238,12 @@ class TestBgn:
         assert json.loads(out)["low_accuracy"] is False
 
     @settings(max_examples=6, deadline=None)
-    @given(st.integers(2, 400))
-    @example(400)  # the GN grid ran past 2^(1000/N): an r_max error, for a flag bgn does not take
+    @given(st.integers(2, N_MAX + 1))
+    @example(N_MAX)
+    @example(N_MAX + 1)  # at N = 400 the GN grid ran past 2^(1000/N)
     def test_every_failure_maps_to_an_exit_code(self, N):
-        code, _, err = run_strict(["bgn", "--N", str(N)])
-        assert code in (0, 1) and "r_max" not in err
+        # up to N_MAX the GN state is found (0); past it --N is a usage error (2)
+        assert run_strict(["bgn", "--N", str(N)])[0] == (0 if N <= N_MAX else 2)
 
 
 class TestBounds:
@@ -250,19 +264,19 @@ class TestBounds:
         assert 0 < payload["values"]["alpha0"] < mtlab.critical_exponent(2)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 1000), st.floats(0.01, 1.0), st.floats(-2.0, 2.0), st.floats(-300.0, 300.0))
-    @example(173, 1.0, 0.0, 0.0)  # math.gamma(N - 1) overflowed
-    @example(800, 1.0, 0.0, 0.0)  # a term of the C~ series overflowed e^t
+    @given(st.integers(2, N_MAX + 1), st.floats(0.01, 1.0), st.floats(-2.0, 2.0), st.floats(-300.0, 300.0))
+    @example(N_MAX + 1, 1.0, 0.0, 0.0)  # at N = 173 math.gamma(N - 1) overflowed, at 800 a term of the C~ series
     @example(2, 1.0, 0.0, 300.0)  # gn_c ** N overflowed
     @example(2, 1.0, 0.0, -300.0)  # C~ underflowed to 0, then divided by
     def test_alpha0_every_failure_maps_to_an_exit_code(self, N, a_frac, log_b, log_c):
-        # alpha0 either reports a finite bound (0) or fails as a computation (1); nothing escapes main
+        # up to N_MAX alpha0 either reports a finite bound (0) or fails as a computation (1), past it --N is a usage
+        # error (2); nothing escapes main
         argv = [
             "alpha0", "--N", str(N), "--a", repr(a_frac * N / (N - 1)), "--b", repr(10.0**log_b),
             "--gn-c", repr(10.0**log_c),
         ]
         code, out, _ = run_strict(argv)
-        assert code in (0, 1)
+        assert code == 2 if N > N_MAX else code in (0, 1)
         if code == 0:
             alpha0 = json.loads(out)["values"]["alpha0"]
             assert 0 <= alpha0 <= mtlab.critical_exponent(N)
@@ -407,6 +421,37 @@ def test_bad_input_is_usage_error(capsys, argv, reason):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and reason in err
+
+
+_LIMIT_ALPHA = repr(0.5 * mtlab.critical_exponent(N_MAX))
+_SMALL = ["--n-nodes", "64", "--restarts", "2"]
+#: One run of each command that takes --N; the dimension goes after the command name.
+AT_DIMENSION = {
+    "eval": ["--alpha", "1", "--a", "2", "--b", "2", "--normalize"],
+    "maximize": ["--alpha", _LIMIT_ALPHA, "--a", "1", "--b", "57", *_SMALL],
+    "bgn": [],
+    "g-test": ["--alpha", _LIMIT_ALPHA, "--a", "1", "--b", "57"],
+    "alpha0": ["--a", "1", "--b", "2"],
+    "alpha-star": ["--a", "1", "--b", "114", "--count", "2", *_SMALL],
+    "sweep": ["--axis", "alpha", "--min", "5", "--max", "15", "--count", "2", "--a", "1", "--b", "57", *_SMALL],
+    "phase-map": [
+        "--alpha", "15", "--a-min", "0.5", "--a-max", "1", "--a-count", "2",
+        "--b-min", "10", "--b-max", "57", "--b-count", "2", *_SMALL,
+    ],
+}
+
+
+def test_every_command_but_verify_appendix_takes_the_dimension():
+    assert set(AT_DIMENSION) == set(COMMANDS) - {"verify-appendix"}
+
+
+@pytest.mark.parametrize("command", sorted(AT_DIMENSION))
+def test_every_command_runs_at_N_MAX_and_refuses_past_it(command):
+    code, _, err = run_strict([command, "--N", str(N_MAX), *AT_DIMENSION[command]])
+    assert code == 0, err
+    code, out, err = run_strict([command, "--N", str(N_MAX + 1), *AT_DIMENSION[command]])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and f"at most {N_MAX}" in err
 
 
 class TestSweepCommands:

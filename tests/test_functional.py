@@ -25,7 +25,9 @@ from mtlab import (
     psi,
     sample_profile,
 )
-from mtlab.functional import _phi_tail, _tail_kernel, _tail_ratio
+from mtlab.functional import EXP_ARG_LIMIT, _phi_tail, _tail_kernel, _tail_ratio
+from mtlab.maximize import GN_R_MAX
+from mtlab.radial import N_MAX, max_radius
 from mtlab.scaling import rescale_to_norms
 from conftest import random_monotone_profile
 
@@ -40,6 +42,8 @@ class TestParams:
             MTParams(N=2, alpha=20.0, a=1.0, b=1.0)
         with pytest.raises(InvalidParameterError):
             MTParams(N=2, alpha=1.0, a=-1.0, b=1.0)
+        with pytest.raises(InvalidParameterError, match=f"at most {N_MAX}"):
+            MTParams(N=N_MAX + 1, alpha=1.0, a=1.0, b=1.0)
 
     def test_derived_quantities(self):
         p = MTParams(N=3, alpha=1.0, a=2.0, b=2.0)
@@ -86,10 +90,10 @@ class TestPhiPsi:
             s = 1e-5
             assert psi(s, N) / s ** (N - 1) < 1e-4
 
-    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 100, 200, 400])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 20, 40, N_MAX])
     def test_against_high_precision_reference(self, N):
         # Phi_N(t) = e^t P(N-1, t) and Psi_N(t) = e^t P(N, t), referenced at 40 digits,
-        # on both sides of each tail's series/subtraction switch point; from N = 106 the kernel is scaled
+        # on both sides of each tail's series/subtraction switch point
         ts = np.concatenate([[1e-50, 1e-12, 5e-11], np.geomspace(1e-10, 630.0, 64), [700.0]])
         with mpmath.workdps(40):
             for func, k in ((phi, N - 1), (psi, N)):
@@ -109,8 +113,16 @@ class TestPhiPsi:
     def test_overflow(self):
         with pytest.raises(SeriesOverflowError):
             phi(800.0, 2)
-        with pytest.raises(SeriesOverflowError):  # the order-408 tail's kernel would lose normal doubles
-            phi(1.0, 409)
+        with pytest.raises(InvalidParameterError, match=f"at most {N_MAX}"):
+            phi(1.0, N_MAX + 1)
+
+    def test_the_dimension_limit_keeps_every_kernel_in_the_doubles(self):
+        # the preconditions under which Phi_N needs no scaled kernel and the GN grid no clip;
+        # raising N_MAX past them fails here first
+        assert EXP_ARG_LIMIT**N_MAX <= 2.0**1000  # t^k stays finite for every k <= N_MAX, t <= EXP_ARG_LIMIT
+        _, series, _ = _tail_kernel(N_MAX)  # Psi_N's order at N_MAX, the largest any call uses
+        assert N_MAX + len(series) - 1 <= 170  # the top Horner index: 1/j! is a double
+        assert max_radius(N_MAX) >= GN_R_MAX
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 19])
     def test_tail_ratio_stays_finite_at_zero(self, k):
@@ -120,14 +132,6 @@ class TestPhiPsi:
         ts = np.geomspace(1e-3, 700.0, 50)
         assert _tail_ratio(ts, k) == pytest.approx(_phi_tail(ts, k) / ts**k, rel=1e-14)
         assert np.all(np.diff(_tail_ratio(ts, k)) > 0)
-
-    def test_tail_ratio_of_a_scaled_kernel(self):
-        # from k = 106 the kernel runs in t / 2^e (e = 3 at k = 150): still 1/k! at 0, Phi_k(t) / t^k beyond
-        k = 150
-        assert _tail_kernel(k)[1] == 3
-        assert _tail_ratio(np.array([0.0]), k)[0] == 1.0 / math.factorial(k)
-        ts = np.geomspace(1.0, 100.0, 50)
-        assert _tail_ratio(ts, k) == pytest.approx(_phi_tail(ts, k) / ts**k, rel=1e-14)
 
     def test_vectorized(self):
         out = phi(np.array([0.0, 1.0, 2.0]), 2)

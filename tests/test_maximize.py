@@ -45,7 +45,7 @@ from mtlab.maximize import (
 )
 from mtlab.bounds import golden_section_max
 from mtlab.functional import EXP_ARG_LIMIT, _phi_tail
-from mtlab.radial import pl_norm_pow
+from mtlab.radial import N_MAX, pl_norm_pow
 from mtlab.scaling import _share_scales, rescale_to_norms
 from conftest import random_monotone_profile, smooth_bump_profile
 
@@ -666,6 +666,16 @@ class TestGNShooting:
         lo, hi = _bracket_q0(11, *GN_BRACKET, GN_R_MAX)
         assert 0 < hi - lo < 1e-8
         assert _shoot(11, np.array([lo]), GN_R_MAX)[0][0] == UNDERSHOOT
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("N", [5, 11, 20, 40, N_MAX])
+    def test_found_across_the_dimension_range(self, N):
+        # searched brackets (no table entry) up to N_MAX; from N = 58 on the search raises BracketNotFoundError
+        rep = maximize_gn(N)
+        assert rep.iterations == GN_ROUNDS * GN_SHOTS + 3
+        assert 0 < rep.residual < 1e-8 and not rep.low_accuracy
+        assert GN_BRACKET[0] < rep.q0 < GN_BRACKET[1]
+        assert rep.bgn_estimate > 0 and math.isfinite(rep.bgn_estimate)
 
     def test_bracket_needs_q0_above_one(self):
         with pytest.raises(InvalidParameterError):

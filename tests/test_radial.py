@@ -21,7 +21,7 @@ from mtlab import (
     sample_profile,
     sphere_area,
 )
-from mtlab.radial import pl_norm_pow
+from mtlab.radial import N_MAX, pl_norm_pow
 from conftest import random_monotone_profile, smooth_bump_profile
 
 
@@ -74,16 +74,32 @@ class TestGridConstruction:
         assert sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
         assert sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
 
-    @pytest.mark.parametrize("N", [300, 343, 344, 400, 455, 1000])
-    def test_sphere_area_and_alpha_N_past_the_gamma_overflow(self, N):
-        # Gamma(N/2) leaves the doubles at N = 344; both constants go on by logs, against 40-digit arithmetic
+    def test_sphere_area_and_alpha_N_at_the_dimension_limit(self):
+        # against 40-digit arithmetic at N_MAX
         import mpmath
 
+        N = N_MAX
         with mpmath.workdps(40):
             omega = 2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(mpmath.mpf(N) / 2)
             alpha_n = N * omega ** (mpmath.mpf(1) / (N - 1))
         assert mtlab.critical_exponent(N) == pytest.approx(float(alpha_n), rel=1e-13)
-        assert sphere_area(N) == pytest.approx(float(omega), rel=1e-12, abs=1e-320)
+        assert sphere_area(N) == pytest.approx(float(omega), rel=1e-12)
+
+    @pytest.mark.parametrize("N", [300, 343, 344, 400, 455, 1000])
+    def test_sphere_area_and_alpha_N_past_the_gamma_overflow(self, N):
+        # Gamma(N/2) leaves the doubles at N = 344; both constants refuse such N before any arithmetic
+        with pytest.raises(InvalidParameterError, match=f"at most {N_MAX}, got {N}"):
+            sphere_area(N)
+        with pytest.raises(InvalidParameterError, match=f"at most {N_MAX}, got {N}"):
+            mtlab.critical_exponent(N)
+
+    @pytest.mark.parametrize("N", [0, 1, 2.5, N_MAX + 1])
+    def test_sphere_area_and_alpha_N_check_the_dimension(self, N):
+        # unchecked, N = 1 divided by zero, N = 0 was a math domain error, 2.5 gave a number and 500 gave 0.0
+        with pytest.raises(InvalidParameterError, match="dimension N must be an integer"):
+            sphere_area(N)
+        with pytest.raises(InvalidParameterError, match="dimension N must be an integer"):
+            mtlab.critical_exponent(N)
 
 
 class TestNorms:
