@@ -161,11 +161,10 @@ def _phi_tail(t, k: int):
     is needed.  k = 0 is e^t and k = 1 is expm1(t).  For k >= 2 the series
     of `_tail_kernel` runs by Horner below the switch point s_k, and
     expm1(t) - sum_{j=1}^{k-1} t^j/j! at and above it.  Against a 40-digit
-    reference the relative error stays below 3e-15 for k = 2..9.
+    reference the relative error stays below 3e-15 for k = 2..9.  t is not checked for sign: inside the package
+    it is alpha u^{N'} of a checked profile, and `phi` and `psi` check what comes from outside.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t < 0):
-        raise InvalidParameterError("series argument must be non-negative")
     t_max = t.max(initial=0.0)
     if t_max > EXP_ARG_LIMIT:
         raise SeriesOverflowError(f"series argument exceeds {EXP_ARG_LIMIT:g}; e^t overflows")
@@ -191,18 +190,24 @@ def _tail_ratio(t: np.ndarray, k: int) -> np.ndarray:
     return np.where(t >= switch, _phi_tail(big, k) / big**k, _horner(t, series))
 
 
+def _public_tail(t, k: int):
+    """_phi_tail(t, k) for an argument from outside the package: a float for a scalar, a negative one refused."""
+    if np.any(np.asarray(t) < 0):
+        raise InvalidParameterError("series argument must be non-negative")
+    result = _phi_tail(t, k)
+    return float(result[0]) if np.ndim(t) == 0 else result
+
+
 def phi(t, N: int):
     """Phi_N(t) = sum_{j >= N-1} t^j / j!, for t >= 0."""
     check_dimension(N)
-    result = _phi_tail(t, N - 1)
-    return float(result[0]) if np.ndim(t) == 0 else result
+    return _public_tail(t, N - 1)
 
 
 def psi(s, N: int):
     """Psi_N(s) = Phi_N(s) - s^{N-1}/(N-1)! = sum_{j >= N} s^j / j!."""
     check_dimension(N)
-    result = _phi_tail(s, N)
-    return float(result[0]) if np.ndim(s) == 0 else result
+    return _public_tail(s, N)
 
 
 def _series_arguments(u: RadialProfile, p: MTParams) -> np.ndarray:
@@ -214,11 +219,19 @@ def _series_arguments(u: RadialProfile, p: MTParams) -> np.ndarray:
     return t
 
 
+def _integrand(u: RadialProfile, p: MTParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(u^{N'}, t = alpha u^{N'}, Phi_N(t) = the order N-1 tail, F(u)): the terms every evaluation of F forms."""
+    powers = u.values**p.n_prime
+    t = p.alpha * powers
+    tail = _phi_tail(t, p.N - 1)
+    return powers, t, tail, u.grid.omega * float(np.dot(u.grid.mass, tail))
+
+
 def mt_integral(u: RadialProfile, p: MTParams) -> float:
     """int Phi_N(alpha |u|^{N'}) dx by pointwise quadrature of the integrand."""
     if u.grid.N != p.N:
         raise InvalidParameterError("profile grid dimension does not match params")
-    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(p.alpha * u.values ** p.n_prime, p.N - 1)))
+    return _integrand(u, p)[3]
 
 
 def mt_integral_series(u: RadialProfile, p: MTParams) -> float:

@@ -26,7 +26,12 @@ is accepted at the first of 25 rungs, each 0.4 times the last, that improves
 the objective.  When the first rung fails and the closed-form slope of the
 projected path at the start (`_ascent_slope`) is <= 0, the step descends the
 constraint surface; under a quadratic model no shorter rung can then gain, so
-the ascent stops as it would after the whole ladder.  A line search along the
+the ascent stops as it would after the whole ladder.  So does the rounding-
+bound stop, after an accepted step (kept) that gains at most n u of the value,
+the rounding bound of a sum of n positive terms (n nodes, u = UNIT_ROUNDOFF).
+The projection forms each point's constraint terms, Phi_N tail and value once,
+into a record (`_Point`) that the gradient, slope, scan and report read.
+A line search along the
 norm-share curve x -> on_constraint(u, x) = c u(lam .) finishes each restart,
 since a plain nodal ascent is slow to translate profiles across scales.  As
 ||w||_{N'j}^{N'j} <= ||w||_inf^{N'j-N} ||w||_N^N, a point w of the curve has
@@ -54,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,10 +74,9 @@ from .functional import (
     CERTIFY_MARGIN,
     EXP_ARG_LIMIT,
     MTParams,
+    _integrand,
     _phi_tail,
     _tail_ratio,
-    constraint_terms,
-    mt_integral,
     universal_lower_bound,
 )
 from .radial import (
@@ -87,7 +91,7 @@ from .radial import (
     lp_norm_pow,
     pl_norm_pow,
 )
-from .scaling import _share_scales, dilate, on_constraint, rescale_to_norms, solve_amplitude
+from .scaling import _on_share, _share_scales, dilate, on_constraint, rescale_to_norms, solve_amplitude
 
 __all__ = [
     "MaximizeOptions",
@@ -106,6 +110,8 @@ __all__ = [
 #: that ran on to 300 steps never won), and the floor on the direction's largest component.
 MAX_ITERS = 50
 GRAD_TOL = 1e-8
+#: The unit roundoff u of a double; an ascent step that gains at most n u of the value (n nodes) ends the ascent.
+UNIT_ROUNDOFF = 2.0**-53
 #: At alpha_N a start or ascent stops once the gradient term exceeds this share of the constraint.
 CONCENTRATION_GUARD = 0.999
 #: Mode labels: a norm (gradient) share above 1 - MODE_EPS is near-vanishing (near-concentration).
@@ -169,93 +175,138 @@ class MaximizerReport:
         }
 
 
+class _Point(NamedTuple):
+    """A feasible profile with the terms the ascent reads again, formed once when the profile is built.
+
+    G = ||grad u||_N^N and L = ||u||_N^N (for a projection, beta^N times the sums before the amplitude beta), then
+    powers = u^{N'}, t = alpha u^{N'}, tail = Phi_N(t) (the order N-1 tail) and value = F(u).
+    """
+
+    u: RadialProfile
+    G: float
+    L: float
+    powers: np.ndarray
+    t: np.ndarray
+    tail: np.ndarray
+    value: float
+
+
+def _point(u: RadialProfile, G: float, L: float, p: MTParams) -> _Point:
+    return _Point(u, G, L, *_integrand(u, p))
+
+
+def _onto_constraint(u: RadialProfile, p: MTParams) -> tuple[RadialProfile, float, float]:
+    """u rearranged into the monotone cone and rescaled onto the constraint, with its G and L."""
+    prof = decreasing_rearrangement(u)
+    G, L = grad_norm_pow(prof), lp_norm_pow(prof, p.N)
+    beta = solve_amplitude(G ** (p.a / p.N), L ** (p.b / p.N), p.a, p.b)
+    scale = beta**p.N
+    return RadialProfile._unchecked(prof.grid, prof.values * beta), scale * G, scale * L
+
+
+def _project(u: RadialProfile, p: MTParams) -> _Point:
+    """The projection core: u on the constraint, as a record."""
+    return _point(*_onto_constraint(u, p), p)
+
+
+def _check_dimension(u: RadialProfile, p: MTParams) -> None:
+    if u.grid.N != p.N:
+        raise InvalidParameterError("profile grid dimension does not match params")
+
+
+def _gradient(u: RadialProfile, t: np.ndarray, tail: np.ndarray, p: MTParams) -> np.ndarray:
+    """functional_gradient from u's t and Phi_N tail: the order N-2 tail is tail + t^{N-2}/(N-2)!."""
+    tail = tail + t ** (p.N - 2) / math.factorial(p.N - 2)
+    return u.grid.omega * u.grid.mass * p.alpha * p.n_prime * u.values ** (p.n_prime - 1.0) * tail
+
+
 def functional_gradient(u: RadialProfile, p: MTParams) -> np.ndarray:
     """Nodal gradient of the discretized objective.
 
     Component i is d/du_i of omega sum_k m_k Phi_N(alpha u_k^{N'}), i.e.
     omega m_i alpha N' u_i^{N'-1} sum_{j >= N-2} (alpha u_i^{N'})^j / j!.
     """
-    if u.grid.N != p.N:
-        raise InvalidParameterError("profile grid dimension does not match params")
-    t = p.alpha * u.values ** p.n_prime
-    tail = _phi_tail(t, p.N - 2)
-    return u.grid.omega * u.grid.mass * p.alpha * p.n_prime * u.values ** (p.n_prime - 1.0) * tail
+    _check_dimension(u, p)
+    _, t, tail, _ = _integrand(u, p)
+    return _gradient(u, t, tail, p)
 
 
 def project_to_constraint(u: RadialProfile, p: MTParams) -> RadialProfile:
     """Rearrange into the monotone cone, rescale onto the constraint (DegenerateProfileError for zero)."""
-    prof = decreasing_rearrangement(u)
-    return prof.scaled(solve_amplitude(*constraint_terms(prof, p), p.a, p.b))
+    _check_dimension(u, p)
+    return _onto_constraint(u, p)[0]
 
 
-def _concentrated(u: RadialProfile, p: MTParams) -> bool:
-    """At alpha_N, whether the gradient term of u exceeds CONCENTRATION_GUARD."""
-    return p.is_critical and constraint_terms(u, p)[0] > CONCENTRATION_GUARD
+def _concentrated(pt: _Point, p: MTParams) -> bool:
+    """At alpha_N, whether the gradient term of the point exceeds CONCENTRATION_GUARD."""
+    return p.is_critical and pt.G ** (p.a / p.N) > CONCENTRATION_GUARD
 
 
-def _mode_label(u: RadialProfile, p: MTParams) -> str:
-    grad_share, norm_share = constraint_terms(u, p)
-    if norm_share > 1.0 - MODE_EPS:
+def _mode_label(pt: _Point, p: MTParams) -> str:
+    if pt.L ** (p.b / p.N) > 1.0 - MODE_EPS:
         return "near-vanishing"
-    if grad_share > 1.0 - MODE_EPS:
+    if pt.G ** (p.a / p.N) > 1.0 - MODE_EPS:
         return "near-concentration"
     return "interior"
 
 
-def _dilation_curve(u: RadialProfile, p: MTParams):
+def _dilation_curve(pt: _Point, p: MTParams):
     """(scan, slope) of s -> F(on_constraint(u, x, p)), x = 1 / (1 + e^{-s}) the norm share, by the scaling laws.
 
     scan(ss) is (scores, ceilings), a ceiling being the bound on F times 1 + slack: it scores best ceiling first, one
     Phi_N sweep each, up to the first ceiling below the best score.  slope(s) is (g, g', F).  An s off the curve (lam
-    not in [max(r_max, 1) / R, R], R = grid.max_radius, or T > EXP_ARG_LIMIT) has both -inf and slope nan.
+    not in [max(r_max, 1) / R, R], R = grid.max_radius, or T > EXP_ARG_LIMIT) has both -inf and slope nan.  Both
+    form x, c and lam in one array pass, so slope(s) and scan([s]) agree to the bit.
     """
-    N, mass = p.N, u.grid.mass
-    G, L = grad_norm_pow(u), lp_norm_pow(u, N)
+    N, G, L, powers = p.N, pt.G, pt.L, pt.powers
+    u, mass = pt.u, pt.u.grid.mass
     if not (G > 0 and L > 0):  # a term underflowed: no curve to walk
         return (lambda ss: (np.full(len(ss), -np.inf),) * 2), None
-    powers = u.values ** p.n_prime
-    top = float(np.max(powers))
+    top = float(powers[0])  # the profile is monotone
     lam_lo, lam_hi = max(u.grid.r_max, 1.0) / u.grid.max_radius, u.grid.max_radius
     # The bound's rounding slack, first order in u = 2^-53: n u per dot product of n positive terms (the score's and
     # L's), 6N u each for c^N L / lam^N ~ x^{N/b} and t_k^{N-1} ~ alpha^{N-1} c^N u_k^N, 40 u for the other powers,
     # products and Horner sums, 3e-15 for Phi_{N-1} at the t_k and as much at T.
     lead = (1.0 + (powers.size + 6 * N + 20) * 2.0**-52 + 6e-15) * p.alpha ** (N - 1)
 
-    def point(s: float):
-        """(x, alpha c^{N'}, lam) at s, or None; alpha c^{N'} top is the largest series argument."""
-        x = _norm_share(s)
+    def points(ss: np.ndarray):
+        """(x, alpha c^{N'}, lam) at each s, nan where s cannot be built; alpha c^{N'} top is the largest argument."""
+        x = _norm_share(ss)
         c, lam = _share_scales(G, L, x, p)
-        coef = p.alpha * c**p.n_prime if lam_lo <= lam <= lam_hi else np.inf
-        return (x, coef, lam) if coef * top <= EXP_ARG_LIMIT else None
+        with np.errstate(over="ignore"):
+            coef = p.alpha * c**p.n_prime
+        ok = (lam_lo <= lam) & (lam <= lam_hi) & (coef * top <= EXP_ARG_LIMIT)
+        return np.where(ok, x, np.nan), np.where(ok, coef, np.nan), np.where(ok, lam, np.nan)
 
     def scan(ss) -> tuple[np.ndarray, np.ndarray]:
-        pts = [point(s) or (np.nan,) * 3 for s in ss]  # nan where s cannot be built
-        x, coef, _ = np.array(pts).T
+        x, coef, lam = points(np.asarray(ss, dtype=float))
         bounds = np.nan_to_num(lead * x ** (N / p.b) * _tail_ratio(coef * top, N - 1), nan=-np.inf)
         out = np.full(len(ss), -np.inf)
         for i in np.argsort(-bounds, kind="stable"):
             if bounds[i] == -np.inf or bounds[i] < out.max():
                 break
-            out[i] = u.grid.omega * float(np.dot(mass, _phi_tail(pts[i][1] * powers, N - 1))) / pts[i][2] ** N
+            out[i] = u.grid.omega * float(np.dot(mass, _phi_tail(coef[i] * powers, N - 1))) / float(lam[i]) ** N
         return out, bounds
 
     def slope(s: float) -> tuple[float, float, float]:
-        if (pt := point(s)) is None:
+        x, coef, lam = (float(v[0]) for v in points(np.array([s])))
+        if math.isnan(x):
             return np.nan, np.nan, -np.inf
-        x, t = pt[0], pt[1] * powers
+        t = coef * powers
         tails = [_phi_tail(t, N - 1)]  # Phi_{N-1}, Phi_{N-2}, Phi_{N-3}, with Phi_{-1} = Phi_0 = e^t
         for j in (N - 2, N - 3):
             tails.append(tails[-1] + (t**j / math.factorial(j) if j >= 0 else 0.0))
         A, B, C = (float(np.dot(mass, t**i * tail)) for i, tail in enumerate(tails))
         q, r = (1.0 - x) / p.b + x / p.a, p.n_prime * x / p.a
         dg = N * x * (1.0 - x) * (1.0 / p.a - 1.0 / p.b) * A - (N * q + 1.0 - x) * r * B + r * r * (B + C)
-        return N * q * A - r * B, dg, u.grid.omega * A / pt[2] ** N
+        return N * q * A - r * B, dg, u.grid.omega * A / lam**N
 
     return scan, slope
 
 
-def _norm_share(s: float) -> float:
-    return 1.0 / (1.0 + math.exp(-s))
+def _norm_share(s):
+    """The logistic 1 / (1 + e^{-s}), for a float or an array of s."""
+    return 1.0 / (1.0 + np.exp(-s))
 
 
 def _newton_max(slope, lo: float, s: float, hi: float) -> tuple[float, float]:
@@ -282,35 +333,35 @@ def _newton_max(slope, lo: float, s: float, hi: float) -> tuple[float, float]:
     return good, value
 
 
-def _dilation_line_search(u: RadialProfile, p: MTParams, value: float):
-    """Best point of u's constraint curve: s = logit(x) at 33 points of [-30, 30], then `_newton_max`.
+def _dilation_line_search(pt: _Point, p: MTParams) -> _Point:
+    """Best point of pt's constraint curve: s = logit(x) at 33 points of [-30, 30], then `_newton_max`.
 
-    Only the best-scoring s is built; it replaces u only if its own value
-    beats `value`, so the returned value is mt_integral of the returned profile.
+    Only the best-scoring s is built, by `_share_scales` on pt's G and L; it replaces pt only if its own
+    value beats pt's, so the returned value is mt_integral of the returned profile.
     """
-    scan, slope = _dilation_curve(u, p)
+    scan, slope = _dilation_curve(pt, p)
     ss = np.linspace(-30.0, 30.0, 33)
     scan_vals = scan(ss)[0]
     k = int(np.argmax(scan_vals))
     if not np.isfinite(scan_vals[k]):
-        return value, u
+        return pt
     s, val = _newton_max(slope, float(ss[max(k - 1, 0)]), float(ss[k]), float(ss[min(k + 1, len(ss) - 1)]))
-    try:
-        prof = on_constraint(u, _norm_share(s if val > scan_vals[k] else float(ss[k])), p)
-        val = mt_integral(prof, p)
+    x = float(_norm_share(s if val > scan_vals[k] else float(ss[k])))
+    try:  # the built profile's terms are its shares: (c^N G)^{a/N} = 1 - x and (c^N L / lam^N)^{b/N} = x
+        new = _point(_on_share(pt.u, pt.G, pt.L, x, p), (1.0 - x) ** (p.N / p.a), x ** (p.N / p.b), p)
     except (SeriesOverflowError, GridOverflowError):
-        return value, u
-    return (val, prof) if val > value else (value, u)
+        return pt
+    return new if new.value > pt.value else pt
 
 
-def _ascent_slope(u: RadialProfile, p: MTParams, g: np.ndarray, d: np.ndarray) -> float:
-    """d/deta at 0 of F(project_to_constraint(u + eta d)), for u on the constraint and g = F'(u).
+def _ascent_slope(pt: _Point, p: MTParams, g: np.ndarray, d: np.ndarray) -> float:
+    """d/deta at 0 of F(project_to_constraint(u + eta d)), for the point u on the constraint and g = F'(u).
 
     The constraint terms (t_grad, t_norm) are homogeneous of degrees a and b in the amplitude, so
     beta'(0) = -<C', d> / (a t_grad + b t_norm) and the slope is <g, d> + beta'(0) <g, u>.
     """
-    t_grad, t_norm = constraint_terms(u, p)
-    grid = u.grid
+    u, grid = pt.u, pt.u.grid
+    t_grad, t_norm = pt.G ** (p.a / p.N), pt.L ** (p.b / p.N)
     s_u = _cell_slopes(grid, u.values)
     w_grad, w_norm = np.abs(s_u) ** (p.N - 2) * s_u * grid.cell_moments, grid.mass * u.values ** (p.N - 1)
     dc = p.a * t_grad * np.dot(w_grad, _cell_slopes(grid, d)) / np.dot(w_grad, s_u)  # <C', d>
@@ -318,39 +369,36 @@ def _ascent_slope(u: RadialProfile, p: MTParams, g: np.ndarray, d: np.ndarray) -
     return float(np.dot(g, d) - dc * np.dot(g, u.values) / (p.a * t_grad + p.b * t_norm))
 
 
-def _ascend(u: RadialProfile, p: MTParams):
-    """Projected gradient ascent from a start on the constraint; returns (value, profile, iters)."""
-    value = mt_integral(u, p)
+def _ascend(pt: _Point, p: MTParams) -> tuple[_Point, int]:
+    """Projected gradient ascent from a point on the constraint; returns (best point, iters)."""
     eta = 0.25
     for iters in range(1, MAX_ITERS + 1):
-        g = functional_gradient(u, p)
-        direction = g / (u.grid.omega * u.grid.mass)
-        dmax = float(np.max(np.abs(direction)))
+        u = pt.u
+        g = _gradient(u, pt.t, pt.tail, p)
+        direction = g / (u.grid.omega * u.grid.mass)  # >= 0, as g is
+        dmax = float(np.max(direction))
         if dmax < GRAD_TOL:
             break
-        umax = float(np.max(u.values))
-        step_scale = umax / dmax
+        step_scale = float(u.values[0]) / dmax  # values[0] is the largest value of a monotone profile
         improved = False
         for rung in range(25):
-            trial = RadialProfile(u.grid, u.values + eta * step_scale * direction)
+            trial = RadialProfile._unchecked(u.grid, u.values + eta * step_scale * direction)
             try:
-                prof = project_to_constraint(trial, p)
-                val = mt_integral(prof, p)
+                new = _project(trial, p)
             except (SeriesOverflowError, DegenerateProfileError):
                 eta *= 0.4
                 continue
-            if val > value:
-                u, value = prof, val
-                eta = min(eta * 1.4, 4.0)
-                improved = True
+            if new.value > pt.value:
+                # a gain within the rounding bound n u of a sum of n positive terms: keep the step, end the ascent
+                improved = new.value - pt.value > u.grid.n_nodes * UNIT_ROUNDOFF * pt.value
+                pt, eta = new, min(eta * 1.4, 4.0)
                 break
-            if rung == 0 and _ascent_slope(u, p, g, direction) <= 0:
+            if rung == 0 and _ascent_slope(pt, p, g, direction) <= 0:
                 break  # the step descends the constraint surface: no shorter rung can gain
             eta *= 0.4
-        if not improved or _concentrated(u, p):
+        if not improved or _concentrated(pt, p):
             break
-    value, u = _dilation_line_search(u, p, value)
-    return value, u, iters
+    return _dilation_line_search(pt, p), iters
 
 
 def _gaussian(grid: RadialGrid, width: float) -> RadialProfile:
@@ -406,35 +454,36 @@ def maximize_d(
     opts.check_regime(p)
     grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
+    for c in extra_candidates:
+        _check_dimension(c, p)
     builders = _candidate_starts(p, opts, grid, rng) + [lambda c=c: c for c in extra_candidates]
 
     # Only the running best is kept: the first strict maximum over the starts.
-    best_value, best_profile, restart_values, total_iters = -np.inf, None, [], 0
+    best, restart_values, total_iters = None, [], 0
     for build in builders:
         try:
-            u = project_to_constraint(build(), p)
-            val, prof, iters = (np.nan, None, 0) if _concentrated(u, p) else _ascend(u, p)
+            start = _project(build(), p)
+            pt, iters = (None, 0) if _concentrated(start, p) else _ascend(start, p)
         except (BracketNotFoundError, DegenerateProfileError, GridOverflowError, SeriesOverflowError):
-            val, prof, iters = np.nan, None, 0
-        restart_values.append(float(val))
+            pt, iters = None, 0
+        restart_values.append(np.nan if pt is None else pt.value)
         total_iters += iters
-        if prof is not None and val > best_value:
-            best_value, best_profile = val, prof
-    if best_profile is None:
+        if pt is not None and (best is None or pt.value > best.value):
+            best = pt
+    if best is None:
         raise DegenerateProfileError("all restarts were rejected; no feasible profile evaluated")
+    best_value = best.value
     lower = universal_lower_bound(p.alpha, p.N)
     margin = best_value - lower
-    grad_norm = grad_norm_pow(best_profile) ** (1.0 / p.N)
-    norm = lp_norm_pow(best_profile, p.N) ** (1.0 / p.N)
     report = MaximizerReport(
         params=p,
         best_value=best_value,
-        best_profile=best_profile,
-        norm_split=(grad_norm, norm),
+        best_profile=best.u,
+        norm_split=(best.G ** (1.0 / p.N), best.L ** (1.0 / p.N)),
         lower_bound=lower,
         margin=margin,
         exceeds_lower_bound=margin > CERTIFY_MARGIN,
-        mode_diagnostic=_mode_label(best_profile, p),
+        mode_diagnostic=_mode_label(best, p),
         iterations=total_iters,
         restarts=len(builders),
         seed=opts.seed,

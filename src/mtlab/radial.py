@@ -234,7 +234,15 @@ class RadialProfile:
 
     @property
     def is_nonincreasing(self) -> bool:
-        return bool(np.all(np.diff(self.values) <= 0))
+        return bool((self.values[1:] <= self.values[:-1]).all())
+
+    @classmethod
+    def _unchecked(cls, grid: RadialGrid, values: np.ndarray) -> "RadialProfile":
+        """A profile from internal arithmetic on checked profiles (a sort, a finite positive step), not checked again."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "grid", grid)
+        object.__setattr__(u, "values", _read_only(values))
+        return u
 
     def scaled(self, amplitude: float) -> "RadialProfile":
         return RadialProfile(self.grid, self.values * amplitude)
@@ -356,11 +364,21 @@ def grad_norm_pow(u: RadialProfile) -> float:
 
 @np.errstate(over="raise")
 def _power_sum(weights: np.ndarray, x: np.ndarray, p: float) -> float:
-    """sum_i weights_i x_i^p; SeriesOverflowError where a power or the sum leaves the double range."""
+    """sum_i weights_i x_i^p; SeriesOverflowError where the sum leaves the double range.
+
+    Where only a power x_i^p or a partial sum overflows, the sum is formed in logs from (weights_i / w) (x_i / m)^p,
+    w = max weights, m = max x; the plain sum runs first, so it keeps its bits wherever it is a double.
+    """
     try:
         return float(np.dot(weights, x**p))
     except FloatingPointError:
-        raise SeriesOverflowError(f"a sum of {p:g}-th powers exceeds the double range") from None
+        pass
+    m, w = float(np.max(x)), float(np.max(weights))
+    scaled = float(np.dot(weights / w, (x / m) ** p))  # at most len(x)
+    log_sum = p * math.log(m) + math.log(w) + math.log(scaled) if scaled > 0 else math.inf
+    if log_sum > math.log(np.finfo(float).max):
+        raise SeriesOverflowError(f"a sum of {p:g}-th powers exceeds the double range")
+    return math.exp(log_sum)
 
 
 def pl_norm_pow(u: RadialProfile, p: float) -> float:
@@ -406,7 +424,7 @@ def decreasing_rearrangement(u: RadialProfile) -> RadialProfile:
     midpoints = np.cumsum(mass) - 0.5 * mass
     idx = np.searchsorted(cum, midpoints, side="left")
     idx = np.minimum(idx, sorted_values.size - 1)
-    return RadialProfile(u.grid, sorted_values[idx])
+    return RadialProfile._unchecked(u.grid, sorted_values[idx])
 
 
 def evaluate(u: RadialProfile, r) -> np.ndarray:

@@ -18,6 +18,8 @@ nodes), which makes the scaling laws above exact in floating point.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateProfileError, InvalidParameterError
@@ -52,18 +54,19 @@ def solve_amplitude(grad_pow_a: float, norm_pow_b: float, a: float, b: float) ->
     convex and increasing, and h >= 0 at x0 = min(-log G / a, -log L / b), so
     the iterates descend monotonically onto the root with no bracket.  Log
     space keeps the iteration conditioned even when the root is many orders
-    of magnitude from 1.
+    of magnitude from 1.  Every quantity is a float, so math.exp and math.log
+    serve; as x <= x0, each term G e^{ax}, L e^{bx} stays at most 1.
     """
     G, L = grad_pow_a, norm_pow_b
     if G <= 0.0 and L <= 0.0:
         raise DegenerateProfileError("both constraint terms vanish; amplitude undefined")
 
     def h(x: float) -> tuple[float, float]:
-        ta = G * np.exp(a * x) if G > 0 else 0.0
-        tb = L * np.exp(b * x) if L > 0 else 0.0
+        ta = G * math.exp(a * x) if G > 0 else 0.0
+        tb = L * math.exp(b * x) if L > 0 else 0.0
         return ta + tb - 1.0, a * ta + b * tb
 
-    x = min(-np.log(G) / a if G > 0 else np.inf, -np.log(L) / b if L > 0 else np.inf)
+    x = min(-math.log(G) / a if G > 0 else math.inf, -math.log(L) / b if L > 0 else math.inf)
     tol = 1e-15 * max(1.0, a, b)
     for _ in range(200):
         val, slope = h(x)
@@ -72,7 +75,7 @@ def solve_amplitude(grad_pow_a: float, norm_pow_b: float, a: float, b: float) ->
         x, previous = x - val / slope, x
         if abs(x - previous) <= 1e-16 * max(abs(previous), 1.0):
             break
-    return float(np.exp(x))
+    return math.exp(x)
 
 
 def _beta_star(v: RadialProfile, t: float, p: MTParams) -> tuple[float, float, float]:
@@ -122,17 +125,26 @@ def rescale_to_norms(u: RadialProfile, grad_norm: float, lp_norm: float) -> Radi
     return RadialProfile(u.grid.rescaled(1.0 / lam), u.values * c)
 
 
-def _share_scales(G: float, L: float, x: float, p: MTParams) -> tuple[float, float]:
+def _share_scales(G: float, L: float, x, p: MTParams):
     """(c, lam) with gradient term (c^N G)^{a/N} = 1 - x and norm term (c^N L / lam^N)^{b/N} = x.
 
     So c = (1-x)^{1/a} G^{-1/N} and lam = c L^{1/N} x^{-1/b}, for G, L > 0.  lam is formed first, in
     the order of the two-parameter family, so a normalized V gets its bits; past the doubles it is inf.
+    x may be a float or an array of shares (the dilation scan forms every point in one pass).
     """
-    try:
-        lam = x ** (-1.0 / p.b) * (1.0 - x) ** (1.0 / p.a) * (L / G) ** (1.0 / p.N)
-    except OverflowError:  # x^{-1/b} alone exceeds the doubles
-        lam = np.inf
-    return lam * x ** (1.0 / p.b) / L ** (1.0 / p.N), lam
+    with np.errstate(over="ignore", invalid="ignore"):  # an array's inf (and inf * 0 = nan) marks an unbuildable x
+        try:
+            lam = x ** (-1.0 / p.b) * (1.0 - x) ** (1.0 / p.a) * (L / G) ** (1.0 / p.N)
+        except OverflowError:  # a float x^{-1/b} alone exceeds the doubles
+            lam = np.inf
+        return lam * x ** (1.0 / p.b) / L ** (1.0 / p.N), lam
+
+
+def _on_share(u: RadialProfile, G: float, L: float, x: float, p: MTParams) -> RadialProfile:
+    """on_constraint(u, x, p) for u with ||grad u||_N^N = G > 0 and ||u||_N^N = L > 0."""
+    c, lam = _share_scales(G, L, x, p)
+    # a lam that underflowed to 0 dilates past grid.max_radius: rescaled raises GridOverflowError
+    return RadialProfile(u.grid.rescaled(1.0 / lam if lam else np.inf), u.values * c)
 
 
 def on_constraint(u: RadialProfile, x: float, p: MTParams) -> RadialProfile:
@@ -145,6 +157,4 @@ def on_constraint(u: RadialProfile, x: float, p: MTParams) -> RadialProfile:
     G, L = grad_norm_pow(u), lp_norm_pow(u, p.N)
     if not (G > 0 and L > 0):
         raise DegenerateProfileError("a profile with a vanishing norm has no constraint curve")
-    c, lam = _share_scales(G, L, x, p)
-    # a lam that underflowed to 0 dilates past grid.max_radius: rescaled raises GridOverflowError
-    return RadialProfile(u.grid.rescaled(1.0 / lam if lam else np.inf), u.values * c)
+    return _on_share(u, G, L, x, p)

@@ -147,6 +147,8 @@ class TestEval:
     @example(2, 300.0, True)  # solve_amplitude divided by zero
     @example(N_MAX + 1, math.log10(5.0), False)  # at N = 100 and 400 the Phi_N tail kernel overflowed
     @example(100, -1.0, False)  # a power sum overflowed (exit 1) where the norm itself was a double
+    @example(N_MAX, -3.0, False)  # the decay cell's slope^57 overflowed (exit 1); ||grad u||_N^N is ~1e124
+    @example(50, -4.0, False)  # the same at N = 50
     def test_every_failure_maps_to_an_exit_code(self, N, log_r, normalize):
         # an N past N_MAX or an r_max past 2^{1000/N} is a usage error (2); any other run reports finite numbers (0)
         # or fails (1)
@@ -157,6 +159,14 @@ class TestEval:
         if code == 0:
             payload = json.loads(out)
             assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
+
+    @pytest.mark.parametrize("N, r_max, grad_norm", [(N_MAX, "0.001", 153.378), (50, "0.0001", 161.843)])
+    def test_power_sums_where_only_a_power_overflows(self, N, r_max, grad_norm):
+        # at the parent both exited 1: "a sum of N-th powers exceeds the double range"
+        argv = ["eval", "--N", str(N), "--alpha", "1", "--a", "2", "--b", "2", "--r-max", r_max, "--n-nodes", "64"]
+        code, out, _ = run_strict(argv)
+        assert code == 0
+        assert json.loads(out)["grad_norm"] == pytest.approx(grad_norm, rel=1e-5)
 
 
 class TestMaximize:

@@ -41,6 +41,7 @@ from mtlab.maximize import (
     _mode_label,
     _newton_max,
     _norm_share,
+    _project,
     _shoot,
 )
 from mtlab.bounds import golden_section_max
@@ -144,7 +145,7 @@ class TestMaximizeD:
         assert constraint_value(w, p) == pytest.approx(1.0, abs=1e-12)
         lam = grid.r_max / w.grid.r_max
         built = mtlab.mt_integral(project_to_constraint(mtlab.dilate(u, lam**N), p), p)
-        assert _dilation_curve(u, p)[0]([s])[0][0] == pytest.approx(built, rel=1e-12)
+        assert _dilation_curve(_project(u, p), p)[0]([s])[0][0] == pytest.approx(built, rel=1e-12)
 
     def test_duplicated_extra_candidate(self):
         # one vanishing start, then a rejected zero start and twice the same Gaussian
@@ -166,10 +167,12 @@ class TestMaximizeD:
         # scripted ascents: restarts 1 and 2 tie at the maximum, so restart 1 must win
         grid = build_grid(2, 10.0, 32)
         profs = [sample_profile(grid, lambda r, w=w: np.exp(-r / w)) for w in (1.0, 2.0, 3.0, 4.0)]
-        scripted = iter(zip([1.0, 5.0, 5.0, 2.0], profs, [3, 4, 5, 6]))
+        p = MTParams(N=2, alpha=1.0, a=3.0, b=2.0)
+        points = [_project(u, p)._replace(u=u, value=v) for u, v in zip(profs, [1.0, 5.0, 5.0, 2.0])]
+        scripted = iter(zip(points, [3, 4, 5, 6]))
         monkeypatch.setattr(maximize_mod, "_ascend", lambda start, p: next(scripted))
         opts = mtlab.MaximizeOptions(restarts=2, n_nodes=32, r_max=10.0)
-        rep = maximize_d(MTParams(N=2, alpha=1.0, a=3.0, b=2.0), opts, extra_candidates=profs[:2])
+        rep = maximize_d(p, opts, extra_candidates=profs[:2])
         assert rep.best_profile is profs[1] and rep.best_value == 5.0
         assert rep.restart_values == (1.0, 5.0, 5.0, 2.0) and rep.iterations == 18
 
@@ -264,6 +267,60 @@ class TestMaximizeD:
             assert key in payload
 
 
+class TestFeasiblePoint:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.floats(0.05, 1.0),
+        st.floats(0.3, 8.0),
+        st.floats(0.3, 8.0),
+        st.sampled_from(["composite-gauss", "graded"]),
+        st.booleans(),
+    )
+    def test_record_matches_its_profile(self, seed, N, frac, a, b, scheme, bump):
+        # the projection core's G, L, tail and value are the profile's own, and the gradient's Phi_{N-2} tail,
+        # derived from the Phi_{N-1} tail, is the tail evaluated directly
+        grid = build_grid(N, 20.0, 128, scheme)
+        rng = np.random.default_rng(seed)
+        u = smooth_bump_profile(grid, rng) if bump else random_monotone_profile(grid, rng)
+        p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
+        pt = _project(u, p)
+        assert pt.u.values.tobytes() == project_to_constraint(u, p).values.tobytes()
+        assert pt.G == pytest.approx(grad_norm_pow(pt.u), rel=1e-14, abs=0)
+        assert pt.L == pytest.approx(lp_norm_pow(pt.u, N), rel=1e-14, abs=0)
+        np.testing.assert_allclose(pt.tail, _phi_tail(p.alpha * pt.u.values ** p.n_prime, N - 1), rtol=1e-14, atol=0)
+        assert pt.value == pytest.approx(mtlab.mt_integral(pt.u, p), rel=1e-14, abs=0)
+        grid = pt.u.grid
+        direct = grid.omega * grid.mass * p.alpha * p.n_prime * pt.u.values ** (p.n_prime - 1) * _phi_tail(pt.t, N - 2)
+        np.testing.assert_allclose(functional_gradient(pt.u, p), direct, rtol=1e-14, atol=0)
+
+
+class TestRoundingStop:
+    def test_vanishing_start_stops_at_the_rounding_bound(self, monkeypatch):
+        # perfbench's N2-n512-aHbL-f0.3 (seed 301): the depth-1e-8 vanishing start (restart 0) took all MAX_ITERS
+        # steps, each gaining ~4.5e-15 of its value, below the 512 u ~ 5.7e-14 rounding bound of a 512-term sum
+        p = MTParams(N=2, alpha=0.3 * critical_exponent(2), a=2.8, b=1.2)
+        opts = mtlab.MaximizeOptions(n_nodes=512, seed=1344417024)
+        iters, ascend = [], maximize_mod._ascend
+
+        def recorded(start, p):
+            pt, n = ascend(start, p)
+            iters.append(n)
+            return pt, n
+
+        monkeypatch.setattr(maximize_mod, "_ascend", recorded)
+        stopped = maximize_d(p, opts)
+        stop_iters = iters[:]
+        iters.clear()
+        monkeypatch.setattr(maximize_mod, "UNIT_ROUNDOFF", 0.0)  # only a step that gains nothing ends the ascent
+        full = maximize_d(p, opts)
+        assert iters[0] == maximize_mod.MAX_ITERS and stop_iters[0] < maximize_mod.MAX_ITERS
+        assert stopped.iterations < full.iterations
+        assert stopped.best_value == full.best_value
+        assert stopped.best_profile.values.tobytes() == full.best_profile.values.tobytes()
+
+
 class TestAscentSlope:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -277,7 +334,8 @@ class TestAscentSlope:
         # the ascent's direction, scaled as its step is, from a Gaussian start on the constraint
         p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
         grid = build_grid(N, 40.0, 512)
-        u = project_to_constraint(sample_profile(grid, lambda r: np.exp(-((r / width) ** 2))), p)
+        pt = _project(sample_profile(grid, lambda r: np.exp(-((r / width) ** 2))), p)
+        u = pt.u
         g = functional_gradient(u, p)
         d = g / (grid.omega * grid.mass)
         d *= np.max(u.values) / np.max(d)
@@ -287,19 +345,19 @@ class TestAscentSlope:
             return mtlab.mt_integral(project_to_constraint(RadialProfile(grid, u.values + eta * d), p), p)
 
         central = (f(h) - f(-h)) / (2 * h)
-        slope = _ascent_slope(u, p, g, d)
+        slope = _ascent_slope(pt, p, g, d)
         assert abs(slope - central) <= max(1e-5 * abs(central), 1e-8 * mtlab.mt_integral(u, p))
 
     def test_slope_stop_keeps_the_full_ladder_results(self, monkeypatch):
         # an infinite slope never stops a step, which is the full 25-rung ladder
         count = [0]
-        project = maximize_mod.project_to_constraint
+        project = maximize_mod._project
 
         def counted(u, p):
             count[0] += 1
             return project(u, p)
 
-        monkeypatch.setattr(maximize_mod, "project_to_constraint", counted)
+        monkeypatch.setattr(maximize_mod, "_project", counted)
         problems = [
             MTParams(N=3, alpha=0.3 * critical_exponent(3), a=2.1, b=1.8),
             MTParams(N=2, alpha=0.9 * critical_exponent(2), a=2.8, b=4.0),
@@ -319,21 +377,24 @@ class TestAscentSlope:
             assert fast.exceeds_lower_bound == full.exceeds_lower_bound
 
 
-def _single_point_score(u, p, s):
-    """The curve's value at s by one Phi_N sweep of its own, as the scan scored each point one by one."""
-    G, L = grad_norm_pow(u), lp_norm_pow(u, p.N)
-    c, lam = _share_scales(G, L, _norm_share(s), p)
-    if not max(u.grid.r_max, 1.0) / u.grid.max_radius <= lam <= u.grid.max_radius:
+def _single_point_score(pt, p, s):
+    """The curve's value at s by one Phi_N sweep of its own, as the scan scored each point one by one.
+
+    x, c and lam come from an array of the one s, as the scan forms them for all its points at once.
+    """
+    u = pt.u
+    c, lam = _share_scales(pt.G, pt.L, _norm_share(np.array([s])), p)
+    if not max(u.grid.r_max, 1.0) / u.grid.max_radius <= lam[0] <= u.grid.max_radius:
         return -np.inf
-    args = p.alpha * c ** p.n_prime * u.values ** p.n_prime
+    args = (p.alpha * c ** p.n_prime)[0] * u.values ** p.n_prime
     if np.max(args) > EXP_ARG_LIMIT:
         return -np.inf
-    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, p.N - 1))) / lam**p.N
+    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, p.N - 1))) / float(lam[0]) ** p.N
 
 
-def _newton_and_golden(u, p):
+def _newton_and_golden(pt, p):
     """The line search's value by `_newton_max` and by golden section on the same bracket."""
-    scan, slope = _dilation_curve(u, p)
+    scan, slope = _dilation_curve(pt, p)
     score = lambda s: scan([s])[0][0]  # a scan of one buildable point scores it
     ss = np.linspace(-30.0, 30.0, 33)
     vals = scan(ss)[0]
@@ -361,12 +422,12 @@ class TestDilationCurve:
         # F' = omega g / lam^N and g' against central differences; where a derivative nearly
         # vanishes the differences carry the rounding of F (of A = F lam^N / omega), hence the floor
         grid = build_grid(N, 20.0, 128)
-        u = random_monotone_profile(grid, np.random.default_rng(seed))
         p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
-        scan, slope = _dilation_curve(u, p)
+        pt = _project(random_monotone_profile(grid, np.random.default_rng(seed)), p)
+        scan, slope = _dilation_curve(pt, p)
         score = lambda s: scan([s])[0][0]  # a scan of one buildable point scores it
         h = 1e-5
-        lam = _share_scales(grad_norm_pow(u), lp_norm_pow(u, N), _norm_share(s), p)[1]
+        lam = _share_scales(pt.G, pt.L, _norm_share(s), p)[1]
         g, dg, value = slope(s)
         assert value == score(s)
         central = (score(s + h) - score(s - h)) / (2 * h)
@@ -384,8 +445,9 @@ class TestDilationCurve:
         for a, b in ((0.08, 2.0), (2.0, 0.4), (3.0, 5.0)):
             p = MTParams(N=N, alpha=0.7 * critical_exponent(N), a=a, b=b)
             for u in (random_monotone_profile(grid, rng), sample_profile(grid, lambda r: np.exp(-((r / 3.0) ** 2)))):
-                scanned = _dilation_curve(u, p)[0](ss)[0]
-                single = np.array([_single_point_score(u, p, float(s)) for s in ss])
+                pt = _project(u, p)
+                scanned = _dilation_curve(pt, p)[0](ss)[0]
+                single = np.array([_single_point_score(pt, p, float(s)) for s in ss])
                 k = int(np.argmax(single))
                 assert int(np.argmax(scanned)) == k and scanned[k] == single[k]
                 scored = np.isfinite(scanned)
@@ -412,10 +474,11 @@ class TestDilationCurve:
         rng = np.random.default_rng(seed)
         u = smooth_bump_profile(grid, rng) if bump else random_monotone_profile(grid, rng)
         p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
+        pt = _project(u, p)
         ss = np.linspace(-30.0, 30.0, 33)
-        ceilings = _dilation_curve(u, p)[0](ss)[1]
+        ceilings = _dilation_curve(pt, p)[0](ss)[1]
         for s, ceiling in zip(ss, ceilings):
-            value = _single_point_score(u, p, float(s))
+            value = _single_point_score(pt, p, float(s))
             assert value <= ceiling and (ceiling == -np.inf) == (value == -np.inf), (s, value, ceiling)
         assert np.isfinite(ceilings[ceilings > -np.inf]).all()
 
@@ -430,9 +493,8 @@ class TestDilationCurve:
     @example(0, 2, 0.5, 0.5, 1.0)  # the curve rises up to where lam leaves its bounds: the bracket is cut there
     def test_newton_is_no_worse_than_golden_section(self, seed, N, frac, a, b):
         grid = build_grid(N, 20.0, 128)
-        u = random_monotone_profile(grid, np.random.default_rng(seed))
         p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
-        newton, golden = _newton_and_golden(u, p)
+        newton, golden = _newton_and_golden(_project(random_monotone_profile(grid, np.random.default_rng(seed)), p), p)
         assert newton >= golden * (1 - 1e-14)
 
     def test_scan_scores_few_points_on_criterion_06_cells(self, monkeypatch):
@@ -465,9 +527,9 @@ class TestDilationCurve:
         # every restart's line search of the three attained-regime cells
         pairs = []
 
-        def recorded(u, p, value):
-            pairs.append(_newton_and_golden(u, p))
-            return _dilation_line_search(u, p, value)
+        def recorded(pt, p):
+            pairs.append(_newton_and_golden(pt, p))
+            return _dilation_line_search(pt, p)
 
         monkeypatch.setattr(maximize_mod, "_dilation_line_search", recorded)
         for alpha in (1.0, 2.0, 3.0):
@@ -560,14 +622,14 @@ class TestDiagnoseMode:
         u = sample_profile(g, lambda r: np.exp(-(r ** 2)))
         p = MTParams(N=2, alpha=1.0, a=2.0, b=2.0)
         conc = rescale_to_norms(u, 1.0, (1e-6) ** (1.0 / 2.0))  # grad share ~ 1
-        assert _mode_label(conc, p) == "near-concentration"
+        assert _mode_label(_project(conc, p), p) == "near-concentration"
 
     def test_interior(self):
         g = build_grid(2, 10.0, 256)
         u = sample_profile(g, lambda r: np.exp(-(r ** 2)))
         p = MTParams(N=2, alpha=1.0, a=2.0, b=2.0)
         balanced = rescale_to_norms(u, math.sqrt(0.5), math.sqrt(0.5))
-        assert _mode_label(balanced, p) == "interior"
+        assert _mode_label(_project(balanced, p), p) == "interior"
 
 
 class TestMaximizeGN:

@@ -166,6 +166,25 @@ class TestNorms:
             rhs = lp_norm_pow(u, p) ** ((1 - theta) / p) * lp_norm_pow(u, s) ** (theta / s)
             assert lhs <= rhs * (1 + 1e-9)
 
+    @pytest.mark.parametrize("N, r_max", [(57, 1e-3), (50, 1e-4)])
+    def test_power_sum_where_only_a_power_overflows(self, N, r_max):
+        # the decay cell's slope to the N-th power leaves the doubles while ||grad u||_N^N does not: the sum is formed
+        # in logs, against the same cell sum in 40-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        g = build_grid(N, r_max, 64)
+        u = sample_profile(g, lambda r: np.exp(-((r / 5.0) ** 2)))
+        slopes = np.abs(np.diff(np.append(u.values, 0.0)) / g.cell_widths)
+        assert np.max(slopes) > 2.0 ** (1024 / N)  # its N-th power overflows
+        with mpmath.workdps(40):
+            exact = g.omega * mpmath.fsum(mpmath.mpf(m) * mpmath.mpf(x) ** N for m, x in zip(g.cell_moments, slopes))
+        assert grad_norm_pow(u) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_power_sum_past_the_double_range_still_refused(self):
+        g = build_grid(2, 1.0, 64)
+        u = RadialProfile(g, np.full(g.n_nodes, 1e200))
+        with pytest.raises(mtlab.SeriesOverflowError, match="double range"):
+            lp_norm_pow(u, 2)
+
 
 class TestRearrangement:
     def test_monotone_unchanged(self):
