@@ -43,7 +43,11 @@ the slope ends it: with t_k = alpha c^{N'} u_k^{N'}, Phi_j' = Phi_{j-1}
 (Phi_{-1} = Phi_0 = e^t), A, B, C = sum_k m_k t_k^i Phi_{N-1-i}(t_k)
 (i = 0, 1, 2), q = (1-x)/b + x/a and r = N'x/a, F = omega A / lam^N and
 F' = omega g / lam^N for g = N q A - r B, g' = N x(1-x)(1/a - 1/b) A -
-(N q + 1 - x) r B + r^2 (B + C).  No root is solved; only the winner is built.
+(N q + 1 - x) r B + r^2 (B + C).  Newton stops at the first step that predicts
+a gain of at most u F, 0.5 g^2 / (|g'| A) <= u = 2^-53.  Each score and slope
+forms its curve point (x, alpha c^{N'}, lam) in floats, as the winner is built;
+the 33 ceilings alone are formed in one array pass.  No root is solved; only
+the winner is built.
 
 `maximize_gn` computes the Gagliardo-Nirenberg maximizer from its
 Euler-Lagrange equation, the radial ground state of
@@ -253,10 +257,11 @@ def _mode_label(pt: _Point, p: MTParams) -> str:
 def _dilation_curve(pt: _Point, p: MTParams):
     """(scan, slope) of s -> F(on_constraint(u, x, p)), x = 1 / (1 + e^{-s}) the norm share, by the scaling laws.
 
-    scan(ss) is (scores, ceilings), a ceiling being the bound on F times 1 + slack: it scores best ceiling first, one
-    Phi_N sweep each, up to the first ceiling below the best score.  slope(s) is (g, g', F).  An s off the curve (lam
-    not in [max(r_max, 1) / R, R], R = grid.max_radius, or T > EXP_ARG_LIMIT) has both -inf and slope nan.  Both
-    form x, c and lam in one array pass, so slope(s) and scan([s]) agree to the bit.
+    scan(ss) is (scores, ceilings), a ceiling being the bound on F times 1 + slack: it bounds every s in one array
+    pass, then scores best ceiling first, one Phi_N sweep each, up to the first ceiling below the best score.
+    slope(s) is (g, g', A, F).  An s off the curve (lam not in [max(r_max, 1) / R, R], R = grid.max_radius, or
+    T > EXP_ARG_LIMIT) has score -inf and slope nan.  Each score and slope reads one float point (x, alpha c^{N'},
+    lam), formed as the line search builds its winner, so slope(s), scan([s]) and the built profile agree to the bit.
     """
     N, G, L, powers = p.N, pt.G, pt.L, pt.powers
     u, mass = pt.u, pt.u.grid.mass
@@ -269,37 +274,50 @@ def _dilation_curve(pt: _Point, p: MTParams):
     # products and Horner sums, 3e-15 for Phi_{N-1} at the t_k and as much at T.
     lead = (1.0 + (powers.size + 6 * N + 20) * 2.0**-52 + 6e-15) * p.alpha ** (N - 1)
 
-    def points(ss: np.ndarray):
-        """(x, alpha c^{N'}, lam) at each s, nan where s cannot be built; alpha c^{N'} top is the largest argument."""
-        x = _norm_share(ss)
-        c, lam = _share_scales(G, L, x, p)
-        with np.errstate(over="ignore"):
+    def point(s: float):
+        """(x, alpha c^{N'}, lam) at s as floats, or None where s cannot be built; alpha c^{N'} top is the largest t."""
+        x = float(_norm_share(s))
+        try:
+            c, lam = _share_scales(G, L, x, p)
             coef = p.alpha * c**p.n_prime
-        ok = (lam_lo <= lam) & (lam <= lam_hi) & (coef * top <= EXP_ARG_LIMIT)
-        return np.where(ok, x, np.nan), np.where(ok, coef, np.nan), np.where(ok, lam, np.nan)
+        except OverflowError:
+            return None
+        return (x, coef, lam) if lam_lo <= lam <= lam_hi and coef * top <= EXP_ARG_LIMIT else None
+
+    def score(s: float) -> float:
+        at = point(s)
+        if at is None:
+            return -np.inf
+        return u.grid.omega * float(np.dot(mass, _phi_tail(at[1] * powers, N - 1))) / at[2] ** N
 
     def scan(ss) -> tuple[np.ndarray, np.ndarray]:
-        x, coef, lam = points(np.asarray(ss, dtype=float))
-        bounds = np.nan_to_num(lead * x ** (N / p.b) * _tail_ratio(coef * top, N - 1), nan=-np.inf)
+        ss = np.asarray(ss, dtype=float)
+        x = _norm_share(ss)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, lam = _share_scales(G, L, x, p)
+            arg = p.alpha * c**p.n_prime * top
+        ok = (lam_lo <= lam) & (lam <= lam_hi) & (arg <= EXP_ARG_LIMIT)
+        bounds = np.where(ok, lead * x ** (N / p.b) * _tail_ratio(np.where(ok, arg, 0.0), N - 1), -np.inf)
         out = np.full(len(ss), -np.inf)
         for i in np.argsort(-bounds, kind="stable"):
             if bounds[i] == -np.inf or bounds[i] < out.max():
                 break
-            out[i] = u.grid.omega * float(np.dot(mass, _phi_tail(coef[i] * powers, N - 1))) / float(lam[i]) ** N
+            out[i] = score(float(ss[i]))
         return out, bounds
 
-    def slope(s: float) -> tuple[float, float, float]:
-        x, coef, lam = (float(v[0]) for v in points(np.array([s])))
-        if math.isnan(x):
-            return np.nan, np.nan, -np.inf
+    def slope(s: float) -> tuple[float, float, float, float]:
+        at = point(s)
+        if at is None:
+            return np.nan, np.nan, np.nan, -np.inf
+        x, coef, lam = at
         t = coef * powers
         tails = [_phi_tail(t, N - 1)]  # Phi_{N-1}, Phi_{N-2}, Phi_{N-3}, with Phi_{-1} = Phi_0 = e^t
         for j in (N - 2, N - 3):
             tails.append(tails[-1] + (t**j / math.factorial(j) if j >= 0 else 0.0))
-        A, B, C = (float(np.dot(mass, t**i * tail)) for i, tail in enumerate(tails))
+        A, B, C = (float(np.dot(mass, w)) for w in (tails[0], t * tails[1], t * t * tails[2]))  # t^i Phi_{N-1-i}
         q, r = (1.0 - x) / p.b + x / p.a, p.n_prime * x / p.a
         dg = N * x * (1.0 - x) * (1.0 / p.a - 1.0 / p.b) * A - (N * q + 1.0 - x) * r * B + r * r * (B + C)
-        return N * q * A - r * B, dg, u.grid.omega * A / lam**N
+        return N * q * A - r * B, dg, A, u.grid.omega * A / lam**N
 
     return scan, slope
 
@@ -310,17 +328,21 @@ def _norm_share(s):
 
 
 def _newton_max(slope, lo: float, s: float, hi: float) -> tuple[float, float]:
-    """Safeguarded Newton on the curve's slope (g, g') from s in [lo, hi]: the last s whose slope formed, F there.
+    """Safeguarded Newton on the curve's slope (g, g', A, F) from s in [lo, hi]: the last s whose slope formed, F there.
 
-    Each step shrinks [lo, hi] by the sign of g and bisects when the Newton step leaves it or g' >= 0, up to
-    |ds| <= 1e-13 max(1, |s|) or 50 steps.  lam and c are monotone in s, so a slope that is nan at s is nan
-    past it: the bracket is cut there (F = -inf if it is cut at the start).
+    Each step shrinks [lo, hi] by the sign of g and bisects when the Newton step leaves it or g' >= 0.  It stops at
+    the first s whose Newton step predicts a gain of at most u F, 0.5 g^2 / (|g'| A) <= u = 2^-53 (F' / F = g / A),
+    at |ds| <= 1e-13 max(1, |s|), or after 50 steps.  lam and c are monotone in s, so a slope that is nan at s is
+    nan past it: the bracket is cut there (F = -inf if it is cut at the start).
     """
     good, value = s, -np.inf
     for _ in range(50):
-        g, dg, val = slope(s)
-        if np.isfinite([g, dg]).all():
-            good, value, step = s, val, s - g / dg if dg < 0 else np.nan
+        g, dg, A, val = slope(s)
+        if math.isfinite(g) and math.isfinite(dg):
+            ds = -g / dg if dg < 0 else math.nan
+            if 0.5 * g * ds <= 2.0**-53 * A:  # false for nan: no Newton step
+                return s, val
+            good, value, step = s, val, s + ds
             lo, hi = (s, hi) if g > 0 else (lo, s)
         elif s == good:  # the start itself
             return s, value

@@ -76,6 +76,9 @@ PL_GAUSS_ORDER = 16
 #: The largest dimension any function accepts; check_dimension says why.
 N_MAX = 57
 
+#: The smallest normal double.
+_TINY = float(np.finfo(float).tiny)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -199,17 +202,23 @@ class RadialGrid:
         return float(np.dot(self.weights, values))
 
     def rescaled(self, factor: float) -> "RadialGrid":
-        """Grid for r -> factor * r; preserves quadrature exactness.  Its r_max must lie in (0, max_radius]."""
+        """Grid for r -> factor * r; preserves quadrature exactness.
+
+        Its r_max must lie in (0, max_radius] and its first node must stay a normal double (GridOverflowError
+        otherwise).  Then each scaled node keeps its value to a relative u, so one positive factor on the nodes,
+        weights and r_max of a checked grid keeps the nodes' order and the weights' sum: the result is built without
+        `__post_init__`, and its mass is formed by the same expression.
+        """
         new_rmax = self.r_max * factor
         if not 0 < new_rmax <= self.max_radius:
             raise GridOverflowError(f"rescaled r_max {new_rmax!r} outside (0, {self.max_radius:g}]")
-        return RadialGrid(
-            N=self.N,
-            nodes=self.nodes * factor,
-            weights=self.weights * factor,
-            r_max=new_rmax,
-            scheme=self.scheme,
-        )
+        if not self.nodes[0] * factor >= _TINY:
+            raise GridOverflowError(f"rescaled first node {self.nodes[0] * factor!r} is below the normal doubles")
+        nodes, weights = self.nodes * factor, self.weights * factor
+        grid = object.__new__(RadialGrid)
+        vars(grid).update(N=self.N, nodes=_read_only(nodes), weights=_read_only(weights), r_max=new_rmax,
+                          scheme=self.scheme, mass=_read_only(weights * nodes ** (self.N - 1)))
+        return grid
 
 
 @dataclass(frozen=True)
@@ -347,8 +356,14 @@ def _edge_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _cell_slopes(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Slopes of the piecewise-linear interpolant of nodal `values` on the gradient cells."""
-    return np.diff(_edge_values(grid, values)) / grid.cell_widths
+    """Slopes of the piecewise-linear interpolant of nodal `values` on the gradient cells (the decay cell's: -v_n)."""
+    widths = grid.cell_widths
+    out = np.empty(widths.size)
+    np.subtract(values[1:], values[:-1], out=out[: values.size - 1])
+    if widths.size == values.size:
+        out[-1] = -values[-1]
+    out /= widths
+    return out
 
 
 def grad_norm_pow(u: RadialProfile) -> float:

@@ -130,14 +130,14 @@ def _share_scales(G: float, L: float, x, p: MTParams):
 
     So c = (1-x)^{1/a} G^{-1/N} and lam = c L^{1/N} x^{-1/b}, for G, L > 0.  lam is formed first, in
     the order of the two-parameter family, so a normalized V gets its bits; past the doubles it is inf.
-    x may be a float or an array of shares (the dilation scan forms every point in one pass).
+    x is a float, or an array of shares under np.errstate(over="ignore", invalid="ignore") (the dilation scan
+    bounds every point in one pass; an array's inf, and inf * 0 = nan, marks an unbuildable x).
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an array's inf (and inf * 0 = nan) marks an unbuildable x
-        try:
-            lam = x ** (-1.0 / p.b) * (1.0 - x) ** (1.0 / p.a) * (L / G) ** (1.0 / p.N)
-        except OverflowError:  # a float x^{-1/b} alone exceeds the doubles
-            lam = np.inf
-        return lam * x ** (1.0 / p.b) / L ** (1.0 / p.N), lam
+    try:
+        lam = x ** (-1.0 / p.b) * (1.0 - x) ** (1.0 / p.a) * (L / G) ** (1.0 / p.N)
+    except OverflowError:  # a float x^{-1/b} alone exceeds the doubles
+        lam = math.inf
+    return lam * x ** (1.0 / p.b) / L ** (1.0 / p.N), lam
 
 
 def _on_share(u: RadialProfile, G: float, L: float, x: float, p: MTParams) -> RadialProfile:
@@ -154,6 +154,7 @@ def on_constraint(u: RadialProfile, x: float, p: MTParams) -> RadialProfile:
     """
     if not 0.0 < x < 1.0:
         raise InvalidParameterError(f"norm share x must lie in (0, 1), got {x}")
+    x = float(x)  # a numpy scalar would warn where a float raises OverflowError
     G, L = grad_norm_pow(u), lp_norm_pow(u, p.N)
     if not (G > 0 and L > 0):
         raise DegenerateProfileError("a profile with a vanishing norm has no constraint curve")

@@ -380,16 +380,20 @@ class TestAscentSlope:
 def _single_point_score(pt, p, s):
     """The curve's value at s by one Phi_N sweep of its own, as the scan scored each point one by one.
 
-    x, c and lam come from an array of the one s, as the scan forms them for all its points at once.
+    x, c and lam are floats formed as the line search builds its winner: float(_norm_share(s)), then _share_scales.
     """
     u = pt.u
-    c, lam = _share_scales(pt.G, pt.L, _norm_share(np.array([s])), p)
-    if not max(u.grid.r_max, 1.0) / u.grid.max_radius <= lam[0] <= u.grid.max_radius:
+    try:
+        c, lam = _share_scales(pt.G, pt.L, float(_norm_share(s)), p)
+        coef = p.alpha * c ** p.n_prime
+    except OverflowError:
         return -np.inf
-    args = (p.alpha * c ** p.n_prime)[0] * u.values ** p.n_prime
+    if not max(u.grid.r_max, 1.0) / u.grid.max_radius <= lam <= u.grid.max_radius:
+        return -np.inf
+    args = coef * u.values ** p.n_prime
     if np.max(args) > EXP_ARG_LIMIT:
         return -np.inf
-    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, p.N - 1))) / float(lam[0]) ** p.N
+    return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, p.N - 1))) / lam ** p.N
 
 
 def _newton_and_golden(pt, p):
@@ -428,7 +432,7 @@ class TestDilationCurve:
         score = lambda s: scan([s])[0][0]  # a scan of one buildable point scores it
         h = 1e-5
         lam = _share_scales(pt.G, pt.L, _norm_share(s), p)[1]
-        g, dg, value = slope(s)
+        g, dg, _, value = slope(s)
         assert value == score(s)
         central = (score(s + h) - score(s - h)) / (2 * h)
         assert grid.omega * g / lam**N == pytest.approx(central, rel=1e-7, abs=1e-9 * value)
@@ -522,6 +526,25 @@ class TestDilationCurve:
         for alpha in (1.0, 2.0, 3.0):
             maximize_d(MTParams(N=2, alpha=alpha, a=3.0, b=2.0), mtlab.MaximizeOptions(seed=7))
         assert len(per_scan) == 24 and np.mean(per_scan) <= 12
+
+    def test_newton_stops_at_the_rounding_bound_on_criterion_06_cells(self, monkeypatch):
+        # slope evaluations per line search: stopping only at |ds| <= 1e-13 max(1, |s|) took 8.25 on average (198)
+        per_search, curve = [], maximize_mod._dilation_curve
+
+        def counted_curve(u, p):
+            scan, slope = curve(u, p)
+            per_search.append(0)
+
+            def counted_slope(s):
+                per_search[-1] += 1
+                return slope(s)
+
+            return scan, counted_slope
+
+        monkeypatch.setattr(maximize_mod, "_dilation_curve", counted_curve)
+        for alpha in (1.0, 2.0, 3.0):
+            maximize_d(MTParams(N=2, alpha=alpha, a=3.0, b=2.0), mtlab.MaximizeOptions(seed=7))
+        assert len(per_search) == 24 and np.mean(per_search) <= 6
 
     def test_newton_is_no_worse_than_golden_section_on_criterion_06_cells(self, monkeypatch):
         # every restart's line search of the three attained-regime cells

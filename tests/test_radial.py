@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mtlab
@@ -21,7 +21,7 @@ from mtlab import (
     sample_profile,
     sphere_area,
 )
-from mtlab.radial import N_MAX, pl_norm_pow
+from mtlab.radial import N_MAX, _cell_slopes, _edge_values, pl_norm_pow
 from conftest import random_monotone_profile, smooth_bump_profile
 
 
@@ -295,6 +295,39 @@ class TestCachedGeometry:
         assert build_grid(2, np.array(40.0), 512) is grid
         assert build_grid(2, 40.0, 512, "composite-gauss") is grid
         assert build_grid(np.int64(2), np.float64(40.0), np.int64(512)) is grid
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(_CACHE_GRIDS)), st.sampled_from([2, 3, 5, N_MAX]), st.floats(0.0, 1.0))
+    def test_rescaled_equals_the_checked_grid(self, kind, N, depth):
+        # factors with r_max f = 2^y in (0, max_radius], y from -1100 (the first node below the normal doubles is
+        # refused there) up to log2 max_radius = 1000 / N
+        grid = _CACHE_GRIDS[kind](N)
+        factor = 2.0 ** (-1100.0 + depth * (1100.0 + 1000.0 / N)) / grid.r_max
+        assume(0 < grid.r_max * factor <= grid.max_radius)
+        if grid.nodes[0] * factor < np.finfo(float).tiny:
+            with pytest.raises(GridOverflowError):
+                grid.rescaled(factor)
+            return
+        fast = grid.rescaled(factor)
+        checked = mtlab.RadialGrid(N, grid.nodes * factor, grid.weights * factor, grid.r_max * factor, grid.scheme)
+        assert vars(fast).keys() == vars(checked).keys()
+        for name, value in vars(checked).items():
+            mine = getattr(fast, name)
+            if isinstance(value, np.ndarray):
+                assert mine.dtype == value.dtype and mine.tobytes() == value.tobytes() and not mine.flags.writeable
+            else:
+                assert type(mine) is type(value) and mine == value
+        for name in ("cell_widths", "cell_moments", "omega"):
+            assert np.array_equal(getattr(fast, name), getattr(checked, name))
+
+    @pytest.mark.parametrize("kind", ["composite-gauss", "no-decay-node"])
+    def test_cell_slopes_are_the_edge_differences(self, kind):
+        # a grid with a decay cell to r_max, and one whose last node is r_max (no decay cell)
+        grid = _CACHE_GRIDS[kind](3)
+        assert (grid.cell_widths.size == grid.n_nodes) == (kind == "composite-gauss")
+        values = np.random.default_rng(3).random(grid.n_nodes)
+        reference = np.diff(_edge_values(grid, values)) / grid.cell_widths
+        assert _cell_slopes(grid, values).tobytes() == reference.tobytes()
 
     def test_rescaled_grid_gets_its_own_cache(self):
         grid = build_grid(3, 12.0, 96)
