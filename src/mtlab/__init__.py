@@ -23,7 +23,6 @@ from .bounds import (
     BracketOptions,
     BracketReport,
     alpha0_nonexistence,
-    attainment_test,
     bracket_alpha_star,
     c_tilde_series,
     g_function_test,

@@ -6,11 +6,10 @@ CERTIFY_MARGIN certifies that the supremum exceeds it (and hence is
 attained, in the subcritical range); no numerical computation here ever
 claims non-attainment.  Verdicts encode that asymmetry explicitly.
 
-The bound and the margin are defined in `functional.py` and re-exported
-here; the verdict strings are defined here and nowhere else.  A
-maximize_d run certifies iff its report's `exceeds_lower_bound` is set,
-the rule `attainment_test` applies to a bare value, and
-`bracket_alpha_star` runs the g-test, on the ratio of
+The bound and the margin are defined in `functional.py`, and the bound is
+re-exported here; the verdict strings are defined here and nowhere else.
+A maximize_d run certifies iff its report's `exceeds_lower_bound` is set,
+and `bracket_alpha_star` runs the g-test, on the ratio of
 `maximize.cached_gn_report`, before any maximize_d at each alpha.
 """
 
@@ -23,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .errors import BracketNotFoundError, InvalidParameterError, SeriesOverflowError
-from .functional import CERTIFY_MARGIN, EXP_ARG_LIMIT, MTParams, universal_lower_bound
+from .functional import EXP_ARG_LIMIT, MTParams, universal_lower_bound
 from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, maximize_d
 from .radial import check_dimension, critical_exponent
 
@@ -35,7 +34,6 @@ __all__ = [
     "VERDICT_ERROR",
     "BoundReport",
     "universal_lower_bound",
-    "attainment_test",
     "g_function",
     "g_function_test",
     "c_tilde_series",
@@ -68,23 +66,6 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))
-
-
-def attainment_test(best_value: float, alpha: float, N: int) -> BoundReport:
-    """Certified verdict iff a feasible value exceeds the lower bound by more than CERTIFY_MARGIN.
-
-    Values at or below the bound yield no verdict: equality with the
-    bound is exactly what non-attained parameters produce, and numerics
-    cannot distinguish it from a barely-attained supremum.
-    """
-    lower = universal_lower_bound(alpha, N)
-    margin = best_value - lower
-    return BoundReport(
-        kind="universal-lower",
-        values={"best_value": best_value, "lower_bound": lower, "margin": margin},
-        verdict=VERDICT_CERTIFIED if margin > CERTIFY_MARGIN else VERDICT_NONE,
-        provenance="universal-lower:vanishing-family-limit",
-    )
 
 
 def g_function(t, alpha: float, a: float, b: float, N: int, bgn: float):

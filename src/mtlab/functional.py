@@ -219,6 +219,11 @@ def _series_arguments(u: RadialProfile, p: MTParams) -> np.ndarray:
     return t
 
 
+def _check_profile_dimension(u: RadialProfile, p: MTParams) -> None:
+    if u.grid.N != p.N:
+        raise InvalidParameterError("profile grid dimension does not match params")
+
+
 def _integrand(u: RadialProfile, p: MTParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(u^{N'}, t = alpha u^{N'}, Phi_N(t) = the order N-1 tail, F(u)): the terms every evaluation of F forms."""
     powers = u.values**p.n_prime
@@ -229,8 +234,7 @@ def _integrand(u: RadialProfile, p: MTParams) -> tuple[np.ndarray, np.ndarray, n
 
 def mt_integral(u: RadialProfile, p: MTParams) -> float:
     """int Phi_N(alpha |u|^{N'}) dx by pointwise quadrature of the integrand."""
-    if u.grid.N != p.N:
-        raise InvalidParameterError("profile grid dimension does not match params")
+    _check_profile_dimension(u, p)
     return _integrand(u, p)[3]
 
 
@@ -241,8 +245,7 @@ def mt_integral_series(u: RadialProfile, p: MTParams) -> float:
     sum *and* the index is past the series hump j ~ alpha max(u)^{N'};
     stopping before the hump would truncate a still-growing series.
     """
-    if u.grid.N != p.N:
-        raise InvalidParameterError("profile grid dimension does not match params")
+    _check_profile_dimension(u, p)
     t = _series_arguments(u, p)
     if not np.any(t > 0):
         return 0.0
@@ -264,8 +267,7 @@ def mt_integral_series(u: RadialProfile, p: MTParams) -> float:
 
 def constraint_terms(u: RadialProfile, p: MTParams) -> tuple[float, float]:
     """(||grad u||_N^a, ||u||_N^b): the gradient and norm terms of the constraint."""
-    if u.grid.N != p.N:
-        raise InvalidParameterError("profile grid dimension does not match params")
+    _check_profile_dimension(u, p)
     return grad_norm_pow(u) ** (p.a / p.N), lp_norm_pow(u, p.N) ** (p.b / p.N)
 
 
@@ -279,8 +281,7 @@ def j_truncated(u: RadialProfile, p: MTParams) -> float:
 
     Always a lower bound for mt_integral (the dropped terms are positive).
     """
-    if u.grid.N != p.N:
-        raise InvalidParameterError("profile grid dimension does not match params")
+    _check_profile_dimension(u, p)
     N = p.N
     c1 = p.alpha ** (N - 1) / math.factorial(N - 1)
     c2 = p.alpha**N / math.factorial(N)

@@ -23,12 +23,16 @@ Each ascent step preconditions the nodal gradient by the radial masses
 (so the direction is a function-space gradient, monotone for monotone
 iterates), projects back onto the monotone cone and the constraint, and
 is accepted at the first of 25 rungs, each 0.4 times the last, that improves
-the objective.  When the first rung fails and the closed-form slope of the
-projected path at the start (`_ascent_slope`) is <= 0, the step descends the
-constraint surface; under a quadratic model no shorter rung can then gain, so
-the ascent stops as it would after the whole ladder.  So does the rounding-
-bound stop, after an accepted step (kept) that gains at most n u of the value,
-the rounding bound of a sum of n positive terms (n nodes, u = UNIT_ROUNDOFF).
+the objective.  An ascent ends only on rules that do not depend on the
+profile's amplitude or dilation:
+* no rung improves;
+* the first rung fails and the closed-form slope of the projected path at
+  the start (`_ascent_slope`) is <= 0: the step descends the constraint
+  surface, and under a quadratic model no shorter rung can then gain;
+* an accepted step (kept) gains at most n u of the value, the rounding bound
+  of a sum of n positive terms (n nodes, u = UNIT_ROUNDOFF);
+* at alpha_N, the concentration guard fires;
+* MAX_ITERS steps are done.
 The projection forms each point's constraint terms, Phi_N tail and value once,
 into a record (`_Point`) that the gradient, slope, scan and report read.
 A line search along the
@@ -78,6 +82,7 @@ from .functional import (
     CERTIFY_MARGIN,
     EXP_ARG_LIMIT,
     MTParams,
+    _check_profile_dimension,
     _integrand,
     _phi_tail,
     _tail_ratio,
@@ -111,9 +116,8 @@ __all__ = [
 
 
 #: Ascent step budget, about twice the longest winning ascent (26 steps over 169 seeded problems; restarts
-#: that ran on to 300 steps never won), and the floor on the direction's largest component.
+#: that ran on to 300 steps never won).
 MAX_ITERS = 50
-GRAD_TOL = 1e-8
 #: The unit roundoff u of a double; an ascent step that gains at most n u of the value (n nodes) ends the ascent.
 UNIT_ROUNDOFF = 2.0**-53
 #: At alpha_N a start or ascent stops once the gradient term exceeds this share of the constraint.
@@ -213,11 +217,6 @@ def _project(u: RadialProfile, p: MTParams) -> _Point:
     return _point(*_onto_constraint(u, p), p)
 
 
-def _check_dimension(u: RadialProfile, p: MTParams) -> None:
-    if u.grid.N != p.N:
-        raise InvalidParameterError("profile grid dimension does not match params")
-
-
 def _gradient(u: RadialProfile, t: np.ndarray, tail: np.ndarray, p: MTParams) -> np.ndarray:
     """functional_gradient from u's t and Phi_N tail: the order N-2 tail is tail + t^{N-2}/(N-2)!."""
     tail = tail + t ** (p.N - 2) / math.factorial(p.N - 2)
@@ -230,14 +229,14 @@ def functional_gradient(u: RadialProfile, p: MTParams) -> np.ndarray:
     Component i is d/du_i of omega sum_k m_k Phi_N(alpha u_k^{N'}), i.e.
     omega m_i alpha N' u_i^{N'-1} sum_{j >= N-2} (alpha u_i^{N'})^j / j!.
     """
-    _check_dimension(u, p)
+    _check_profile_dimension(u, p)
     _, t, tail, _ = _integrand(u, p)
     return _gradient(u, t, tail, p)
 
 
 def project_to_constraint(u: RadialProfile, p: MTParams) -> RadialProfile:
     """Rearrange into the monotone cone, rescale onto the constraint (DegenerateProfileError for zero)."""
-    _check_dimension(u, p)
+    _check_profile_dimension(u, p)
     return _onto_constraint(u, p)[0]
 
 
@@ -271,8 +270,13 @@ def _dilation_curve(pt: _Point, p: MTParams):
     lam_lo, lam_hi = max(u.grid.r_max, 1.0) / u.grid.max_radius, u.grid.max_radius
     # The bound's rounding slack, first order in u = 2^-53: n u per dot product of n positive terms (the score's and
     # L's), 6N u each for c^N L / lam^N ~ x^{N/b} and t_k^{N-1} ~ alpha^{N-1} c^N u_k^N, 40 u for the other powers,
-    # products and Horner sums, 3e-15 for Phi_{N-1} at the t_k and as much at T.
+    # products and Horner sums, 3e-15 for Phi_{N-1} at the t_k and as much at T.  Per point (`scan`), the rounded
+    # exponents: 1/b in the score's lam^N and N/b in the ceiling's x^{N/b} each err by |N/b ln x| u, and 1/N in
+    # c^N L / lam^N = x^{N/b} L^{1 - N (1/N)} by |ln L| u.  And the score's float T against the ceiling's array T: a
+    # path forms lam by 3 pows within 1 ulp (2u) and 2 products (8 u), c by 2 more pows and 2 products (14 u), then
+    # alpha c^{N'} top (14 N' + 4 <= 32 u), so the two differ by at most 64 u, which R(T) amplifies by T R'/R <= T.
     lead = (1.0 + (powers.size + 6 * N + 20) * 2.0**-52 + 6e-15) * p.alpha ** (N - 1)
+    log_l = abs(math.log(L))
 
     def point(s: float):
         """(x, alpha c^{N'}, lam) at s as floats, or None where s cannot be built; alpha c^{N'} top is the largest t."""
@@ -297,7 +301,9 @@ def _dilation_curve(pt: _Point, p: MTParams):
             c, lam = _share_scales(G, L, x, p)
             arg = p.alpha * c**p.n_prime * top
         ok = (lam_lo <= lam) & (lam <= lam_hi) & (arg <= EXP_ARG_LIMIT)
-        bounds = np.where(ok, lead * x ** (N / p.b) * _tail_ratio(np.where(ok, arg, 0.0), N - 1), -np.inf)
+        arg = np.where(ok, arg, 0.0)
+        slack = 1.0 + (2.0 * N / p.b * np.abs(np.log(x)) + log_l + 64.0 * arg) * 2.0**-53
+        bounds = np.where(ok, lead * x ** (N / p.b) * slack * _tail_ratio(arg, N - 1), -np.inf)
         out = np.full(len(ss), -np.inf)
         for i in np.argsort(-bounds, kind="stable"):
             if bounds[i] == -np.inf or bounds[i] < out.max():
@@ -380,14 +386,19 @@ def _ascent_slope(pt: _Point, p: MTParams, g: np.ndarray, d: np.ndarray) -> floa
     """d/deta at 0 of F(project_to_constraint(u + eta d)), for the point u on the constraint and g = F'(u).
 
     The constraint terms (t_grad, t_norm) are homogeneous of degrees a and b in the amplitude, so
-    beta'(0) = -<C', d> / (a t_grad + b t_norm) and the slope is <g, d> + beta'(0) <g, u>.
+    beta'(0) = -<C', d> / (a t_grad + b t_norm) and the slope is <g, d> + beta'(0) <g, u>.  Where the weighted
+    sum <w_grad, u'> or <w_norm, u> behind a term is not positive (its powers underflowed), the slope is 0.0,
+    which ends the step as a descent does.
     """
     u, grid = pt.u, pt.u.grid
     t_grad, t_norm = pt.G ** (p.a / p.N), pt.L ** (p.b / p.N)
     s_u = _cell_slopes(grid, u.values)
     w_grad, w_norm = np.abs(s_u) ** (p.N - 2) * s_u * grid.cell_moments, grid.mass * u.values ** (p.N - 1)
-    dc = p.a * t_grad * np.dot(w_grad, _cell_slopes(grid, d)) / np.dot(w_grad, s_u)  # <C', d>
-    dc += p.b * t_norm * np.dot(w_norm, d) / np.dot(w_norm, u.values)
+    grad_sum, norm_sum = np.dot(w_grad, s_u), np.dot(w_norm, u.values)
+    if not (grad_sum > 0 and norm_sum > 0):
+        return 0.0
+    dc = p.a * t_grad * np.dot(w_grad, _cell_slopes(grid, d)) / grad_sum  # <C', d>
+    dc += p.b * t_norm * np.dot(w_norm, d) / norm_sum
     return float(np.dot(g, d) - dc * np.dot(g, u.values) / (p.a * t_grad + p.b * t_norm))
 
 
@@ -399,7 +410,7 @@ def _ascend(pt: _Point, p: MTParams) -> tuple[_Point, int]:
         g = _gradient(u, pt.t, pt.tail, p)
         direction = g / (u.grid.omega * u.grid.mass)  # >= 0, as g is
         dmax = float(np.max(direction))
-        if dmax < GRAD_TOL:
+        if not dmax > 0:
             break
         step_scale = float(u.values[0]) / dmax  # values[0] is the largest value of a monotone profile
         improved = False
@@ -477,7 +488,7 @@ def maximize_d(
     grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     for c in extra_candidates:
-        _check_dimension(c, p)
+        _check_profile_dimension(c, p)
     builders = _candidate_starts(p, opts, grid, rng) + [lambda c=c: c for c in extra_candidates]
 
     # Only the running best is kept: the first strict maximum over the starts.

@@ -14,7 +14,6 @@ from mtlab import (
     MTParams,
     MaximizeOptions,
     alpha0_nonexistence,
-    attainment_test,
     bracket_alpha_star,
     c_tilde_series,
     critical_exponent,
@@ -63,16 +62,6 @@ class TestUniversalLowerBound:
             universal_lower_bound(0.0, 2)
         with pytest.raises(InvalidParameterError):
             universal_lower_bound(100.0, 2)
-
-
-class TestAttainmentTest:
-    def test_boundary_gives_no_verdict(self):
-        lb = universal_lower_bound(2.0, 2)
-        assert attainment_test(lb, 2.0, 2).verdict == VERDICT_NONE
-
-    def test_strict_exceedance_certifies(self):
-        lb = universal_lower_bound(2.0, 2)
-        assert attainment_test(lb * 1.01, 2.0, 2).verdict == VERDICT_CERTIFIED
 
 
 class TestGFunction:
@@ -293,13 +282,6 @@ class TestLowerBoundChain:
                 assert lb * g_val == pytest.approx(j_val, rel=1e-12)
                 assert j_val <= mtlab.mt_integral(W, p) + 1e-12
 
-    def test_verdict_flips_with_margin_threshold(self):
-        lb = universal_lower_bound(1.5, 2)
-        just_below = attainment_test(lb + CERTIFY_MARGIN * 0.99, 1.5, 2)
-        just_above = attainment_test(lb + CERTIFY_MARGIN * 1.01, 1.5, 2)
-        assert just_below.verdict == VERDICT_NONE
-        assert just_above.verdict == VERDICT_CERTIFIED
-
 
 class TestCertificationAgreement:
     @pytest.mark.parametrize("factor", [0.99, 1.01])
@@ -322,9 +304,6 @@ class TestCertificationAgreement:
         assert report.best_value == base.best_value
         assert report.exceeds_lower_bound is expected
 
-        verdict = attainment_test(base.best_value, alpha, N).verdict
-        assert (verdict == VERDICT_CERTIFIED) is expected
-
         plan = mtlab.SweepPlan(
             N=N, axes=(mtlab.AxisSpec("b", b, 2 * b, 2),), fixed={"alpha": alpha, "a": a}, options=opts
         )
@@ -340,7 +319,7 @@ class TestCertificationAgreement:
 
 class TestBoundReportSerialization:
     def test_keys(self):
-        rep = attainment_test(10.0, 2.0, 2)
+        rep = g_function_test(4.0, 2.0, 8.0, 2, 0.17)
         payload = rep.to_json_dict()
         assert set(payload) == {"kind", "values", "verdict", "provenance"}
         assert payload["provenance"]

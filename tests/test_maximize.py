@@ -320,6 +320,14 @@ class TestRoundingStop:
         assert stopped.best_value == full.best_value
         assert stopped.best_profile.values.tobytes() == full.best_profile.values.tobytes()
 
+    def test_vanishing_starts_climb_from_a_small_gradient(self):
+        # the spread starts' preconditioned gradient starts far below any fixed floor (an absolute one of 1e-8 held
+        # both at 755.11); the scale-free stops let them climb, while GN 0.9 still gives the best value
+        p = MTParams(N=5, alpha=0.9 * critical_exponent(5), a=1.74, b=14.1)
+        report = maximize_d(p, mtlab.MaximizeOptions(n_nodes=2048, scheme="graded"))
+        assert report.restart_values[0] > 1600 and report.restart_values[7] > 1600
+        assert report.best_value == 1712.0623743639837
+
 
 class TestAscentSlope:
     @settings(max_examples=30, deadline=None)
@@ -469,17 +477,30 @@ class TestDilationCurve:
         st.floats(0.05, 8.0),
         st.floats(0.05, 8.0),
         st.sampled_from(["composite-gauss", "graded"]),
-        st.booleans(),
+        st.sampled_from(["random", "bump"]) | st.integers(1, 255),
+        st.floats(-30.0, 30.0),
     )
-    @example(0, 3, 7.7215486 / critical_exponent(3), 0.19556694, 4.4472999, "composite-gauss", False)  # c ~ 3e-55
-    @example(0, 20, 1e-6, 0.3, 2.0, "composite-gauss", False)  # T^{N-1} underflows to 0 at s = 9.375
-    def test_ceiling_dominates_every_score(self, seed, N, frac, a, b, scheme, bump):
+    # c ~ 3e-55
+    @example(0, 3, 7.7215486 / critical_exponent(3), 0.19556694, 4.4472999, "composite-gauss", "random", 0.0)
+    @example(0, 20, 1e-6, 0.3, 2.0, "composite-gauss", "random", 0.0)  # T^{N-1} underflows to 0 at s = 9.375
+    # a step on 115 nodes, where |N/b ln x| ~ 680 amplifies the rounding of the exponents 1/b and N/b
+    @example(
+        0, 3, 0.47577547121173064, 2.51532664927264, 0.09063121284201667, "composite-gauss", 115, -20.598559516728553
+    )
+    def test_ceiling_dominates_every_score(self, seed, N, frac, a, b, scheme, shape, s):
+        # shape: a random monotone profile, a bump mixture, or 1 on the first `shape` nodes and 0 after;
+        # the curve is bounded at the scan's 33 points and at s
         grid = build_grid(N, 40.0, 256, scheme)
         rng = np.random.default_rng(seed)
-        u = smooth_bump_profile(grid, rng) if bump else random_monotone_profile(grid, rng)
+        if shape == "random":
+            u = random_monotone_profile(grid, rng)
+        elif shape == "bump":
+            u = smooth_bump_profile(grid, rng)
+        else:
+            u = RadialProfile(grid, (np.arange(grid.n_nodes) < shape).astype(float))
         p = MTParams(N=N, alpha=frac * critical_exponent(N), a=a, b=b)
         pt = _project(u, p)
-        ss = np.linspace(-30.0, 30.0, 33)
+        ss = np.append(np.linspace(-30.0, 30.0, 33), s)
         ceilings = _dilation_curve(pt, p)[0](ss)[1]
         for s, ceiling in zip(ss, ceilings):
             value = _single_point_score(pt, p, float(s))

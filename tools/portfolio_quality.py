@@ -6,7 +6,9 @@ start (by its index in the portfolio), the worst relative loss of the best
 value had that start been dropped, and the number of problems it wins
 strictly.  With --out it writes one JSON line per problem (id, best value,
 verdict, mode); with --against it compares the run with such a file, so a
-change and its parent can be diffed:
+change and its parent can be diffed: it counts the best values that rose and
+fell, the largest fall, verdict flips and mode changes, and lists each moved
+value as parent -> change:
 
     PYTHONPATH=src python tools/portfolio_quality.py --out parent.jsonl     # in the parent's checkout
     PYTHONPATH=src python tools/portfolio_quality.py --against parent.jsonl
@@ -116,12 +118,17 @@ def main(argv=None) -> int:
         with open(args.against, encoding="utf-8") as fh:
             before = {row["id"]: row for row in map(json.loads, fh)}
         pairs = [(row, before[row["id"]]) for row in rows]
-        drift = [abs(new["best_value"] - old["best_value"]) / abs(old["best_value"]) for new, old in pairs]
-        moved = sum(d > 0 for d in drift)
+        moved = [(new, old) for new, old in pairs if new["best_value"] != old["best_value"]]
+        change = [(new["best_value"] - old["best_value"]) / abs(old["best_value"]) for new, old in moved]
+        falls = [-c for c in change if c < 0]
         flips = sum(new["exceeds_lower_bound"] != old["exceeds_lower_bound"] for new, old in pairs)
         modes = sum(new["mode"] != old["mode"] for new, old in pairs)
-        print(f"against {args.against}: {moved} of {len(rows)} best values moved, by at most {max(drift):.2e} "
-              f"relative; {flips} verdict flips, {modes} mode changes")
+        print(f"against {args.against}: {len(moved)} of {len(rows)} best values moved, by at most "
+              f"{max(map(abs, change), default=0.0):.2e} relative; {len(change) - len(falls)} rose, {len(falls)} fell "
+              f"(largest fall {max(falls, default=0.0):.2e} relative); {flips} verdict flips, {modes} mode changes")
+        for (new, old), c in zip(moved, change):
+            mode = f", {old['mode']} -> {new['mode']}" if new["mode"] != old["mode"] else ""
+            print(f"  {new['id']}: {old['best_value']!r} -> {new['best_value']!r} ({c:+.2e}{mode})")
     return 0
 
 
