@@ -42,7 +42,6 @@ from .maximize import gn_ratio
 from .radial import RadialProfile
 
 __all__ = [
-    "ExactRational",
     "gamma_exact",
     "beta_exact",
     "gn_ratio_radial",
@@ -56,23 +55,20 @@ __all__ = [
     "claim_ledger",
 ]
 
-#: Exact rational values (reduced form, positive denominator).
-ExactRational = Fraction
-
 DPS = 50
 
 #: Terms of the partial sum in e_upper_rational.
 E_TERMS = 20
 
 
-def gamma_exact(n: int) -> ExactRational:
+def gamma_exact(n: int) -> Fraction:
     """Gamma(n) = (n-1)! for integer n >= 1, exactly."""
     if n < 1 or n != int(n):
         raise InvalidParameterError(f"gamma_exact needs an integer >= 1, got {n}")
     return Fraction(math.factorial(n - 1))
 
 
-def beta_exact(x: int, y: int) -> ExactRational:
+def beta_exact(x: int, y: int) -> Fraction:
     """B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for integers, exactly."""
     return gamma_exact(x) * gamma_exact(y) / gamma_exact(x + y)
 
@@ -87,7 +83,7 @@ def gn_ratio_radial(u: RadialProfile, N: int) -> float:
     return u.grid.omega ** (-1.0 / (N - 1.0)) / gn_ratio(u)
 
 
-def n2_cubic_exact() -> ExactRational:
+def n2_cubic_exact() -> Fraction:
     """Q at N = 2, u = max{0, (1-r)^3}: exactly 39/40.
 
     int_0^1 r (1-r)^6 dr = B(2,7);  int_0^1 r |u'|^2 dr = 9 B(2,5);
@@ -97,14 +93,14 @@ def n2_cubic_exact() -> ExactRational:
     return numerator / beta_exact(2, 13)
 
 
-def c_n_pow_exact(N: int) -> ExactRational:
+def c_n_pow_exact(N: int) -> Fraction:
     """C_N^{N-1} = (N-1)! N^{N^2-2N} (N-1)^{-(N^2-N)}, exactly, for N >= 3."""
     if N < 3 or N != int(N):
         raise InvalidParameterError(f"c_n_pow_exact needs an integer N >= 3, got {N}")
     return Fraction(math.factorial(N - 1)) * Fraction(N) ** (N * N - 2 * N) / Fraction(N - 1) ** (N * N - N)
 
 
-def c_n_value(N: int) -> tuple[float, ExactRational]:
+def c_n_value(N: int) -> tuple[float, Fraction]:
     """(C_N as a float, C_N^{N-1} as an exact rational)."""
     import mpmath
     exact_pow = c_n_pow_exact(N)
@@ -114,7 +110,7 @@ def c_n_value(N: int) -> tuple[float, ExactRational]:
     return float(value), exact_pow
 
 
-def e_upper_rational() -> ExactRational:
+def e_upper_rational() -> Fraction:
     """A rational upper bound for e: the partial sum to K = E_TERMS plus the tail bound.
 
     sum_{k > K} 1/k! < 1/(K! K), so the bound is exact-arithmetic valid.

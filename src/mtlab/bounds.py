@@ -6,11 +6,11 @@ CERTIFY_MARGIN certifies that the supremum exceeds it (and hence is
 attained, in the subcritical range); no numerical computation here ever
 claims non-attainment.  Verdicts encode that asymmetry explicitly.
 
-The bound and the margin are defined in `functional.py`, and the bound is
-re-exported here; the verdict strings are defined here and nowhere else.
-A maximize_d run certifies iff its report's `exceeds_lower_bound` is set,
-and `bracket_alpha_star` runs the g-test, on the ratio of
-`maximize.cached_gn_report`, before any maximize_d at each alpha.
+The bound and the margin are defined in `functional.py`, the verdict strings
+here and nowhere else.  A maximize_d run certifies iff its report's
+`exceeds_lower_bound` is set, and `bracket_alpha_star` runs the g-test, on the
+ratio of `maximize.cached_gn_report`, before any maximize_d at each alpha.
+Where `MTParams.finite_supremum` is false, the supremum is infinite and nothing certifies.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .errors import BracketNotFoundError, InvalidParameterError, SeriesOverflowError
-from .functional import EXP_ARG_LIMIT, MTParams, universal_lower_bound
+from .functional import EXP_ARG_LIMIT, MTParams
 from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, maximize_d
 from .radial import check_dimension, critical_exponent
 
@@ -33,7 +33,6 @@ __all__ = [
     "VERDICT_INFINITE_SUP",
     "VERDICT_ERROR",
     "BoundReport",
-    "universal_lower_bound",
     "g_function",
     "g_function_test",
     "c_tilde_series",
@@ -46,7 +45,8 @@ __all__ = [
 VERDICT_CERTIFIED = "attained-certified-numerically"
 VERDICT_NONE = "no-verdict"
 VERDICT_NONEXISTENCE_REGIME = "nonexistence-regime"
-#: Sweep rows of cells that ran no maximization: the infinite-supremum regime, and cells that raised.
+#: The verdict of the g-test and of sweep rows where the supremum is infinite (alpha = alpha_N with b > N, no
+#: maximization runs), and of sweep rows whose cell raised.
 VERDICT_INFINITE_SUP = "infinite-sup-regime"
 VERDICT_ERROR = "error"
 
@@ -113,7 +113,7 @@ def _check_constant(name: str, value: float) -> None:
 
 
 def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> BoundReport:
-    """Scan g over [0, 1]; max g > 1 certifies attainment (sufficient test).
+    """Scan g over [0, 1]; max g > 1 certifies attainment (sufficient test) where the supremum is finite.
 
     `bgn` must be a certified lower bound for the GN best constant: g is
     increasing in bgn, so undershooting it only weakens the test, never
@@ -121,7 +121,7 @@ def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> Bou
     g'(1) = N/b - alpha * bgn / N at a = N' (negative iff
     b > N^2/(alpha * bgn), the condition that forces max g > 1).
     """
-    check_dimension(N)
+    finite = MTParams(N=N, alpha=alpha, a=a, b=b).finite_supremum
     _check_constant("bgn", bgn)
     _check_constant("alpha * bgn / N", alpha / N * bgn)  # finite, so g is: g <= 1 + alpha bgn / N
     ts = np.linspace(0.0, 1.0, G_TEST_SAMPLES)
@@ -133,6 +133,7 @@ def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> Bou
         t_best, g_best = float(ts[k]), float(gs[k])
     gprime_at_1 = N / b - alpha * bgn / N
     verdict = VERDICT_CERTIFIED if g_best > 1.0 + G_TEST_MARGIN else VERDICT_NONE
+    verdict = verdict if finite else VERDICT_INFINITE_SUP
     return BoundReport(
         kind="g-test",
         values={
@@ -272,7 +273,9 @@ class BracketReport:
 
 
 def _certify_cell(p: MTParams, opts: BracketOptions, bgn: float, extra) -> tuple[bool, MaximizerReport | None]:
-    """The g-test, then maximize_d where it gives no verdict; the report is None when the g-test certified."""
+    """No certificate where the supremum is infinite, else the g-test, then maximize_d (its report, else None)."""
+    if not p.finite_supremum:
+        return False, None
     if g_function_test(p.alpha, p.a, p.b, p.N, bgn).verdict == VERDICT_CERTIFIED:
         return True, None
     report = maximize_d(p, opts.maximize_opts, extra_candidates=extra)

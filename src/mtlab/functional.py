@@ -12,8 +12,7 @@ turns F into a weighted sum of p-norms,
     F(u) = sum_{j >= N-1} (alpha^j / j!) ||u||_{N'j}^{N'j},
 
 which is the identity the analysis manipulates; both evaluation routes
-are implemented and cross-checked.  Psi_N drops one more term:
-Psi_N(s) = Phi_N(s) - s^{N-1}/(N-1)!, i.e. Psi_N = Phi_{N+1} as a tail.
+are implemented and cross-checked.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "alpha_in_range",
     "universal_lower_bound",
     "phi",
-    "psi",
     "mt_integral",
     "mt_integral_series",
     "constraint_terms",
@@ -162,7 +160,7 @@ def _phi_tail(t, k: int):
     of `_tail_kernel` runs by Horner below the switch point s_k, and
     expm1(t) - sum_{j=1}^{k-1} t^j/j! at and above it.  Against a 40-digit
     reference the relative error stays below 3e-15 for k = 2..9.  t is not checked for sign: inside the package
-    it is alpha u^{N'} of a checked profile, and `phi` and `psi` check what comes from outside.
+    it is alpha u^{N'} of a checked profile, and `phi` checks what comes from outside.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     t_max = t.max(initial=0.0)
@@ -190,24 +188,13 @@ def _tail_ratio(t: np.ndarray, k: int) -> np.ndarray:
     return np.where(t >= switch, _phi_tail(big, k) / big**k, _horner(t, series))
 
 
-def _public_tail(t, k: int):
-    """_phi_tail(t, k) for an argument from outside the package: a float for a scalar, a negative one refused."""
+def phi(t, N: int):
+    """Phi_N(t) = sum_{j >= N-1} t^j / j!, for t >= 0: a float for a scalar t, a negative t refused."""
+    check_dimension(N)
     if np.any(np.asarray(t) < 0):
         raise InvalidParameterError("series argument must be non-negative")
-    result = _phi_tail(t, k)
+    result = _phi_tail(t, N - 1)
     return float(result[0]) if np.ndim(t) == 0 else result
-
-
-def phi(t, N: int):
-    """Phi_N(t) = sum_{j >= N-1} t^j / j!, for t >= 0."""
-    check_dimension(N)
-    return _public_tail(t, N - 1)
-
-
-def psi(s, N: int):
-    """Psi_N(s) = Phi_N(s) - s^{N-1}/(N-1)! = sum_{j >= N} s^j / j!."""
-    check_dimension(N)
-    return _public_tail(s, N)
 
 
 def _series_arguments(u: RadialProfile, p: MTParams) -> np.ndarray:

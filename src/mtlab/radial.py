@@ -58,7 +58,6 @@ __all__ = [
     "grad_norm_pow",
     "pl_norm_pow",
     "decreasing_rearrangement",
-    "evaluate",
     "sample_profile",
     "profile_to_csv",
     "profile_from_csv",
@@ -197,10 +196,6 @@ class RadialGrid:
         r = self.cell_edges()
         return _read_only((r[1:] ** self.N - r[:-1] ** self.N) / self.N)
 
-    def quadrature(self, values: np.ndarray) -> float:
-        """int_0^{r_max} f(r) dr for nodal samples of f."""
-        return float(np.dot(self.weights, values))
-
     def rescaled(self, factor: float) -> "RadialGrid":
         """Grid for r -> factor * r; preserves quadrature exactness.
 
@@ -252,9 +247,6 @@ class RadialProfile:
         object.__setattr__(u, "grid", grid)
         object.__setattr__(u, "values", _read_only(values))
         return u
-
-    def scaled(self, amplitude: float) -> "RadialProfile":
-        return RadialProfile(self.grid, self.values * amplitude)
 
 
 def _cell_counts(n_nodes: int) -> list[int]:
@@ -440,14 +432,6 @@ def decreasing_rearrangement(u: RadialProfile) -> RadialProfile:
     idx = np.searchsorted(cum, midpoints, side="left")
     idx = np.minimum(idx, sorted_values.size - 1)
     return RadialProfile._unchecked(u.grid, sorted_values[idx])
-
-
-def evaluate(u: RadialProfile, r) -> np.ndarray:
-    """Pointwise values of the piecewise-linear profile at radii r."""
-    grid = u.grid
-    r = np.asarray(r, dtype=float)
-    out = np.interp(r, grid.cell_edges(), _edge_values(grid, u.values), left=u.values[0], right=0.0)
-    return np.where(r > grid.r_max, 0.0, out)
 
 
 def sample_profile(grid: RadialGrid, func) -> RadialProfile:

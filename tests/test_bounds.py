@@ -20,7 +20,7 @@ from mtlab import (
     g_function_test,
     universal_lower_bound,
 )
-from mtlab.bounds import VERDICT_CERTIFIED, VERDICT_NONE, BoundReport, g_function
+from mtlab.bounds import VERDICT_CERTIFIED, VERDICT_INFINITE_SUP, VERDICT_NONE, BoundReport, g_function
 from mtlab.functional import CERTIFY_MARGIN
 from mtlab.radial import N_MAX
 
@@ -105,6 +105,13 @@ class TestGFunction:
     def test_invalid_bgn(self):
         with pytest.raises(InvalidParameterError):
             g_function_test(1.0, 2.0, 2.0, 2, -1.0)
+
+    def test_no_verdict_of_attainment_where_the_supremum_is_infinite(self, gn_report_n2):
+        # at alpha_N with b > N the supremum is infinite, so max g > 1 certifies nothing; at b = N it is finite
+        bgn, a_N = gn_report_n2.bgn_estimate, critical_exponent(2)
+        rep = g_function_test(a_N, 2.0, 8.0, 2, bgn)
+        assert rep.verdict == VERDICT_INFINITE_SUP and rep.values["max_g"] > 1.0
+        assert g_function_test(a_N, 2.0, 2.0, 2, bgn).verdict != VERDICT_INFINITE_SUP
 
 
 class TestCTildeSeries:
@@ -235,6 +242,27 @@ class TestBracketAlphaStar:
         assert report.certified == (True, True)
         assert report.bgn_estimate == gn_report_n2.bgn_estimate
 
+    @pytest.mark.parametrize("a, alpha_min", [(2.0, 6.0), (0.5, 12.0)])
+    def test_infinite_supremum_cell_runs_nothing_and_is_not_certified(self, monkeypatch, a, alpha_min):
+        # at alpha_N with b > N nothing is attained: neither the g-test nor maximize_d runs there
+        a_N = critical_exponent(2)
+        alphas = []
+        g_test, maximize = mtlab.bounds.g_function_test, mtlab.bounds.maximize_d
+
+        def spy_g_test(alpha, *args):
+            alphas.append(alpha)
+            return g_test(alpha, *args)
+
+        def spy_maximize(p, *args, **kwargs):
+            alphas.append(p.alpha)
+            return maximize(p, *args, **kwargs)
+
+        monkeypatch.setattr(mtlab.bounds, "g_function_test", spy_g_test)
+        monkeypatch.setattr(mtlab.bounds, "maximize_d", spy_maximize)
+        report = bracket_alpha_star(a, 8.0, 2, light_bracket_opts(alpha_min=alpha_min, alpha_max=a_N, count=2))
+        assert report.certified == (True, False) and report.alpha_high == alpha_min
+        assert alphas and a_N not in alphas
+
     def test_monotone_in_parameters(self, no_g_test):
         highs = {}
         for a, b in [(2.5, 2.0), (3.5, 3.0)]:
@@ -297,7 +325,6 @@ class TestCertificationAgreement:
         real = mtlab.functional.universal_lower_bound
         shifted = lambda al, n: real(al, n) + shift  # noqa: E731
         monkeypatch.setattr(mtlab.maximize, "universal_lower_bound", shifted)
-        monkeypatch.setattr(mtlab.bounds, "universal_lower_bound", shifted)
         expected = factor > 1.0
 
         report = mtlab.maximize_d(MTParams(N=N, alpha=alpha, a=a, b=b), opts)

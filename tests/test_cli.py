@@ -267,6 +267,30 @@ class TestBounds:
         assert payload["values"]["max_g"] > 1.0
         assert payload["verdict"] == "attained-certified-numerically"
 
+    def test_g_test_gives_no_attainment_verdict_where_the_supremum_is_infinite(self, capsys):
+        # alpha = alpha_N with b > N: max g > 1, but the supremum is infinite, so nothing is attained
+        alpha = repr(mtlab.critical_exponent(2))
+        code, out, _ = run_cli(capsys, "g-test", "--N", "2", "--alpha", alpha, "--a", "2", "--b", "8")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["values"]["max_g"] > 1.0 and payload["verdict"] == "infinite-sup-regime"
+
+    @pytest.mark.parametrize(
+        "extra, certified",
+        [
+            (["--a", "2", "--count", "3"], [False, True, False]),
+            (["--a", "0.5", "--alpha-min", "12", "--count", "2"], [True, False]),
+        ],
+        ids=["a-conjugate", "a-small"],
+    )
+    def test_alpha_star_does_not_certify_the_infinite_supremum_cell(self, capsys, extra, certified):
+        # the alpha_N cell with b > N is not certified, and no maximize_d runs there to refuse it
+        alpha = repr(mtlab.critical_exponent(2))
+        argv = ["alpha-star", "--N", "2", "--b", "8", "--alpha-max", alpha, "--restarts", "2", *extra]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["certified"] == certified
+
     def test_alpha0(self, capsys):
         code, out, _ = run_cli(capsys, "alpha0", "--N", "2", "--a", "2", "--b", "2", "--gn-c", "3")
         assert code == 0

@@ -82,3 +82,73 @@ def test_solve_worker_calls_exist():
     assert names == {"MTParams", "MaximizeOptions", "maximize_d", "constraint_value", "mt_integral"}
     for call in calls:
         inspect.signature(getattr(mtlab, call.func.attr)).bind_partial(**{kw.arg: None for kw in call.keywords})
+
+
+
+SRC = Path(mtlab.__file__).resolve().parent
+#: The commands, the acceptance criteria and the benchmark: every name in these files is reached, TRACED's strings
+#: included.
+ENTRY_FILES = (SRC / "cli.py", Path(__file__).with_name("test_acceptance.py"), *sorted(PERFBENCH.glob("*.py")))
+#: Reached by no entry file: the equal-mass grid is the sort oracle of the rearrangement tests in test_radial.py
+#: (on it the discrete rearrangement is exactly the descending sort); it goes once profiles are one
+#: piecewise-linear function and the rearrangement no longer works on nodal masses.
+UNREACHED_BY_DESIGN = {"equal_mass_grid"}
+
+
+def _words(nodes) -> set[str]:
+    """What the nodes use: "x" for a name or import x, "x" and ".x" for an attribute x or a dotted string's part x."""
+    out = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Attribute):
+            out.update((node.attr, "." + node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = [part for part in node.value.split(".") if part.isidentifier()]
+            out.update(parts + ["." + part for part in parts])
+    return out
+
+
+def _definitions():
+    """(key -> the words its definition uses, (public name, key) pairs); a method's key is ".name".
+
+    A class's body but its non-dunder methods is the class's definition: dunders run whenever the class is used.
+    `__all__` defines nothing: it lists names, it does not reach them.
+    """
+    uses, public = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ClassDef):
+                methods = [m for m in stmt.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+                body = [m for m in stmt.body if m not in methods] + stmt.bases + stmt.decorator_list
+                defined = [(stmt.name, stmt.name, body)]
+                defined += [(f"{stmt.name}.{m.name}", "." + m.name, [m]) for m in methods]
+            elif isinstance(stmt, ast.FunctionDef):
+                defined = [(stmt.name, stmt.name, [stmt])]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and n.id != "__all__"]
+                defined = [(name, name, [stmt.value]) for name in names]
+            else:
+                continue
+            for name, key, body in defined:
+                uses.setdefault(key, set()).update(_words(body))
+                if not any(part.startswith("_") for part in name.split(".")):
+                    public.append((f"{path.stem}.{name}", key))
+    return uses, public
+
+
+def test_every_public_name_is_reached():
+    # a public name, or a public method of a public class, that no command, acceptance criterion or benchmark file
+    # reaches, directly or through other src code, is dead code
+    uses, public = _definitions()
+    reached = _words(ast.parse(path.read_text(encoding="utf-8")) for path in ENTRY_FILES) | UNREACHED_BY_DESIGN
+    todo = list(reached)
+    while todo:
+        for word in uses.get(todo.pop(), ()):
+            if word not in reached:
+                reached.add(word)
+                todo.append(word)
+    assert [name for name, key in public if key not in reached] == []

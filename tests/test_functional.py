@@ -22,7 +22,6 @@ from mtlab import (
     mt_integral,
     mt_integral_series,
     phi,
-    psi,
     sample_profile,
 )
 from mtlab.functional import EXP_ARG_LIMIT, _phi_tail, _tail_kernel, _tail_ratio
@@ -63,20 +62,12 @@ class TestPhiPsi:
         assert phi(1.0, 2) == pytest.approx(math.e - 1, rel=1e-14)
         assert phi(2.0, 3) == pytest.approx(math.e ** 2 - 3, rel=1e-14)
 
-    def test_psi_values(self):
-        assert psi(0.0, 2) == 0.0
-        assert psi(1.0, 2) == pytest.approx(math.e - 2, rel=1e-13)
-
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0.0, 60.0), st.integers(2, 7))
     def test_defining_identity(self, s, N):
-        lhs = psi(s, N) + s ** (N - 1) / math.factorial(N - 1)
+        # Phi_N drops the terms below s^{N-1}/(N-1)!, so Phi_N = Phi_{N+1} + s^{N-1}/(N-1)!
+        lhs = phi(s, N + 1) + s ** (N - 1) / math.factorial(N - 1)
         assert lhs == pytest.approx(phi(s, N), rel=1e-12, abs=1e-300)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(0.0, 100.0), st.integers(2, 8))
-    def test_psi_nonnegative(self, s, N):
-        assert psi(s, N) >= 0.0
 
     def test_phi_strictly_increasing(self):
         ts = np.linspace(0.0, 30.0, 200)
@@ -84,31 +75,25 @@ class TestPhiPsi:
             vals = phi(ts, N)
             assert np.all(np.diff(vals) > 0)
 
-    def test_psi_small_argument_order(self):
-        # Psi_N(s)/s^{N-1} -> 0
-        for N in (2, 3):
-            s = 1e-5
-            assert psi(s, N) / s ** (N - 1) < 1e-4
-
-    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 20, 40, N_MAX])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 9, 20, 21, 40, 41, N_MAX])
     def test_against_high_precision_reference(self, N):
-        # Phi_N(t) = e^t P(N-1, t) and Psi_N(t) = e^t P(N, t), referenced at 40 digits,
-        # on both sides of each tail's series/subtraction switch point
+        # Phi_N(t) = e^t P(N-1, t), referenced at 40 digits, on both sides of the tail's series/subtraction switch
+        # point; N = 9, 21 and 41 are the tail orders 8, 20 and 40
         ts = np.concatenate([[1e-50, 1e-12, 5e-11], np.geomspace(1e-10, 630.0, 64), [700.0]])
+        k = N - 1
+        assert phi(0.0, N) == 0.0
+        seam = []
+        if k >= 2:
+            s_k = _tail_kernel(k)[0]
+            seam = [np.nextafter(s_k, 0.0), s_k, np.nextafter(s_k, np.inf)]
+        args = np.concatenate([ts, seam])
         with mpmath.workdps(40):
-            for func, k in ((phi, N - 1), (psi, N)):
-                assert func(0.0, N) == 0.0
-                seam = []
-                if k >= 2:
-                    s_k = _tail_kernel(k)[0]
-                    seam = [np.nextafter(s_k, 0.0), s_k, np.nextafter(s_k, np.inf)]
-                args = np.concatenate([ts, seam])
-                for t, value in zip(args, func(args, N)):
-                    ref = mpmath.exp(t) * mpmath.gammainc(k, 0, t, regularized=True)
-                    if abs(float(ref)) < sys.float_info.min:  # below the normal doubles (t = 1e-50, k >= 7)
-                        assert value == float(ref), (func.__name__, t)
-                    else:
-                        assert abs(mpmath.mpf(float(value)) / ref - 1) <= 5e-14, (func.__name__, t)
+            for t, value in zip(args, phi(args, N)):
+                ref = mpmath.exp(t) * mpmath.gammainc(k, 0, t, regularized=True)
+                if abs(float(ref)) < sys.float_info.min:  # below the normal doubles (t = 1e-50, k >= 7)
+                    assert value == float(ref), t
+                else:
+                    assert abs(mpmath.mpf(float(value)) / ref - 1) <= 5e-14, t
 
     def test_overflow(self):
         with pytest.raises(SeriesOverflowError):
@@ -120,7 +105,7 @@ class TestPhiPsi:
         # the preconditions under which Phi_N needs no scaled kernel and the GN grid no clip;
         # raising N_MAX past them fails here first
         assert EXP_ARG_LIMIT**N_MAX <= 2.0**1000  # t^k stays finite for every k <= N_MAX, t <= EXP_ARG_LIMIT
-        _, series, _ = _tail_kernel(N_MAX)  # Psi_N's order at N_MAX, the largest any call uses
+        _, series, _ = _tail_kernel(N_MAX)  # order N_MAX, one above the largest any call uses (Phi_N's, N_MAX - 1)
         assert N_MAX + len(series) - 1 <= 170  # the top Horner index: 1/j! is a double
         assert max_radius(N_MAX) >= GN_R_MAX
 
@@ -198,7 +183,7 @@ class TestConstraint:
         g = build_grid(2, 10.0, 128)
         u = sample_profile(g, lambda r: np.exp(-r))
         p = MTParams(N=2, alpha=1.0, a=1.5, b=3.0)
-        assert constraint_value(u.scaled(1.5), p) > constraint_value(u, p)
+        assert constraint_value(RadialProfile(u.grid, u.values * 1.5), p) > constraint_value(u, p)
 
 
 class TestJTruncated:
@@ -248,7 +233,7 @@ class TestUniformBoundEnvelope:
         for _ in range(200):
             u = random_monotone_profile(g, rng)
             gn = grad_norm_pow(u) ** 0.5
-            profiles.append(u.scaled(rng.uniform(0.1, 1.0) / gn))
+            profiles.append(RadialProfile(u.grid, u.values * (rng.uniform(0.1, 1.0) / gn)))
         a2 = critical_exponent(2)
         envelopes = []
         for beta in (0.3 * a2, 0.5 * a2, 0.7 * a2):

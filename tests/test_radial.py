@@ -13,7 +13,6 @@ from mtlab import (
     build_grid,
     decreasing_rearrangement,
     equal_mass_grid,
-    evaluate,
     grad_norm_pow,
     lp_norm_pow,
     profile_from_csv,
@@ -45,7 +44,7 @@ class TestGridConstruction:
 
     def test_linear_function_exact(self):
         g = build_grid(2, 1.0, 64)
-        assert abs(g.quadrature(g.nodes) - 0.5) <= 1e-12
+        assert abs(np.dot(g.weights, g.nodes) - 0.5) <= 1e-12
 
     def test_graded_cell_widths_grow(self):
         # n divisible by the cell order so node gaps chunk cleanly per cell
@@ -278,7 +277,7 @@ class TestCachedGeometry:
         u = sample_profile(grid, lambda r: np.exp(-r))
         assert grad_norm_pow(u) == _grad_reference(u)
         edges = grid.cell_edges()
-        assert np.array_equal(evaluate(u, edges), np.append(u.values, 0.0)[: edges.size])
+        assert np.array_equal(edges[: grid.n_nodes], grid.nodes) and edges[-1] == grid.r_max
 
     def test_build_grid_builds_each_grid_once(self):
         grid = build_grid(3, 40.0, 512, "graded")
@@ -389,7 +388,8 @@ class TestPLNormPow:
         u = random_monotone_profile(build_grid(N, 10.0, 64), np.random.default_rng(seed))
         t = 10.0 ** log_t
         base = pl_norm_pow(u, p)
-        assert pl_norm_pow(u.scaled(amplitude), p) == pytest.approx(amplitude ** p * base, rel=1e-12)
+        scaled = RadialProfile(u.grid, u.values * amplitude)
+        assert pl_norm_pow(scaled, p) == pytest.approx(amplitude ** p * base, rel=1e-12)
         assert pl_norm_pow(mtlab.dilate(u, t), p) == pytest.approx(t ** (p / N - 1.0) * base, rel=1e-12)
 
     def test_rejects_p_below_one(self):
@@ -411,15 +411,6 @@ class TestProfileBasics:
         values[0] = bad
         with pytest.raises(InvalidParameterError, match="finite and non-negative"):
             RadialProfile(g, values)
-
-    def test_evaluate_piecewise_linear(self):
-        g = build_grid(2, 2.0, 64)
-        u = sample_profile(g, lambda r: np.exp(-r))
-        assert np.allclose(evaluate(u, g.nodes), u.values)
-        assert evaluate(u, 0.0) == u.values[0]
-        assert evaluate(u, 5.0) == 0.0
-        mid = 0.5 * (g.nodes[3] + g.nodes[4])
-        assert evaluate(u, mid) == pytest.approx(0.5 * (u.values[3] + u.values[4]), rel=1e-12)
 
     def test_grid_rescale_overflow(self):
         g = build_grid(2, 40.0, 64)

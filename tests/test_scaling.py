@@ -138,7 +138,8 @@ class TestNormalizedDilation:
         g = build_grid(N, 12.0, 384)
         v = sample_profile(g, lambda r: np.exp(-r))
         for t in (0.2, 1.0, 5.0):
-            w = dilate(v, t).scaled(solve_beta_star(v, t, p))
+            vt = dilate(v, t)
+            w = RadialProfile(vt.grid, vt.values * solve_beta_star(v, t, p))
             assert constraint_value(w, p) == pytest.approx(1.0, abs=1e-12)
 
 
