@@ -9,7 +9,26 @@ arithmetic.  The `mt` console script runs each of these; `mt verify-appendix`
 reports the N >= 3 ledger and the e^5 chain, while the N = 2 ratio 39/40 and
 C_3^2 = 27/32 are checked by acceptance criterion 01 through `n2_cubic_exact`
 and `c_n_value`.
+
+Importing mtlab before numpy starts numpy's OpenBLAS with one thread, so
+every command runs in a single thread.  A caller who sets
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, or who imports
+numpy first, keeps that choice.
 """
+
+import os
+import sys
+
+# OpenBLAS starts one worker per core when numpy loads, and mtlab's BLAS calls (1-D dots, leggauss's small
+# eigenproblems) never use it: on 2 cores the idle worker made a cold `import numpy` take 171 ms instead of
+# 104 ms and cost each cold `mt` command about 0.13 s of CPU.  The variable is removed again, so child
+# processes and later code see the environment as they found it.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 

@@ -455,13 +455,15 @@ def _vanishing(grid: RadialGrid, p: MTParams, depth: float) -> RadialProfile:
     return dilate(base, max(t, t_min))
 
 
-def _candidate_starts(p: MTParams, opts: MaximizeOptions, grid: RadialGrid, rng):
-    """Builders of the opts.restarts starts; a random Gaussian mixture draws from rng when it is built."""
+def _candidate_starts(p: MTParams, opts: MaximizeOptions, grid: RadialGrid):
+    """Builders of the opts.restarts starts; the random Gaussian mixtures draw in turn from one generator seeded
+    by opts.seed, made on the first draw, so starts that draw nothing never import numpy.random."""
     scale = min(grid.r_max / 8.0, 2.0)
+    rng = cache(lambda: np.random.default_rng(np.random.SeedSequence(opts.seed)))
 
     def mixture() -> RadialProfile:
-        widths = 10.0 ** rng.uniform(-1.0, 1.0, size=3) * scale
-        weights = rng.uniform(0.2, 1.0, size=3)
+        widths = 10.0 ** rng().uniform(-1.0, 1.0, size=3) * scale
+        weights = rng().uniform(0.2, 1.0, size=3)
         return RadialProfile(grid, sum(amp * np.exp(-((grid.nodes / wdt) ** 2)) for wdt, amp in zip(widths, weights)))
 
     builders = [
@@ -486,10 +488,9 @@ def maximize_d(
     opts = opts or MaximizeOptions()
     opts.check_regime(p)
     grid = build_grid(p.N, opts.r_max, opts.n_nodes, opts.scheme)
-    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     for c in extra_candidates:
         _check_profile_dimension(c, p)
-    builders = _candidate_starts(p, opts, grid, rng) + [lambda c=c: c for c in extra_candidates]
+    builders = _candidate_starts(p, opts, grid) + [lambda c=c: c for c in extra_candidates]
 
     # Only the running best is kept: the first strict maximum over the starts.
     best, restart_values, total_iters = None, [], 0

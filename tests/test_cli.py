@@ -603,3 +603,44 @@ def test_cli_import_path_loads_no_scipy_or_mpmath():
     loaded, _, ledger = proc.stdout.partition("\n")
     assert loaded == "[]"
     assert json.loads(ledger)["all_claims_hold"] is True
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _cold_footprint(script, env):
+    """The last stdout line of a fresh interpreter running script, as JSON."""
+    src = str(Path(mtlab.__file__).resolve().parents[1])
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("caller_threads", [None, "2"], ids=["unset", "caller-set"])
+def test_cold_maximize_runs_one_thread_and_draws_nothing(tmp_path, caller_threads):
+    # conftest imports numpy before mtlab, so only a fresh interpreter shows what a cold `mt` process holds
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc to count threads")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if caller_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller_threads
+    report = tmp_path / "report.json"
+    script = (
+        "import json, os, sys\n"
+        "import mtlab.cli\n"
+        "argv = ['maximize', '--N', '2', '--alpha', '3', '--a', '3', '--b', '2', '--n-nodes', '128']\n"
+        f"code = mtlab.cli.main(argv + ['--out', {str(report)!r}])\n"
+        "print(json.dumps({'code': code, 'threads': len(os.listdir('/proc/self/task')),\n"
+        "                  'blas_env': os.environ.get('OPENBLAS_NUM_THREADS'), 'random': 'numpy.random' in sys.modules}))\n"
+    )
+    seen = _cold_footprint(script, env)
+    assert seen["code"] == 0 and json.loads(report.read_text())["best_value"] > 0
+    assert seen["random"] is False
+    assert seen["blas_env"] == caller_threads
+    if caller_threads is None:
+        assert seen["threads"] == 1
+    else:
+        # the caller's choice stands: as many threads as numpy alone starts under the same environment
+        control = "import json, os\nimport numpy\nprint(json.dumps(len(os.listdir('/proc/self/task'))))\n"
+        assert seen["threads"] == _cold_footprint(control, env)

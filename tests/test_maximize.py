@@ -650,14 +650,30 @@ class TestPortfolio:
         assert winners == list(range(mtlab.MaximizeOptions().restarts))
 
     @pytest.mark.parametrize("N", [2, 5])
-    def test_default_starts_draw_nothing_from_the_rng(self, N):
+    def test_default_starts_draw_nothing_from_the_rng(self, N, monkeypatch):
+        # the default starts make no generator at all, so a cold default-restart run never imports numpy.random
+        def no_generator(*args):
+            raise AssertionError("a default start made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         opts = mtlab.MaximizeOptions()
         p = MTParams(N=N, alpha=0.5 * critical_exponent(N), a=1.0, b=float(N))
-        rng = np.random.default_rng(1)
-        state = rng.bit_generator.state
         grid = build_grid(N, opts.r_max, opts.n_nodes, opts.scheme)
-        starts = [build() for build in maximize_mod._candidate_starts(p, opts, grid, rng)]
-        assert len(starts) == 8 and rng.bit_generator.state == state
+        starts = [build() for build in maximize_mod._candidate_starts(p, opts, grid)]
+        assert len(starts) == 8
+
+    def test_mixtures_draw_in_turn_from_the_seeded_stream(self):
+        opts = mtlab.MaximizeOptions(restarts=11, seed=7)
+        p = MTParams(N=2, alpha=3.0, a=3.0, b=2.0)
+        grid = build_grid(2, opts.r_max, opts.n_nodes, opts.scheme)
+        mixtures = [build().values for build in maximize_mod._candidate_starts(p, opts, grid)[8:]]
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        scale = min(grid.r_max / 8.0, 2.0)
+        for values in mixtures:
+            widths = 10.0 ** rng.uniform(-1.0, 1.0, size=3) * scale
+            weights = rng.uniform(0.2, 1.0, size=3)
+            expected = sum(amp * np.exp(-((grid.nodes / wdt) ** 2)) for wdt, amp in zip(widths, weights))
+            assert np.array_equal(values, expected)
 
 
 class TestDiagnoseMode:
