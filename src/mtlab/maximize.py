@@ -55,9 +55,9 @@ the winner is built.
 
 `maximize_gn` computes the Gagliardo-Nirenberg maximizer from its
 Euler-Lagrange equation, the radial ground state of
--Delta_N Q + Q^{N-1} = Q^{NN'-1}: batched RK4 shots bracket Q(0), the
-shot from the final bracket is sampled on the GN grid, and the profile is
-normalized to ||grad V||_N = 1 = ||V||_N.  Its certified bgn_estimate is
+-Delta_N Q + Q^{N-1} = Q^{NN'-1}: RK4 shots in floats, one per Q(0), bisect for
+a Q(0) bracket; the shot from its midpoint is sampled on the GN grid, and the
+profile is normalized to ||grad V||_N = 1 = ||V||_N.  Its certified bgn_estimate is
 the GN ratio of that profile's piecewise-linear interpolant (`pl_norm_pow`);
 `gn_ratio` with the grid quadrature is the working value.
 """
@@ -539,16 +539,15 @@ def maximize_d(
 #: The grid the GN ground state is sampled on; shots run to GN_R_MAX.
 GN_R_MAX = 30.0
 GN_NODES = 1536
-#: Shooting policy of maximize_gn: RK4 step in r, shots per round, rounds, initial Q(0) bracket.
+#: Shooting policy of maximize_gn: RK4 step in r, halvings of the initial Q(0) bracket, that bracket.
 GN_STEP = 0.02
-GN_SHOTS = 257
-GN_ROUNDS = 4
+GN_HALVINGS = 32
 GN_BRACKET = (1.05, 4.0)
 #: Exactly _bracket_q0(N, *GN_BRACKET, GN_R_MAX); maximize_gn(N) re-proves each, a test prints any entry that moved.
 GN_Q0_BRACKETS = {
-    2: (2.2062045690603553, 2.206204569747206),
+    2: (2.2062045690603553, 2.2062045697472055),
     3: (2.42611058333423, 2.42611058402108),
-    4: (2.5154971129028127, 2.5154971135896633),
+    4: (2.5154971129028127, 2.515497113589663),
 }
 #: A final Q(0) bracket wider than this marks the report low_accuracy.
 GN_RESIDUAL_TOL = 1e-6
@@ -591,30 +590,27 @@ def gn_ratio(u: RadialProfile, norm_pow=lp_norm_pow) -> float:
     return norm_pow(u, N * N / (N - 1.0)) / (norm_pow(u, N) * I_g ** (1.0 / (N - 1.0)))
 
 
-def _shoot(N: int, q0: np.ndarray, r_end: float) -> tuple[np.ndarray, list]:
-    """Fixed-step RK4 shots of the radial ground-state equation, one per Q(0) > 1.
+def _shoot(N: int, q0: float, r_end: float) -> tuple[int, list[float]]:
+    """One fixed-step RK4 shot of the radial ground-state equation from Q(0) = q0 > 1, in floats.
 
     The state is (Q, phi), phi = r^{N-1} |Q'|^{N-2} Q', with
     phi' = r^{N-1} (Q^{N-1} - Q^{NN'-1}).  It starts at r = GN_STEP from the
     small-r series phi = c r^N / N, Q = Q(0) - (|c| r / N)^{1/(N-1)} r / N',
-    where c = Q(0)^{N-1} - Q(0)^{NN'-1} < 0.  Returns each shot's first event
-    (OVERSHOOT, UNDERSHOOT, or 0 if none by r_end; all shots stop once each
-    has one) and the first shot's Q at r = 0, GN_STEP, ... up to its own event.
+    where c = Q(0)^{N-1} - Q(0)^{NN'-1} < 0.  Returns the shot's first event
+    (OVERSHOOT, UNDERSHOOT, or 0 if none by r_end) and its Q at r = 0,
+    GN_STEP, ... up to the step of that event.
     """
-    h, e = GN_STEP, N * N / (N - 1.0) - 1.0
+    h, e, inv = GN_STEP, N * N / (N - 1.0) - 1.0, 1.0 / (N - 1)
 
     def rhs(r, q, phi):
         rn = r ** (N - 1)
-        qp = np.maximum(q, 0.0)
-        if N == 2:  # Q' = phi / r: the general branch below with exponent 1, in fewer array passes
-            return phi / rn, rn * (qp - qp ** e)
-        return np.copysign(np.abs(phi / rn) ** (1.0 / (N - 1)), phi), rn * (qp ** (N - 1) - qp ** e)
+        qp = max(q, 0.0)
+        return math.copysign(abs(phi / rn) ** inv, phi), rn * (qp ** (N - 1) - qp ** e)
 
     c = q0 ** (N - 1) - q0 ** e
-    q = q0 - (-c * h / N) ** (1.0 / (N - 1)) * h * (N - 1.0) / N
+    q = q0 - (-c * h / N) ** inv * h * (N - 1.0) / N
     phi = c * h ** N / N
-    turned = crossed = np.zeros(q0.shape, dtype=bool)
-    trajectory = [q0[0], q[0]]
+    trajectory = [q0, q]
     for k in range(1, int(round(r_end / h))):
         r = k * h
         k1q, k1p = rhs(r, q, phi)
@@ -623,56 +619,41 @@ def _shoot(N: int, q0: np.ndarray, r_end: float) -> tuple[np.ndarray, list]:
         k4q, k4p = rhs(r + h, q + h * k3q, phi + h * k3p)
         q = q + h / 6 * (k1q + 2 * (k2q + k3q) + k4q)
         phi = phi + h / 6 * (k1p + 2 * (k2p + k3p) + k4p)
+        trajectory.append(q)
         # Both events are final: past zero phi' = 0, so phi stays negative and
         # Q keeps falling; a shot that turned at Q > 0 lacks the energy to reach 0.
-        if not (turned[0] or crossed[0]):  # the first shot had no event before this step
-            trajectory.append(q[0])
-        turned = turned | (phi > 0)
-        crossed = q <= 0
-        if (turned | crossed).all():
-            break
-    return np.where(crossed, OVERSHOOT, np.where(turned, UNDERSHOOT, 0)), trajectory
-
-
-def _check_straddle(N: int, events: np.ndarray, lo: float, hi: float) -> None:
-    """The shots from lo and hi (events[0], events[-1]) must undershoot, then overshoot."""
-    if events[0] != UNDERSHOOT or events[-1] != OVERSHOOT:
-        raise BracketNotFoundError(f"Q(0) in [{lo!r}, {hi!r}] must undershoot, then overshoot (N = {N})")
+        if q <= 0:
+            return OVERSHOOT, trajectory
+        if phi > 0:
+            return UNDERSHOOT, trajectory
+    return 0, trajectory
 
 
 def _bracket_q0(N: int, lo: float, hi: float, r_end: float) -> tuple[float, float]:
-    """Narrow [lo, hi] on Q(0) in GN_ROUNDS rounds of GN_SHOTS equally spaced shots.
-
-    Each round keeps the adjacent undershoot/overshoot pair around the first
-    overshoot.  hi must overshoot and lo must not; lo's shot may have no event.
-    """
+    """Halve [lo, hi] on Q(0) GN_HALVINGS times, shooting the midpoints: hi takes one that overshoots, lo any other."""
     if not 1.0 < lo < hi:
         raise InvalidParameterError(f"a Q(0) bracket needs 1 < lo < hi (Q(0) > 1 is necessary), got [{lo}, {hi}]")
-    for _ in range(GN_ROUNDS):
-        q0 = np.linspace(lo, hi, GN_SHOTS)
-        events = _shoot(N, q0, r_end)[0]
-        j = int(np.argmax(events == OVERSHOOT))
-        under = np.flatnonzero(events[:j] == UNDERSHOOT)
-        if events[-1] != OVERSHOOT or not under.size:
-            raise BracketNotFoundError(f"Q(0) in [{lo!r}, {hi!r}] must undershoot, then overshoot (N = {N})")
-        lo, hi = float(q0[under[-1]]), float(q0[j])
+    for _ in range(GN_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _shoot(N, mid, r_end)[0] == OVERSHOOT else (mid, hi)
     return lo, hi
 
 
 def maximize_gn(N: int) -> GNReport:
     """The radial GN ground state by shooting on Q(0), normalized to ||grad V||_N = 1 = ||V||_N.
 
-    The maximizer solves -Delta_N Q + Q^{N-1} = Q^{NN'-1}.  Shots from lo, hi
-    prove the Q(0) bracket (GN_Q0_BRACKETS[N] or searched) beside the midpoint
-    shot, which is cut before its event, shifted to 0 there, sampled at the grid
+    The maximizer solves -Delta_N Q + Q^{N-1} = Q^{NN'-1}.  The Q(0) bracket
+    (GN_Q0_BRACKETS[N] or searched) is proved: lo must undershoot, hi overshoot.  The
+    midpoint shot is cut before its event, shifted to 0 there, sampled at the grid
     nodes (0 beyond) and normalized; bgn_estimate is its PL interpolant's ratio.
     """
     grid = build_grid(N, GN_R_MAX, GN_NODES)
     lo, hi = GN_Q0_BRACKETS.get(N) or _bracket_q0(N, *GN_BRACKET, GN_R_MAX)
+    if _shoot(N, lo, GN_R_MAX)[0] != UNDERSHOOT or _shoot(N, hi, GN_R_MAX)[0] != OVERSHOOT:
+        raise BracketNotFoundError(f"Q(0) in [{lo!r}, {hi!r}] must undershoot, then overshoot (N = {N})")
     q0 = 0.5 * (lo + hi)
-    events, trajectory = _shoot(N, np.array([q0, lo, hi]), GN_R_MAX)
-    _check_straddle(N, events[1:], lo, hi)
-    q = np.array(trajectory[:-1] if events[0] else trajectory)
+    event, trajectory = _shoot(N, q0, GN_R_MAX)
+    q = np.array(trajectory[:-1] if event else trajectory)
     values = np.interp(grid.nodes, GN_STEP * np.arange(q.size), q - q[-1], right=0.0)
     profile = rescale_to_norms(RadialProfile(grid, values), 1.0, 1.0)
     return GNReport(
@@ -683,7 +664,7 @@ def maximize_gn(N: int) -> GNReport:
         maximizer_profile=profile,
         residual=hi - lo,
         low_accuracy=hi - lo > GN_RESIDUAL_TOL,
-        iterations=3 if N in GN_Q0_BRACKETS else GN_ROUNDS * GN_SHOTS + 3,
+        iterations=3 if N in GN_Q0_BRACKETS else GN_HALVINGS + 3,
     )
 
 

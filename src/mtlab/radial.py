@@ -89,8 +89,8 @@ def check_dimension(N) -> None:
 
     The problem is posed for every N >= 2, but the GN ground state (bgn, the
     default --gn-c of alpha0, three starts of maximize_d) is found by
-    maximize_gn's shots for N = 2..57 only: from N = 58 the Q(0) bracket no
-    longer undershoots, then overshoots.  Up to 57 every double stays in range
+    maximize_gn's shots, tested for N = 2..57 only (its bisection also proves
+    a Q(0) bracket for N = 58..105).  Up to 57 every double stays in range
     without rescaling: 700^57 < 2^1000 for the Phi_N kernel, its 1/j! up to
     j = 120, Gamma(N/2), and 2^{1000/N} >= GN_R_MAX for the GN grid.
     """

@@ -29,10 +29,9 @@ from mtlab.appendix import gn_ratio_radial
 from mtlab import maximize as maximize_mod
 from mtlab.maximize import (
     GN_BRACKET,
+    GN_HALVINGS,
     GN_Q0_BRACKETS,
     GN_R_MAX,
-    GN_ROUNDS,
-    GN_SHOTS,
     UNDERSHOOT,
     _ascent_slope,
     _bracket_q0,
@@ -326,7 +325,7 @@ class TestRoundingStop:
         p = MTParams(N=5, alpha=0.9 * critical_exponent(5), a=1.74, b=14.1)
         report = maximize_d(p, mtlab.MaximizeOptions(n_nodes=2048, scheme="graded"))
         assert report.restart_values[0] > 1600 and report.restart_values[7] > 1600
-        assert report.best_value == 1712.0623743639837
+        assert report.best_value == 1712.0623738482716
 
 
 class TestAscentSlope:
@@ -777,24 +776,35 @@ class TestGNShooting:
         payload = rep.to_json_dict()
         assert payload["q0"] == rep.q0 and payload["grid_ratio"] == rep.grid_ratio
 
+    @pytest.mark.parametrize(
+        "N, q0, bgn", [(2, 2.2062045694037806, 0.1709193295098344), (3, 2.426110583677655, 0.31426646368830174)]
+    )
+    def test_q0_and_bgn_estimate_are_pinned(self, N, q0, bgn, gn_report_n2, gn_report_n3):
+        # exact values, so any change to the arithmetic of the shots at N = 2, 3 shows here
+        rep = {2: gn_report_n2, 3: gn_report_n3}[N]
+        assert (rep.q0, rep.bgn_estimate) == (q0, bgn)
+
     @pytest.mark.parametrize("lo, hi", [(2.3, 4.0), (1.05, 2.1)], ids=["both-overshoot", "both-undershoot"])
-    def test_bracket_must_straddle_ground_state(self, lo, hi):
+    def test_bracket_must_straddle_ground_state(self, lo, hi, monkeypatch):
+        # the bisection keeps one end of such a bracket; the proof shot from that end refuses it
+        monkeypatch.setattr(maximize_mod, "GN_Q0_BRACKETS", {})
+        monkeypatch.setattr(maximize_mod, "GN_BRACKET", (lo, hi))
         with pytest.raises(mtlab.BracketNotFoundError):
-            _bracket_q0(2, lo, hi, 30.0)
+            maximize_gn(2)
 
     def test_search_lo_may_have_no_event(self):
         # from Q(0) = 1.05 the N = 11 shot has no event by r = 30; the search still narrows onto Q(0)
-        assert _shoot(11, np.array([GN_BRACKET[0]]), GN_R_MAX)[0][0] == 0
+        assert _shoot(11, GN_BRACKET[0], GN_R_MAX)[0] == 0
         lo, hi = _bracket_q0(11, *GN_BRACKET, GN_R_MAX)
         assert 0 < hi - lo < 1e-8
-        assert _shoot(11, np.array([lo]), GN_R_MAX)[0][0] == UNDERSHOOT
+        assert _shoot(11, lo, GN_R_MAX)[0] == UNDERSHOOT
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("N", [5, 11, 20, 40, N_MAX])
+    @pytest.mark.parametrize("N", range(5, N_MAX + 1))
     def test_found_across_the_dimension_range(self, N):
-        # searched brackets (no table entry) up to N_MAX; from N = 58 on the search raises BracketNotFoundError
+        # searched brackets (no table entry) for every N past the table, up to N_MAX
         rep = maximize_gn(N)
-        assert rep.iterations == GN_ROUNDS * GN_SHOTS + 3
+        assert rep.iterations == GN_HALVINGS + 3
         assert 0 < rep.residual < 1e-8 and not rep.low_accuracy
         assert GN_BRACKET[0] < rep.q0 < GN_BRACKET[1]
         assert rep.bgn_estimate > 0 and math.isfinite(rep.bgn_estimate)
@@ -802,13 +812,6 @@ class TestGNShooting:
     def test_bracket_needs_q0_above_one(self):
         with pytest.raises(InvalidParameterError):
             _bracket_q0(2, 1.0, 4.0, 30.0)
-
-    def test_first_trajectory_ends_at_its_own_event(self):
-        # 1.05 undershoots long before the near-critical shot decides
-        q_mid = 0.5 * sum(GN_Q0_BRACKETS[2])
-        alone = _shoot(2, np.array([1.05]), 30.0)[1]
-        beside = _shoot(2, np.array([1.05, q_mid]), 30.0)[1]
-        assert np.array(beside).tobytes() == np.array(alone).tobytes()
 
 
 class TestTabulatedBracket:
@@ -820,7 +823,7 @@ class TestTabulatedBracket:
     def test_search_path_gives_the_same_report(self, monkeypatch, gn_report_n2):
         monkeypatch.setattr(maximize_mod, "GN_Q0_BRACKETS", {})
         searched = maximize_gn(2)
-        assert searched.iterations == GN_ROUNDS * GN_SHOTS + 3
+        assert searched.iterations == GN_HALVINGS + 3
         fields = dict(searched.to_json_dict(), iterations=gn_report_n2.iterations)
         assert fields == gn_report_n2.to_json_dict()
         u, v = searched.maximizer_profile, gn_report_n2.maximizer_profile
