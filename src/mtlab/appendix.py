@@ -26,8 +26,8 @@ d_3 < 1/2, which is equivalent to e^5 < 729/4 (the cruder rational bound
 
 Everything with integer gamma arguments is computed in exact rational
 arithmetic (`fractions.Fraction`); the log comparisons run at 50
-significant digits via mpmath, which the functions that need it import
-on first call, so only `verify-appendix` pays for it.
+significant digits in the standard library's `decimal`, from one table
+of logs that takes one `ln` per prime and sums prime logs for composites.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from .errors import InvalidParameterError
@@ -100,13 +101,16 @@ def c_n_pow_exact(N: int) -> Fraction:
     return Fraction(math.factorial(N - 1)) * Fraction(N) ** (N * N - 2 * N) / Fraction(N - 1) ** (N * N - N)
 
 
+def _ln(q: Fraction) -> Decimal:
+    """log q in the caller's context: one ln of the quotient rounded to its precision."""
+    return (Decimal(q.numerator) / q.denominator).ln()
+
+
 def c_n_value(N: int) -> tuple[float, Fraction]:
     """(C_N as a float, C_N^{N-1} as an exact rational)."""
-    import mpmath
     exact_pow = c_n_pow_exact(N)
-    with mpmath.workdps(DPS):
-        log_pow = mpmath.log(mpmath.mpf(exact_pow.numerator)) - mpmath.log(mpmath.mpf(exact_pow.denominator))
-        value = mpmath.e ** (log_pow / (N - 1))
+    with localcontext(Context(prec=DPS)):
+        value = (_ln(exact_pow) / (N - 1)).exp()
     return float(value), exact_pow
 
 
@@ -126,13 +130,11 @@ def exp5_claims() -> dict:
     rationals, a rational e-upper-bound fifth power below 729/4, and the
     50-digit float comparison for the report.
     """
-    import mpmath
     bound = Fraction(729, 4)
     crude = Fraction(14, 5) ** 5
     e_up = e_upper_rational()
-    with mpmath.workdps(DPS):
-        e5 = mpmath.e ** 5
-        e5_float = float(e5)
+    with localcontext(Context(prec=DPS)):
+        e5_float = float(Decimal(5).exp())
     return {
         "e5": e5_float,
         "bound": float(bound),
@@ -184,18 +186,14 @@ class ClaimLedger:
         return buf.getvalue()
 
 
-def _d_terms(n_max: int):
-    """d_N for N in [3, n_max + 1] at 50 digits, via a running log-factorial."""
-    import mpmath
-    ds = {}
-    with mpmath.workdps(DPS):
-        log_fact = mpmath.mpf(0)  # log (N-1)! accumulated
-        for k in range(1, n_max + 1):
-            log_fact += mpmath.log(k)
-            N = k + 1
-            if 3 <= N <= n_max + 1:
-                ds[N] = log_fact - N * (mpmath.log(N) - 1)
-    return ds
+def _ln_table(n: int) -> list[Decimal]:
+    """log k for k in [0, n] (entry 0 unused) in the caller's context: one ln per prime; a composite
+    adds the logs of its smallest prime factor and its cofactor."""
+    ln = [Decimal(0)] * (n + 1)
+    for k in range(2, n + 1):
+        p = next((q for q in range(2, math.isqrt(k) + 1) if k % q == 0), k)
+        ln[k] = Decimal(k).ln() if p == k else ln[p] + ln[k // p]
+    return ln
 
 
 def claim_ledger(n_max: int = 1000) -> ClaimLedger:
@@ -204,39 +202,34 @@ def claim_ledger(n_max: int = 1000) -> ClaimLedger:
     Exactness policy: rational quantities (C_N^{N-1}, (2.8)^5, 729/4,
     the e upper bound) are exact; the log comparisons are 50-digit,
     with the decomposition identity log C_N^{N-1} = d_N + e_N checked
-    against exact-rational logs to 1e-12 on small N.
+    against the log of the exact rational to 1e-12 on small N.
     """
-    import mpmath
     if n_max < 3:
         raise InvalidParameterError(f"n_max must be >= 3, got {n_max}")
-    ds = _d_terms(n_max)
     rows = []
     max_err = 0.0
-    with mpmath.workdps(DPS):
-        half = mpmath.mpf(1) / 2
+    with localcontext(Context(prec=DPS)):
+        ln = _ln_table(n_max + 1)
+        d = {}  # d_N for N in [3, n_max + 1], via a running log (N-1)!
+        log_fact = ln[1]
+        for N in range(3, n_max + 2):
+            log_fact += ln[N - 1]
+            d[N] = log_fact - N * (ln[N] - 1)
         for N in range(3, n_max + 1):
-            d_N = ds[N]
-            e_N = -N + N * (N - 1) * mpmath.log(1 + mpmath.mpf(1) / (N - 1))
+            d_N = d[N]
+            e_N = -N + N * (N - 1) * (ln[N] - ln[N - 1])
             log_cn = d_N + e_N
-            claim1 = e_N < -half
-            claim2 = ds[N + 1] < d_N
-            claim3 = log_cn < 0
             if N <= 40:
-                exact_pow = c_n_pow_exact(N)
-                direct = mpmath.log(mpmath.mpf(exact_pow.numerator)) - mpmath.log(
-                    mpmath.mpf(exact_pow.denominator)
-                )
-                max_err = max(max_err, abs(float(direct - log_cn)))
+                max_err = max(max_err, abs(float(_ln(c_n_pow_exact(N)) - log_cn)))
             rows.append(
                 ClaimRow(
                     N=N,
                     d_N=float(d_N),
                     e_N=float(e_N),
                     log_cn_pow=float(log_cn),
-                    claim1=bool(claim1),
-                    claim2=bool(claim2),
-                    claim3_chain=bool(claim3),
+                    claim1=e_N < Decimal("-0.5"),
+                    claim2=d[N + 1] < d_N,
+                    claim3_chain=log_cn < 0,
                 )
             )
     return ClaimLedger(rows=tuple(rows), exp5=exp5_claims(), decomposition_max_error=max_err)
-

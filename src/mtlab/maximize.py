@@ -141,6 +141,8 @@ class MaximizeOptions:
         check_grid(self.r_max, self.n_nodes, self.scheme)
         if self.restarts < 1:
             raise InvalidParameterError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
     def check_regime(self, p: MTParams, switch: str = "allow_infinite_regime=True") -> None:
         """Refuse alpha = alpha_N with b > N (infinite supremum) unless allowed; `switch` names how to allow it."""

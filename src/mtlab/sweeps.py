@@ -96,6 +96,7 @@ class SweepPlan:
         # every axis takes its max here: alpha's binds (0, alpha_N], the rest bind finiteness
         top = {**self.fixed, **{ax.name: ax.max for ax in self.axes}}
         MTParams(N=self.N, alpha=top["alpha"], a=top["a"], b=top["b"])
+        replace(self.options, seed=self.seed)  # the plan's seed obeys the options' seed rule
 
     def axis_names(self) -> tuple[str, ...]:
         return tuple(ax.name for ax in self.axes)
@@ -132,9 +133,43 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
+_MASK32 = 0xFFFFFFFF
+
+
 def _cell_seed(global_seed: int, index: int) -> int:
-    # Stable per-cell seed: SeedSequence hashing is deterministic across runs.
-    return int(np.random.SeedSequence(entropy=(global_seed, index)).generate_state(1)[0])
+    """numpy's SeedSequence(entropy=(global_seed, index)).generate_state(1)[0], bit for bit, without numpy.random.
+
+    Each int splits into 32-bit words, least significant first (to_bytes refuses a negative one); the words
+    fill and mix a 4-word pool as in O'Neill's seed_seq, and the first pool word, hashed once more, is the seed.
+    """
+    entropy = []
+    for n in (global_seed, index):
+        raw = n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
+        entropy += [int.from_bytes(raw[i : i + 4], "little") for i in range(0, len(raw), 4)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(1): one output word, the first pool word hashed with its own constants
+    value = (pool[0] ^ 0x8B51F9DD) * (0x8B51F9DD * 0x58F38DED & _MASK32) & _MASK32
+    return value ^ value >> 16
 
 
 def _run_cell(plan: SweepPlan, index: int, cell: dict, extra) -> tuple[SweepRow, object]:

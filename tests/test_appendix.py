@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -18,6 +19,10 @@ from mtlab.appendix import (
     gn_ratio_radial,
     n2_cubic_exact,
 )
+
+
+#: SHA-256 of claim_ledger(1000).to_csv() as computed with mpmath at 50 digits.
+LEDGER_1000_SHA256 = "12e110c7a6c1a2b1ebc30b513ad611896aef54c06740459dfdb6988952280ed9"
 
 
 def cubic(r):
@@ -102,6 +107,11 @@ class TestClaims:
             assert row.claim1 and row.claim2 and row.claim3_chain
             assert row.log_cn_pow < 0.0
             assert row.log_cn_pow == pytest.approx(row.d_N + row.e_N, abs=1e-12)
+
+    def test_ledger_csv_bytes_are_pinned(self):
+        # the 50-digit logs round to the same doubles whichever arbitrary-precision library forms them
+        csv_text = claim_ledger(1000).to_csv()
+        assert hashlib.sha256(csv_text.encode()).hexdigest() == LEDGER_1000_SHA256
 
     def test_ledger_csv_format(self):
         ledger = claim_ledger(6)

@@ -442,6 +442,12 @@ PHASE_MAP = [
          "max < inf"),
         (["sweep", "--N", "2", "--axis", "alpha", "--min", "0.5", "--max", "1", "--count", "2", "--a", "-1", "--b", "2"],
          "constraint powers must be positive"),
+        (["maximize", *PARAMS, "--seed", "-1"], "seed must be >= 0"),
+        (["maximize", *PARAMS, "--seed", "-1", "--restarts", "12"], "seed must be >= 0"),
+        (["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--seed", "-1"], "seed must be >= 0"),
+        (["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--seed", "-1", "--restarts", "12"], "seed must be >= 0"),
+        ([*SWEEP, "--seed", "-1"], "seed must be >= 0"),
+        ([*PHASE_MAP, "--seed", "-1", "--restarts", "12"], "seed must be >= 0"),
     ],
     ids=[
         "bgn-N1", "maximize-r-max", "maximize-n-nodes", "maximize-restarts", "maximize-r-max-past-limit",
@@ -449,6 +455,8 @@ PHASE_MAP = [
         "sweep-N1", "sweep-n-nodes", "phase-map-N1", "phase-map-r-max", "alpha-star-bisect", "g-test-bgn",
         "maximize-infinite-regime", "maximize-b-inf", "maximize-a-nan", "g-test-a-nan", "g-test-bgn-inf",
         "alpha0-gn-c-nan", "alpha0-b-inf", "sweep-axis-max-inf", "sweep-fixed-a-negative",
+        "maximize-seed-negative", "maximize-seed-negative-restarts12", "alpha-star-seed-negative",
+        "alpha-star-seed-negative-restarts12", "sweep-seed-negative", "phase-map-seed-negative-restarts12",
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv, reason):
@@ -589,20 +597,20 @@ class TestVerifyAppendix:
 
 
 def test_cli_import_path_loads_no_scipy_or_mpmath():
-    # A cold `mt` command imports neither; verify-appendix imports mpmath on demand.
+    # A cold `mt` command imports neither, verify-appendix included: its 50-digit logs run in decimal.
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import mtlab.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
-        "sys.exit(mtlab.cli.main(['verify-appendix', '--n-max', '50', '--format', 'json']))\n"
+        "code = mtlab.cli.main(['verify-appendix', '--n-max', '50', '--format', 'json'])\n"
+        "print(json.dumps({'code': code, 'loaded': sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath'))}))\n"
     )
     src = str(Path(mtlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, _, ledger = proc.stdout.partition("\n")
-    assert loaded == "[]"
-    assert json.loads(ledger)["all_claims_hold"] is True
+    *ledger, seen = proc.stdout.splitlines()
+    assert json.loads(seen) == {"code": 0, "loaded": []}
+    assert json.loads("\n".join(ledger))["all_claims_hold"] is True
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -644,3 +652,16 @@ def test_cold_maximize_runs_one_thread_and_draws_nothing(tmp_path, caller_thread
         # the caller's choice stands: as many threads as numpy alone starts under the same environment
         control = "import json, os\nimport numpy\nprint(json.dumps(len(os.listdir('/proc/self/task'))))\n"
         assert seen["threads"] == _cold_footprint(control, env)
+
+
+@pytest.mark.parametrize("argv", [SWEEP, PHASE_MAP], ids=["sweep", "phase-map"])
+def test_cold_sweep_never_loads_numpy_random(tmp_path, argv):
+    # the per-cell seeds are hashed in Python, and the default starts draw nothing
+    script = (
+        "import json, sys\n"
+        "import mtlab.cli\n"
+        f"code = mtlab.cli.main({argv!r} + ['--n-nodes', '128', '--format', 'csv', '--out', {str(tmp_path / 'rows.csv')!r}])\n"
+        "print(json.dumps({'code': code, 'random': 'numpy.random' in sys.modules}))\n"
+    )
+    assert _cold_footprint(script, dict(os.environ)) == {"code": 0, "random": False}
+    assert (tmp_path / "rows.csv").read_text().count("\n") > 2

@@ -216,8 +216,8 @@ class TestMaximizeD:
         assert grid["n_nodes"] == 512
 
     @pytest.mark.parametrize(
-        "kw", [{"n_nodes": 8}, {"restarts": 0}, {"r_max": -1.0}, {"scheme": "chebyshev"}],
-        ids=["n_nodes", "restarts", "r_max", "scheme"],
+        "kw", [{"n_nodes": 8}, {"restarts": 0}, {"r_max": -1.0}, {"scheme": "chebyshev"}, {"seed": -1}],
+        ids=["n_nodes", "restarts", "r_max", "scheme", "seed"],
     )
     def test_options_rejected_when_built(self, kw):
         with pytest.raises(InvalidParameterError):

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mtlab
 from mtlab import AxisSpec, InvalidParameterError, MaximizeOptions, SweepPlan, critical_exponent
-from mtlab.sweeps import plan_to_json, run_sweep, sweep_to_csv
+from mtlab.sweeps import _cell_seed, plan_to_json, run_sweep, sweep_to_csv
 
 
 def light_opts(**kw):
@@ -44,6 +47,27 @@ class TestPlanValidation:
                 axes=(AxisSpec("alpha", 0.5, 20.0, 3),),
                 fixed={"a": 2.0, "b": 2.0},
             )
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            SweepPlan(N=2, axes=(AxisSpec("alpha", 0.5, 2.0, 3),), fixed={"a": 2.0, "b": 2.0}, seed=-1)
+
+
+class TestCellSeed:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**130), st.integers(0, 2**40))
+    @example(0, 0)
+    @example(2**32 - 1, 2**32)
+    @example(2**128, 2**40)
+    def test_equals_numpy_seed_sequence(self, seed, index):
+        # seeds past 2^96 spill the entropy past the 4-word pool, so every mixing stage is pinned
+        assert _cell_seed(seed, index) == int(np.random.SeedSequence(entropy=(seed, index)).generate_state(1)[0])
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (-(2**40), 3), (5, -1)])
+    def test_negative_entropy_raises(self, seed, index):
+        # a word split by shifting would never reach 0 on a negative int; the port raises instead of looping
+        with pytest.raises(OverflowError):
+            _cell_seed(seed, index)
 
 
 @pytest.fixture(scope="module")
