@@ -8,9 +8,11 @@ claims non-attainment.  Verdicts encode that asymmetry explicitly.
 
 The bound and the margin are defined in `functional.py`, the verdict strings
 here and nowhere else.  A maximize_d run certifies iff its report's
-`exceeds_lower_bound` is set, and `bracket_alpha_star` runs the g-test, on the
-ratio of `maximize.cached_gn_report`, before any maximize_d at each alpha.
-Where `MTParams.finite_supremum` is false, the supremum is infinite and nothing certifies.
+`exceeds_lower_bound` is set.  The g-test finds max g exactly, from the sign
+of g', and certifies iff ln max g exceeds its own rounding bound, with no
+margin; `bracket_alpha_star` runs it, on the ratio of
+`maximize.cached_gn_report`, before any maximize_d at each alpha.  Where
+`MTParams.finite_supremum` is false, the supremum is infinite and nothing certifies.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ VERDICT_NONEXISTENCE_REGIME = "nonexistence-regime"
 VERDICT_INFINITE_SUP = "infinite-sup-regime"
 VERDICT_ERROR = "error"
 
-#: The g-test certifies iff max g > 1 + G_TEST_MARGIN; g is scanned at G_TEST_SAMPLES points first.
-G_TEST_MARGIN = 1e-8
-G_TEST_SAMPLES = 10_000
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -80,32 +78,6 @@ def g_function(t, alpha: float, a: float, b: float, N: int, bgn: float):
     return t ** (N / b) * (1.0 + (alpha / N) * bgn * (1.0 - t) ** (n_prime / a))
 
 
-INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(f, lo: float, hi: float, max_iter: int, tol: float):
-    """Golden-section search for a maximum of f on [lo, hi].
-
-    Stops after max_iter shrinks or once the bracket is narrower than tol;
-    returns (x, f(x)) of the better of the last two points, x1 on a tie.
-    """
-    x1 = hi - INV_GOLDEN * (hi - lo)
-    x2 = lo + INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-        if hi - lo < tol:
-            break
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
 def _check_constant(name: str, value: float) -> None:
     """A user-supplied constant (bgn, the interpolation constant C) must lie in (0, inf)."""
     if not 0 < value < math.inf:
@@ -113,31 +85,61 @@ def _check_constant(name: str, value: float) -> None:
 
 
 def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> BoundReport:
-    """Scan g over [0, 1]; max g > 1 certifies attainment (sufficient test) where the supremum is finite.
+    """max g on [0, 1] from the sign of g'; max g > 1 certifies attainment (sufficient test) if the sup is finite.
 
-    `bgn` must be a certified lower bound for the GN best constant: g is
-    increasing in bgn, so undershooting it only weakens the test, never
-    breaks its validity.  Also reports the endpoint derivative
-    g'(1) = N/b - alpha * bgn / N at a = N' (negative iff
-    b > N^2/(alpha * bgn), the condition that forces max g > 1).
+    With s = 1 - t, beta = N/b, k = N'/a and c = alpha bgn / N, d ln g / ds has the sign of
+    psi(s) = c k (1-s) s^(k-1) - beta (1 + c s^k), and psi' that of (k-1) - (k+beta) s: psi falls
+    from +inf (k < 1) or from c - beta (k = 1), and for k > 1 rises from -beta to one peak at
+    s_p = (k-1)/(k+beta), then falls to -beta (1+c).  Where psi is positive at 0 (at s_p), the maximum
+    sits at the one root where psi turns negative, which bisection finds (in log s while the bracket
+    spans more than a factor 16, so roots down to the subnormals resolve); else, or where g < 1
+    there, max g = g(1) = 1.
+
+    There ln g = X + Y, X = beta log1p(-s), Y = log1p(c s^k) >= 0, has no cancellation.  With
+    u = 2^-53, each arithmetic step off by at most u and each log1p or pow by one ulp (2u): X is
+    within 4u|X|; k within 2u, so s^k within (2k |ln s| + 2) u and c s^k within (2k |ln s| + 5) u;
+    as log1p(P) - log1p(Q) <= Y (P - Q) / Q, Y is within (2k |ln s| + 7) u Y; the sum rounds once
+    more.  With one more u each for second-order terms, ln g > 0 is certain where
+    X + Y > u (6|X| + (2k |ln s| + 9) Y) + (beta + c + 4) 2^-1074, the last term bounding steps that
+    underflow.  That is the only floor: `bgn` must be a certified lower bound for the GN constant,
+    and g only rises with it, so undershooting weakens the test but never breaks it.  Also reports
+    g'(1) = N/b - alpha bgn / N at a = N' (negative iff b > N^2/(alpha bgn), which forces max g > 1).
     """
     finite = MTParams(N=N, alpha=alpha, a=a, b=b).finite_supremum
     _check_constant("bgn", bgn)
-    _check_constant("alpha * bgn / N", alpha / N * bgn)  # finite, so g is: g <= 1 + alpha bgn / N
-    ts = np.linspace(0.0, 1.0, G_TEST_SAMPLES)
-    gs = g_function(ts, alpha, a, b, N, bgn)
-    k = int(np.argmax(gs))
-    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, G_TEST_SAMPLES - 1)]
-    t_best, g_best = golden_section_max(lambda t: float(g_function(t, alpha, a, b, N, bgn)), lo, hi, 80, 1e-14)
-    if float(gs[k]) > g_best:
-        t_best, g_best = float(ts[k]), float(gs[k])
+    c = alpha / N * bgn
+    _check_constant("alpha * bgn / N", c)  # finite, so g is: g <= 1 + alpha bgn / N
+    beta, k = N / b, N / (N - 1.0) / a
+
+    def psi_positive(s):  # compared in logs, so no power overflows
+        log_s = math.log(s)
+        lhs = math.log(c) + math.log(k) + math.log1p(-s) + (k - 1.0) * log_s
+        return lhs > math.log(beta) + math.log1p(c * math.exp(k * log_s))
+
+    lo = max(0.0, (k - 1.0) / (k + beta))  # psi's peak where k > 1; it rounds to 1 where k dwarfs 1 + beta
+    rises = lo < 1.0 and psi_positive(lo) if lo > 0 else k < 1 or c > beta
+    max_g, t_best, certified = 1.0, 1.0, False
+    if rises:
+        hi = 1.0
+        while True:
+            mid = math.sqrt(max(lo, math.ulp(0.0))) * math.sqrt(hi) if lo < hi / 16 else 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            lo, hi = (mid, hi) if psi_positive(mid) else (lo, mid)
+        s = hi if hi < 1.0 else lo
+        x, y = beta * math.log1p(-s), math.log1p(c * s**k)
+        ln_g = x + y
+        bound = 2.0**-53 * (6.0 * abs(x) + (2.0 * k * abs(math.log(s)) + 9.0) * y) + (beta + c + 4.0) * math.ulp(0.0)
+        certified = ln_g > bound
+        if ln_g > 0:
+            max_g, t_best = math.exp(ln_g), 1.0 - s
     gprime_at_1 = N / b - alpha * bgn / N
-    verdict = VERDICT_CERTIFIED if g_best > 1.0 + G_TEST_MARGIN else VERDICT_NONE
+    verdict = VERDICT_CERTIFIED if certified else VERDICT_NONE
     verdict = verdict if finite else VERDICT_INFINITE_SUP
     return BoundReport(
         kind="g-test",
         values={
-            "max_g": g_best,
+            "max_g": max_g,
             "argmax_t": t_best,
             "gprime_at_1_for_a_conjugate": gprime_at_1,
             "alpha": alpha,
@@ -254,9 +256,10 @@ class BracketReport:
     """One-sided bracket for the attainment threshold.
 
     alpha_star <= alpha_high is numerically certified (a feasible profile
-    exceeds the lower bound there); alpha_low is only the largest grid
-    point that failed to certify, a heuristic floor.  No verdict is ever
-    claimed at the bracket edges themselves.
+    exceeds the lower bound there); alpha_low, a heuristic floor, is the
+    largest alpha tried below it that failed to certify (a grid point or a
+    bisection midpoint), 0.0 if the first grid point certifies.  No verdict
+    is ever claimed at the bracket edges themselves.
     """
 
     a: float

@@ -284,7 +284,6 @@ def _cmd_eval(args) -> int:
         "grad_norm": grad_norm_pow(u) ** (1.0 / p.N),
         "norm": lp_norm_pow(u, p.N) ** (1.0 / p.N),
         "finite_supremum_regime": p.finite_supremum,
-        "seed": args.seed,
     }
     human = [f"{k}: {v}" for k, v in payload.items()]
     return _report(args, payload, human)
@@ -319,7 +318,7 @@ def _cmd_bgn(args) -> int:
         f"bgn_estimate (certified lower bound, PL interpolant): {report.bgn_estimate:.12g}",
         f"grid_ratio (working value, grid quadrature): {report.grid_ratio:.12g}",
         f"q0: {report.q0:.12g}, final bracket width (residual): {report.residual:.3e}",
-        f"shots: {report.iterations}, low_accuracy: {report.low_accuracy}",
+        f"shots: {report.iterations}",
         DISCLAIMER,
     ]
     return _report(args, payload, human)
@@ -376,7 +375,7 @@ def _cmd_alpha_star(args) -> int:
     payload = report.to_json_dict()
     human = [
         f"alpha_high (threshold is certified <= this): {report.alpha_high:.12g}",
-        f"alpha_low (largest uncertified grid point, heuristic): {report.alpha_low:.12g}",
+        f"alpha_low (largest uncertified alpha tried below alpha_high, 0 if none; heuristic): {report.alpha_low:.12g}",
         f"alpha_N: {critical_exponent(args.N):.12g}",
         DISCLAIMER,
     ]

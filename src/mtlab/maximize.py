@@ -551,8 +551,6 @@ GN_Q0_BRACKETS = {
     3: (2.42611058333423, 2.42611058402108),
     4: (2.5154971129028127, 2.515497113589663),
 }
-#: A final Q(0) bracket wider than this marks the report low_accuracy.
-GN_RESIDUAL_TOL = 1e-6
 #: The first event of a shot: Q reaches zero, or phi turns positive (Q turns back up).
 OVERSHOOT, UNDERSHOOT = 1, -1
 
@@ -572,7 +570,6 @@ class GNReport:
     q0: float
     maximizer_profile: RadialProfile
     residual: float
-    low_accuracy: bool
     iterations: int
 
     def to_json_dict(self) -> dict:
@@ -665,7 +662,6 @@ def maximize_gn(N: int) -> GNReport:
         q0=q0,
         maximizer_profile=profile,
         residual=hi - lo,
-        low_accuracy=hi - lo > GN_RESIDUAL_TOL,
         iterations=3 if N in GN_Q0_BRACKETS else GN_HALVINGS + 3,
     )
 

