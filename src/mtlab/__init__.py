@@ -10,25 +10,42 @@ reports the N >= 3 ledger and the e^5 chain, while the N = 2 ratio 39/40 and
 C_3^2 = 27/32 are checked by acceptance criterion 01 through `n2_cubic_exact`
 and `c_n_value`.
 
-Importing mtlab before numpy starts numpy's OpenBLAS with one thread, so
-every command runs in a single thread.  A caller who sets
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, or who imports
-numpy first, keeps that choice.
+numpy loads on first use, so `mt --version`, `bgn`, `g-test`, `alpha0` and
+`verify-appendix` never load it, and starts OpenBLAS with one thread, so every
+command runs in one thread.  A caller who sets OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS, or who imports numpy first, keeps that.
 """
 
+import importlib.util
 import os
 import sys
 
-# OpenBLAS starts one worker per core when numpy loads, and mtlab's BLAS calls (1-D dots, leggauss's small
-# eigenproblems) never use it: on 2 cores the idle worker made a cold `import numpy` take 171 ms instead of
-# 104 ms and cost each cold `mt` command about 0.13 s of CPU.  The variable is removed again, so child
-# processes and later code see the environment as they found it.
-if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+
+def _lazy_numpy():
+    """numpy in sys.modules by the stdlib LazyLoader, so modules bind it as `from . import _numpy as np` (an `import
+    numpy` statement loads it); one OpenBLAS worker per core would idle (a cold load took 171 ms, not 104)."""
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    load = spec.loader.exec_module
+
+    def exec_module(module):
+        if {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+            return load(module)
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            load(module)
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+    spec.loader.exec_module = exec_module
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_numpy = sys.modules.get("numpy") or _lazy_numpy()
 
 __version__ = "0.1.0"
 

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import BracketNotFoundError, InvalidParameterError, SeriesOverflowError
 from .functional import EXP_ARG_LIMIT, MTParams
 from .maximize import MaximizeOptions, MaximizerReport, cached_gn_report, maximize_d
@@ -93,7 +92,7 @@ def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> Bou
     s_p = (k-1)/(k+beta), then falls to -beta (1+c).  Where psi is positive at 0 (at s_p), the maximum
     sits at the one root where psi turns negative, which bisection finds (in log s while the bracket
     spans more than a factor 16, so roots down to the subnormals resolve); else, or where g < 1
-    there, max g = g(1) = 1.
+    there, max g = g(1) = 1.  The report carries ln max g and s too: they certify where max g rounds to 1.
 
     There ln g = X + Y, X = beta log1p(-s), Y = log1p(c s^k) >= 0, has no cancellation.  With
     u = 2^-53, each arithmetic step off by at most u and each log1p or pow by one ulp (2u): X is
@@ -118,7 +117,7 @@ def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> Bou
 
     lo = max(0.0, (k - 1.0) / (k + beta))  # psi's peak where k > 1; it rounds to 1 where k dwarfs 1 + beta
     rises = lo < 1.0 and psi_positive(lo) if lo > 0 else k < 1 or c > beta
-    max_g, t_best, certified = 1.0, 1.0, False
+    ln_max_g, s_best, certified = 0.0, 0.0, False
     if rises:
         hi = 1.0
         while True:
@@ -132,15 +131,17 @@ def g_function_test(alpha: float, a: float, b: float, N: int, bgn: float) -> Bou
         bound = 2.0**-53 * (6.0 * abs(x) + (2.0 * k * abs(math.log(s)) + 9.0) * y) + (beta + c + 4.0) * math.ulp(0.0)
         certified = ln_g > bound
         if ln_g > 0:
-            max_g, t_best = math.exp(ln_g), 1.0 - s
+            ln_max_g, s_best = ln_g, s
     gprime_at_1 = N / b - alpha * bgn / N
     verdict = VERDICT_CERTIFIED if certified else VERDICT_NONE
     verdict = verdict if finite else VERDICT_INFINITE_SUP
     return BoundReport(
         kind="g-test",
         values={
-            "max_g": max_g,
-            "argmax_t": t_best,
+            "max_g": math.exp(ln_max_g),
+            "argmax_t": 1.0 - s_best,
+            "ln_max_g": ln_max_g,
+            "argmax_s": s_best,
             "gprime_at_1_for_a_conjugate": gprime_at_1,
             "alpha": alpha,
             "a": a,
@@ -199,9 +200,10 @@ def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
     _check_alpha0_powers(a, b, N)
     alpha_critical = critical_exponent(N)
     c_tilde = c_tilde_series(N, gn_c)
-    with np.errstate(over="ignore", divide="ignore"):  # (N C)^N may leave the doubles at either end
-        first = float(min(a / b, 1.0) * (N - 1) / (_relative_series(N) * np.float64(N * gn_c) ** N))
-    first = min(first, alpha_critical)
+    try:
+        first = min(min(a / b, 1.0) * (N - 1) / (_relative_series(N) * (N * gn_c) ** N), alpha_critical)
+    except (OverflowError, ZeroDivisionError):  # (N C)^N left the doubles: the bound is 0 above, capped below
+        first = 0.0 if N * gn_c > 1 else alpha_critical
     second = 1.0 / (2.0 * math.e * gn_c)
     alpha0 = min(first, second, alpha_critical)
     return BoundReport(

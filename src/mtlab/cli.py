@@ -10,9 +10,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
-from . import __version__
+from . import __version__, _numpy as np
 from .appendix import claim_ledger
 from .bounds import (
     BracketOptions,
@@ -313,10 +311,10 @@ def _cmd_maximize(args) -> int:
 def _cmd_bgn(args) -> int:
     report = cached_gn_report(args.N)
     payload = report.to_json_dict()
-    _write_profile(args, report.maximizer_profile, payload)
+    if args.profile_out:  # the sampled profile, and numpy, only when asked for
+        _write_profile(args, report.maximizer_profile, payload)
     human = [
-        f"bgn_estimate (certified lower bound, PL interpolant): {report.bgn_estimate:.12g}",
-        f"grid_ratio (working value, grid quadrature): {report.grid_ratio:.12g}",
+        f"bgn_estimate (certified lower bound, PL function on the shot's nodes): {report.bgn_estimate:.12g}",
         f"q0: {report.q0:.12g}, final bracket width (residual): {report.residual:.3e}",
         f"shots: {report.iterations}",
         DISCLAIMER,
@@ -330,12 +328,12 @@ def _cmd_g_test(args) -> int:
     bgn = args.bgn if args.bgn is not None else cached_gn_report(args.N).bgn_estimate
     with _request():  # closed form: its only InvalidParameterError is its bgn check
         report = g_function_test(p.alpha, p.a, p.b, p.N, bgn)
-    payload = report.to_json_dict()
-    human = [
-        f"max g: {report.values['max_g']:.12g} at t = {report.values['argmax_t']:.6g}",
-        f"g'(1) at a = N': {report.values['gprime_at_1_for_a_conjugate']:.6g}",
-        f"verdict: {report.verdict}",
-    ]
+    payload, values = report.to_json_dict(), report.values
+    max_g = f"{values['max_g']:.12g}"
+    human = [f"max g: {max_g} at t = {values['argmax_t']:.6g}"]
+    if max_g == "1":  # where g rounds to 1, ln g and s carry what was certified
+        human.append(f"ln max g: {values['ln_max_g']:.6g} at s = {values['argmax_s']:.6g}")
+    human += [f"g'(1) at a = N': {values['gprime_at_1_for_a_conjugate']:.6g}", f"verdict: {report.verdict}"]
     return _report(args, payload, human)
 
 

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import InvalidParameterError, SeriesOverflowError
 from .radial import RadialProfile, check_dimension, critical_exponent, grad_norm_pow, lp_norm_pow
 

@@ -56,21 +56,20 @@ the winner is built.
 `maximize_gn` computes the Gagliardo-Nirenberg maximizer from its
 Euler-Lagrange equation, the radial ground state of
 -Delta_N Q + Q^{N-1} = Q^{NN'-1}: RK4 shots in floats, one per Q(0), bisect for
-a Q(0) bracket; the shot from its midpoint is sampled on the GN grid, and the
-profile is normalized to ||grad V||_N = 1 = ||V||_N.  Its certified bgn_estimate is
-the GN ratio of that profile's piecewise-linear interpolant (`pl_norm_pow`);
-`gn_ratio` with the grid quadrature is the working value.
+a Q(0) bracket.  Its certified bgn_estimate is the GN ratio, in Python floats, of
+the midpoint shot as a piecewise-linear (PL) function on its nodes r_k = k GN_STEP;
+the shot sampled on the GN grid and normalized to ||grad V||_N = 1 = ||V||_N,
+which maximize_d's GN starts and `--profile-out` read, is formed on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import (
     BracketNotFoundError,
     DegenerateProfileError,
@@ -94,11 +93,12 @@ from .radial import (
     RadialProfile,
     _cell_slopes,
     build_grid,
+    check_dimension,
     check_grid,
     decreasing_rearrangement,
     grad_norm_pow,
     lp_norm_pow,
-    pl_norm_pow,
+    sphere_area,
 )
 from .scaling import _on_share, _share_scales, dilate, on_constraint, rescale_to_norms, solve_amplitude
 
@@ -541,6 +541,8 @@ def maximize_d(
 #: The grid the GN ground state is sampled on; shots run to GN_R_MAX.
 GN_R_MAX = 30.0
 GN_NODES = 1536
+#: Gauss points per cell of the GN ratio's p-norms.
+GN_GAUSS_ORDER = 16
 #: Shooting policy of maximize_gn: RK4 step in r, halvings of the initial Q(0) bracket, that bracket.
 GN_STEP = 0.02
 GN_HALVINGS = 32
@@ -557,36 +559,74 @@ OVERSHOOT, UNDERSHOOT = 1, -1
 
 @dataclass(frozen=True)
 class GNReport:
-    """bgn_estimate is the ratio of a profile's PL interpolant: a true lower bound.
-
-    grid_ratio is the working ratio gn_ratio(maximizer_profile) of the grid
-    quadrature.  q0 is the Q(0) of the sampled shot, residual the width of
-    the final bracket on Q(0) and iterations the number of shots.
-    """
+    """The GN state: trajectory is a shot's Q at r_k = k GN_STEP, cut before its event, q0 its Q(0), residual
+    the final bracket's width on Q(0), iterations the shots.  Formed on first use: bgn_estimate, the GN ratio of
+    the PL function through those nodes shifted to 0 at the last (a true lower bound), and maximizer_profile."""
 
     N: int
-    bgn_estimate: float
-    grid_ratio: float
     q0: float
-    maximizer_profile: RadialProfile
     residual: float
     iterations: int
+    trajectory: tuple[float, ...] = field(repr=False)
+
+    @cached_property
+    def bgn_estimate(self) -> float:
+        q, N = self.trajectory, self.N
+        r, v = [GN_STEP * k for k in range(len(q))], [x - q[-1] for x in q]
+        grad, big, norm = _pl_norm_pows(N, r, v, (N * N / (N - 1.0), N))
+        return big / (norm * grad ** (1.0 / (N - 1.0)))
+
+    @cached_property
+    def maximizer_profile(self) -> RadialProfile:
+        grid = build_grid(self.N, GN_R_MAX, GN_NODES)
+        q = np.array(self.trajectory)
+        values = np.interp(grid.nodes, GN_STEP * np.arange(q.size), q - q[-1], right=0.0)
+        return rescale_to_norms(RadialProfile(grid, values), 1.0, 1.0)
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "maximizer_profile"}
+        return {k: getattr(self, k) for k in ("N", "bgn_estimate", "q0", "residual", "iterations")}
 
 
-def gn_ratio(u: RadialProfile, norm_pow=lp_norm_pow) -> float:
-    """||u||_{NN'}^{NN'} / (||u||_N^N ||grad u||_N^{NN'-N}); scale and dilation invariant.
-
-    `norm_pow` evaluates the two p-norms: the grid quadrature by default
-    (the working ratio), `pl_norm_pow` for the ratio of the PL interpolant.
-    """
+def gn_ratio(u: RadialProfile) -> float:
+    """||u||_{NN'}^{NN'} / (||u||_N^N ||grad u||_N^{NN'-N}) by the grid quadrature; scale and dilation invariant."""
     N = u.grid.N
     I_g = grad_norm_pow(u)
     if I_g <= 0:
         raise DegenerateProfileError("gradient norm vanishes; GN ratio undefined")
-    return norm_pow(u, N * N / (N - 1.0)) / (norm_pow(u, N) * I_g ** (1.0 / (N - 1.0)))
+    return lp_norm_pow(u, N * N / (N - 1.0)) / (lp_norm_pow(u, N) * I_g ** (1.0 / (N - 1.0)))
+
+
+@cache
+def _gauss_rule(n: int) -> tuple[tuple[float, float], ...]:
+    """The n-point Gauss-Legendre rule on [0, 1], (node, weight) pairs, by Newton on P_n from its Tricomi guesses."""
+    rule = []
+    for i in range(n):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))  # near the (i+1)-th largest root of P_n
+        for _ in range(8):  # quadratic convergence from that guess: 3 or 4 steps reach a double
+            p0, p1 = 1.0, x  # P_{k-1}, P_k at x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (p0 - x * p1) / (1.0 - x * x)
+            x -= p1 / dp
+        rule.append((0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple(rule)
+
+
+def _pl_norm_pows(N: int, r: Sequence[float], v: Sequence[float], powers: Sequence[float]) -> list[float]:
+    """||grad w||_N^N, then ||w||_p^p for each p, of the PL function w through (r_k, v_k), zero past the last node.
+
+    In floats: the exact cell sum, then Gauss per cell.  An integer p takes (N + p + 1) // 2 points, at most
+    GN_GAUSS_ORDER, exact for r^{N-1} |w|^p, a polynomial of degree N - 1 + p on a cell where w keeps its sign
+    (both norms at N = 2); any other p takes GN_GAUSS_ORDER."""
+    if min(powers) < 1:
+        raise InvalidParameterError(f"p must be >= 1, got {min(powers)}")
+    omega, cells = sphere_area(N), list(zip(r, r[1:], v, v[1:]))
+    out = [sum((abs(v1 - v0) / (r1 - r0)) ** N * (r1**N - r0**N) / N for r0, r1, v0, v1 in cells)]
+    for p in powers:
+        rule = _gauss_rule(min((N + int(p) + 1) // 2, GN_GAUSS_ORDER) if p == int(p) else GN_GAUSS_ORDER)
+        out.append(sum(w * (r1 - r0) * (r0 + x * (r1 - r0)) ** (N - 1) * abs(v0 + x * (v1 - v0)) ** p
+                       for x, w in rule for r0, r1, v0, v1 in cells))
+    return [omega * term for term in out]
 
 
 def _shoot(N: int, q0: float, r_end: float) -> tuple[int, list[float]]:
@@ -639,31 +679,21 @@ def _bracket_q0(N: int, lo: float, hi: float, r_end: float) -> tuple[float, floa
 
 
 def maximize_gn(N: int) -> GNReport:
-    """The radial GN ground state by shooting on Q(0), normalized to ||grad V||_N = 1 = ||V||_N.
+    """The radial GN ground state by shooting on Q(0), as the report of its midpoint shot.
 
     The maximizer solves -Delta_N Q + Q^{N-1} = Q^{NN'-1}.  The Q(0) bracket
     (GN_Q0_BRACKETS[N] or searched) is proved: lo must undershoot, hi overshoot.  The
-    midpoint shot is cut before its event, shifted to 0 there, sampled at the grid
-    nodes (0 beyond) and normalized; bgn_estimate is its PL interpolant's ratio.
+    midpoint shot is cut before its event; GNReport forms its ratio and its profile.
     """
-    grid = build_grid(N, GN_R_MAX, GN_NODES)
+    check_dimension(N)
     lo, hi = GN_Q0_BRACKETS.get(N) or _bracket_q0(N, *GN_BRACKET, GN_R_MAX)
     if _shoot(N, lo, GN_R_MAX)[0] != UNDERSHOOT or _shoot(N, hi, GN_R_MAX)[0] != OVERSHOOT:
         raise BracketNotFoundError(f"Q(0) in [{lo!r}, {hi!r}] must undershoot, then overshoot (N = {N})")
     q0 = 0.5 * (lo + hi)
     event, trajectory = _shoot(N, q0, GN_R_MAX)
-    q = np.array(trajectory[:-1] if event else trajectory)
-    values = np.interp(grid.nodes, GN_STEP * np.arange(q.size), q - q[-1], right=0.0)
-    profile = rescale_to_norms(RadialProfile(grid, values), 1.0, 1.0)
-    return GNReport(
-        N=N,
-        bgn_estimate=gn_ratio(profile, pl_norm_pow),
-        grid_ratio=gn_ratio(profile),
-        q0=q0,
-        maximizer_profile=profile,
-        residual=hi - lo,
-        iterations=3 if N in GN_Q0_BRACKETS else GN_HALVINGS + 3,
-    )
+    iterations = 3 if N in GN_Q0_BRACKETS else GN_HALVINGS + 3
+    return GNReport(N=N, q0=q0, residual=hi - lo, iterations=iterations,
+                    trajectory=tuple(trajectory[:-1] if event else trajectory))
 
 
 @cache
@@ -671,7 +701,7 @@ def cached_gn_report(N: int) -> GNReport:
     """maximize_gn(N), computed once per process.
 
     The one source of the GN maximizer and its ratio for maximize_d,
-    bracket_alpha_star and the command line; its arrays are read-only, so
-    every caller can share the one report.
+    bracket_alpha_star and the command line; its profile's arrays are
+    read-only, so every caller can share the one report.
     """
     return maximize_gn(N)

@@ -16,8 +16,6 @@ Design notes:
 
 * p-norms are evaluated by the grid's nodal quadrature rule, so they are
   spectrally accurate for smooth profiles sampled on the grid.
-  `pl_norm_pow` instead integrates the piecewise-linear interpolant
-  itself, exactly for integer p; it is what certified values use.
 * The gradient integral is the *exact* integral of the piecewise-linear
   interpolant: a cell sum over node intervals with moments
   (r_{i+1}^N - r_i^N)/N.  Its accuracy against an underlying smooth
@@ -37,12 +35,11 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
+from . import _numpy as np
 from .errors import GridOverflowError, InvalidParameterError, SeriesOverflowError
 
 __all__ = [
@@ -56,7 +53,6 @@ __all__ = [
     "equal_mass_grid",
     "lp_norm_pow",
     "grad_norm_pow",
-    "pl_norm_pow",
     "decreasing_rearrangement",
     "sample_profile",
     "profile_to_csv",
@@ -69,14 +65,8 @@ GRID_SCHEMES = ("composite-gauss", "graded")
 #: Gauss points per cell of the composite grids.
 DEFAULT_CELL_ORDER = 3
 
-#: Gauss points per cell of pl_norm_pow.
-PL_GAUSS_ORDER = 16
-
 #: The largest dimension any function accepts; check_dimension says why.
 N_MAX = 57
-
-#: The smallest normal double.
-_TINY = float(np.finfo(float).tiny)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -116,7 +106,7 @@ def check_grid(r_max: float, n_nodes: int, scheme: str) -> None:
 def sphere_area(N: int) -> float:
     """Surface area omega_{N-1} of the unit sphere in R^N."""
     check_dimension(N)
-    return float(2.0 * np.pi ** (N / 2.0) / math.gamma(N / 2.0))
+    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
 def critical_exponent(N: int) -> float:
@@ -207,7 +197,7 @@ class RadialGrid:
         new_rmax = self.r_max * factor
         if not 0 < new_rmax <= self.max_radius:
             raise GridOverflowError(f"rescaled r_max {new_rmax!r} outside (0, {self.max_radius:g}]")
-        if not self.nodes[0] * factor >= _TINY:
+        if not self.nodes[0] * factor >= sys.float_info.min:
             raise GridOverflowError(f"rescaled first node {self.nodes[0] * factor!r} is below the normal doubles")
         nodes, weights = self.nodes * factor, self.weights * factor
         grid = object.__new__(RadialGrid)
@@ -262,6 +252,8 @@ def _cell_counts(n_nodes: int) -> list[int]:
 
 
 def _gauss_on_cells(edges: np.ndarray, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss
+
     rules = {q: leggauss(q) for q in set(counts)}
     nodes, weights = [], []
     for a, b, q in zip(edges[:-1], edges[1:], counts):
@@ -342,11 +334,6 @@ def lp_norm_pow(u: RadialProfile, p: float) -> float:
     return u.grid.omega * _power_sum(u.grid.mass, u.values, p)
 
 
-def _edge_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Values at grid.cell_edges(): the nodal values, then 0 at a decay node (r_max, 0)."""
-    return np.concatenate([values, [0.0]]) if grid.r_max > grid.nodes[-1] else values
-
-
 def _cell_slopes(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Slopes of the piecewise-linear interpolant of nodal `values` on the gradient cells (the decay cell's: -v_n)."""
     widths = grid.cell_widths
@@ -369,7 +356,11 @@ def grad_norm_pow(u: RadialProfile) -> float:
     return grid.omega * _power_sum(grid.cell_moments, np.abs(_cell_slopes(grid, u.values)), grid.N)
 
 
-@np.errstate(over="raise")
+@cache
+def _overflow_raising():  # the plain sum under errstate(over="raise"), decorated on first use as numpy loads lazily
+    return np.errstate(over="raise")(lambda weights, x, p: float(np.dot(weights, x**p)))
+
+
 def _power_sum(weights: np.ndarray, x: np.ndarray, p: float) -> float:
     """sum_i weights_i x_i^p; SeriesOverflowError where the sum leaves the double range.
 
@@ -377,38 +368,15 @@ def _power_sum(weights: np.ndarray, x: np.ndarray, p: float) -> float:
     w = max weights, m = max x; the plain sum runs first, so it keeps its bits wherever it is a double.
     """
     try:
-        return float(np.dot(weights, x**p))
+        return _overflow_raising()(weights, x, p)
     except FloatingPointError:
         pass
     m, w = float(np.max(x)), float(np.max(weights))
     scaled = float(np.dot(weights / w, (x / m) ** p))  # at most len(x)
     log_sum = p * math.log(m) + math.log(w) + math.log(scaled) if scaled > 0 else math.inf
-    if log_sum > math.log(np.finfo(float).max):
+    if log_sum > math.log(sys.float_info.max):
         raise SeriesOverflowError(f"a sum of {p:g}-th powers exceeds the double range")
     return math.exp(log_sum)
-
-
-def pl_norm_pow(u: RadialProfile, p: float) -> float:
-    """||u||_p^p of the piecewise-linear interpolant, by PL_GAUSS_ORDER-point Gauss per cell.
-
-    The cells are the constant piece [0, r_1], the node intervals and the
-    decay cell to r_max.  On each, r^{N-1} |u|^p is a polynomial of degree
-    N - 1 + p when p is an integer, which the rule integrates exactly up to
-    degree 2 * PL_GAUSS_ORDER - 1.  The loop runs over the Gauss points, so
-    the temporaries are one value per cell.
-    """
-    if p < 1:
-        raise InvalidParameterError(f"p must be >= 1, got {p}")
-    grid = u.grid
-    edges = np.concatenate([[0.0], grid.cell_edges()])
-    vals = np.concatenate([u.values[:1], _edge_values(grid, u.values)])
-    left, width = edges[:-1], np.diff(edges)
-    total = 0.0
-    for x, w in zip(*leggauss(PL_GAUSS_ORDER)):
-        s = 0.5 * (1.0 + x)
-        v = (1.0 - s) * vals[:-1] + s * vals[1:]
-        total += 0.5 * w * float(np.dot(width * (left + s * width) ** (grid.N - 1), v ** p))
-    return grid.omega * float(total)
 
 
 def decreasing_rearrangement(u: RadialProfile) -> RadialProfile:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import DegenerateProfileError, InvalidParameterError
 from .functional import MTParams, constraint_terms
 from .radial import RadialProfile, grad_norm_pow, lp_norm_pow

@@ -28,8 +28,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
-import numpy as np
-
+from . import _numpy as np
 from .bounds import VERDICT_CERTIFIED, VERDICT_ERROR, VERDICT_INFINITE_SUP, VERDICT_NONE
 from .errors import InvalidParameterError
 from .functional import CERTIFY_MARGIN, MTParams

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mtlab
-from mtlab.maximize import cached_gn_report
+from mtlab.maximize import _pl_norm_pows, cached_gn_report
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +43,18 @@ def smooth_bump_profile(grid, rng, n_bumps=3):
         amp = rng.uniform(0.2, 1.0)
         vals += amp * np.exp(-(((r - center) / width) ** 2))
     return mtlab.RadialProfile(grid, vals)
+
+
+def edge_values(grid, values):
+    """Values at grid.cell_edges(): the nodal values, then 0 at a decay node (r_max, 0)."""
+    return np.concatenate([values, [0.0]]) if grid.r_max > grid.nodes[-1] else values
+
+
+def pl_nodes(u):
+    """The nodes (r_k, v_k) of a profile's PL interpolant: constant on [0, r_1], then to 0 at a decay node r_max."""
+    return [0.0, *map(float, u.grid.cell_edges())], [float(u.values[0]), *map(float, edge_values(u.grid, u.values))]
+
+
+def pl_norm_pow(u, p):
+    """||u||_p^p of a profile's PL interpolant, by the float Gauss rule of the GN ratio."""
+    return _pl_norm_pows(u.grid.N, *pl_nodes(u), (p,))[1]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -246,6 +247,19 @@ class TestBgn:
         payload = json.loads(out)
         assert payload["bgn_estimate"] > 1 / (2 * math.pi) + 1e-3
 
+    def test_profile_out_is_unchanged(self, capsys, tmp_path):
+        # the sampled GN profile, byte for byte as before bgn_estimate moved to the shot's own nodes
+        out_path = tmp_path / "gn.csv"
+        code, out, _ = run_cli(capsys, "bgn", "--N", "2", "--profile-out", str(out_path))
+        assert code == 0 and json.loads(out)["profile_out"] == str(out_path)
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == "59fe38e23ea88d537ada1f5afd982059ff826cfb5ea6160346dc04baa02462e2"
+
+    def test_human_output(self, capsys):
+        code, out, _ = run_cli(capsys, "bgn", "--N", "2", "--format", "human")
+        assert code == 0
+        assert out.startswith("bgn_estimate (certified lower bound") and "grid_ratio" not in out
+
     def test_searched_bracket_where_lo_has_no_event(self, capsys):
         # N = 11 is searched from [1.05, 4], and the shot from 1.05 has no event by r = 30
         code, out, _ = run_cli(capsys, "bgn", "--N", "11")
@@ -271,6 +285,21 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["values"]["max_g"] > 1.0
         assert payload["verdict"] == "attained-certified-numerically"
+
+    def test_g_test_reports_the_certified_log_where_g_rounds_to_one(self, capsys):
+        # the root s is about 1e-16: max g rounds to 1 (t to within an ulp of it), while ln g, which certified, and
+        # s do not
+        argv = ["g-test", "--N", "2", "--alpha", "0.7853981633974483", "--a", "2.2311612292849614", "--b", "2",
+                "--bgn", "0.0625"]
+        code, out, _ = run_cli(capsys, *argv)
+        values = json.loads(out)["values"]
+        assert code == 0 and json.loads(out)["verdict"] == "attained-certified-numerically"
+        assert values["max_g"] == 1.0 and values["argmax_t"] == 1.0 - values["argmax_s"]
+        assert values["ln_max_g"] > 0 and 0 < values["argmax_s"] < 1e-15
+        code, out, _ = run_cli(capsys, *argv, "--format", "human")
+        lines = out.splitlines()
+        assert lines[0] == "max g: 1 at t = 1"
+        assert lines[1] == f"ln max g: {values['ln_max_g']:.6g} at s = {values['argmax_s']:.6g}"
 
     def test_g_test_gives_no_attainment_verdict_where_the_supremum_is_infinite(self, capsys):
         # alpha = alpha_N with b > N: max g > 1, but the supremum is infinite, so nothing is attained
@@ -648,25 +677,106 @@ def test_cold_maximize_runs_one_thread_and_draws_nothing(tmp_path, caller_thread
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     if caller_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = caller_threads
-    report = tmp_path / "report.json"
+    # numpy loads lazily on the first command that computes with it; each command then counts the threads
+    commands = [
+        ["maximize", "--N", "2", "--alpha", "3", "--a", "3", "--b", "2", "--n-nodes", "128"],
+        ["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--count", "3", "--n-nodes", "128"],
+        SWEEP + ["--n-nodes", "128"],
+    ]
     script = (
         "import json, os, sys\n"
         "import mtlab.cli\n"
-        "argv = ['maximize', '--N', '2', '--alpha', '3', '--a', '3', '--b', '2', '--n-nodes', '128']\n"
-        f"code = mtlab.cli.main(argv + ['--out', {str(report)!r}])\n"
-        "print(json.dumps({'code': code, 'threads': len(os.listdir('/proc/self/task')),\n"
-        "                  'blas_env': os.environ.get('OPENBLAS_NUM_THREADS'), 'random': 'numpy.random' in sys.modules}))\n"
+        "seen = []\n"
+        f"for i, argv in enumerate({commands!r}):\n"
+        f"    code = mtlab.cli.main(argv + ['--out', os.path.join({str(tmp_path)!r}, str(i))])\n"
+        "    seen.append([code, len(os.listdir('/proc/self/task'))])\n"
+        "print(json.dumps({'seen': seen, 'blas_env': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                  'random': 'numpy.random' in sys.modules}))\n"
     )
     seen = _cold_footprint(script, env)
-    assert seen["code"] == 0 and json.loads(report.read_text())["best_value"] > 0
+    assert [code for code, _ in seen["seen"]] == [0, 0, 0]
+    assert json.loads((tmp_path / "0").read_text())["best_value"] > 0
     assert seen["random"] is False
     assert seen["blas_env"] == caller_threads
+    threads = {count for _, count in seen["seen"]}
     if caller_threads is None:
-        assert seen["threads"] == 1
+        assert threads == {1}
     else:
         # the caller's choice stands: as many threads as numpy alone starts under the same environment
         control = "import json, os\nimport numpy\nprint(json.dumps(len(os.listdir('/proc/self/task'))))\n"
-        assert seen["threads"] == _cold_footprint(control, env)
+        assert threads == {_cold_footprint(control, env)}
+
+
+#: Commands that compute in Python floats and decimals, with the arguments the benchmark gives them.
+NUMPY_FREE = {
+    "version": ["--version"],
+    "bgn-N2": ["bgn", "--N", "2"],
+    "bgn-N3": ["bgn", "--N", "3"],
+    "g-test": ["g-test", "--N", "2", "--alpha", "4", "--a", "2", "--b", "8"],
+    "alpha0": ["alpha0", "--N", "2", "--a", "2", "--b", "2"],
+    "verify-appendix": ["verify-appendix", "--n-max", "1000", "--format", "json"],
+}
+
+
+def _stdout_of(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+def test_cold_command_never_loads_numpy(argv):
+    # numpy sits in sys.modules as a lazy module from `import mtlab` on; numpy._core appears only once it loads
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import mtlab.cli\n"
+        "out = io.StringIO()\n"
+        "with redirect_stdout(out):\n"
+        f"    code = mtlab.cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'out': out.getvalue(), 'numpy': 'numpy._core' in sys.modules}))\n"
+    )
+    seen = _cold_footprint(script, dict(os.environ))
+    code, out = _stdout_of(argv)
+    assert seen == {"code": 0, "out": out, "numpy": False} and code == 0
+
+
+def test_lazy_numpy_is_the_one_numpy():
+    script = (
+        "import json, sys, types\n"
+        "import mtlab\n"
+        "lazy = type(sys.modules['numpy']) is not types.ModuleType\n"
+        "import numpy\n"
+        "print(json.dumps({'lazy': lazy, 'same': numpy is mtlab.radial.np is mtlab._numpy is sys.modules['numpy'],\n"
+        "                  'loaded': type(numpy) is types.ModuleType and 'numpy._core' in sys.modules,\n"
+        "                  'sum': float(numpy.ones(3).sum())}))\n"
+    )
+    assert _cold_footprint(script, dict(os.environ)) == {"lazy": True, "same": True, "loaded": True, "sum": 3.0}
+
+
+def test_numpy_imported_first_is_left_untouched():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    script = (
+        "import json, os, sys, types\n"
+        "import numpy\n"
+        "import mtlab\n"
+        "print(json.dumps({'same': numpy is mtlab.radial.np is sys.modules['numpy'],\n"
+        "                  'plain': type(numpy) is types.ModuleType, 'blas_env': os.environ.get('OPENBLAS_NUM_THREADS')}))\n"
+    )
+    assert _cold_footprint(script, env) == {"same": True, "plain": True, "blas_env": None}
+
+
+def test_import_fails_without_numpy():
+    script = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import mtlab\n"
+        "except ImportError as exc:\n"
+        "    print(json.dumps({'raised': True, 'mtlab': 'mtlab' in sys.modules}))\n"
+    )
+    assert _cold_footprint(script, dict(os.environ)) == {"raised": True, "mtlab": False}
 
 
 @pytest.mark.parametrize("argv", [SWEEP, PHASE_MAP], ids=["sweep", "phase-map"])

@@ -32,11 +32,14 @@ from mtlab.maximize import (
     GN_HALVINGS,
     GN_Q0_BRACKETS,
     GN_R_MAX,
+    GN_STEP,
     UNDERSHOOT,
     _ascent_slope,
     _bracket_q0,
     _dilation_curve,
     _dilation_line_search,
+    _gauss_rule,
+    _pl_norm_pows,
     _mode_label,
     _newton_max,
     _norm_share,
@@ -44,9 +47,9 @@ from mtlab.maximize import (
     _shoot,
 )
 from mtlab.functional import EXP_ARG_LIMIT, _phi_tail
-from mtlab.radial import N_MAX, pl_norm_pow
+from mtlab.radial import N_MAX
 from mtlab.scaling import _share_scales, rescale_to_norms
-from conftest import random_monotone_profile, smooth_bump_profile
+from conftest import pl_nodes, random_monotone_profile, smooth_bump_profile
 
 
 class TestFunctionalGradient:
@@ -743,10 +746,9 @@ class TestMaximizeGN:
         assert lp_norm_pow(V, 2) ** 0.5 == pytest.approx(1.0, abs=1e-10)
 
     def test_ratio_matches_profile(self, gn_report_n2):
-        # the certified value is the ratio of the profile's PL interpolant
-        V = gn_report_n2.maximizer_profile
-        assert gn_ratio(V, pl_norm_pow) == pytest.approx(gn_report_n2.bgn_estimate, rel=1e-10)
-        assert gn_report_n2.grid_ratio == gn_ratio(V)
+        # the certified value is the ratio of the PL function on the shot's nodes; the sampled profile's agrees
+        grad, big, norm = _pl_norm_pows(2, *pl_nodes(gn_report_n2.maximizer_profile), (4.0, 2.0))
+        assert big / (norm * grad) == pytest.approx(gn_report_n2.bgn_estimate, rel=1e-5)
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_critical_condition_holds(self, N, gn_report_n2, gn_report_n3, gn_report_n4):
@@ -787,9 +789,38 @@ class TestGNShooting:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_gauss_order_converged(self, N, monkeypatch, gn_report_n2, gn_report_n3, gn_report_n4):
         rep = {2: gn_report_n2, 3: gn_report_n3, 4: gn_report_n4}[N]
-        monkeypatch.setattr(mtlab.radial, "PL_GAUSS_ORDER", 2 * mtlab.radial.PL_GAUSS_ORDER)
-        doubled = gn_ratio(rep.maximizer_profile, pl_norm_pow)
+        monkeypatch.setattr(maximize_mod, "GN_GAUSS_ORDER", 2 * maximize_mod.GN_GAUSS_ORDER)
+        doubled = maximize_gn(N).bgn_estimate
         assert abs(doubled - rep.bgn_estimate) < 1e-13 * rep.bgn_estimate
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_ratio_matches_adaptive_quadrature(self, N, gn_report_n2, gn_report_n3, gn_report_n4):
+        # scipy's adaptive quad on each cell of the same PL function, an oracle independent of the Gauss rule
+        from scipy.integrate import quad
+
+        rep = {2: gn_report_n2, 3: gn_report_n3, 4: gn_report_n4}[N]
+        q = rep.trajectory
+        r, v = [GN_STEP * k for k in range(len(q))], [x - q[-1] for x in q]
+        cells = list(zip(r, r[1:], v, v[1:]))
+
+        def norm_pow(p, slope=False):
+            def f(t, r0, r1, v0, v1):
+                w = (v1 - v0) / (r1 - r0) if slope else v0 + (t - r0) * (v1 - v0) / (r1 - r0)
+                return t ** (N - 1) * abs(w) ** p
+
+            return sphere_area(N) * math.fsum(quad(f, c[0], c[1], args=c, epsabs=0, epsrel=1e-13)[0] for c in cells)
+
+        oracle = [norm_pow(N, slope=True), norm_pow(N * N / (N - 1.0)), norm_pow(N)]
+        assert _pl_norm_pows(N, r, v, (N * N / (N - 1.0), N)) == pytest.approx(oracle, rel=1e-12)
+        grad, big, norm = oracle
+        assert rep.bgn_estimate == pytest.approx(big / (norm * grad ** (1.0 / (N - 1.0))), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 32])
+    def test_gauss_rule_matches_numpy(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        nodes, weights = zip(*sorted(_gauss_rule(n)))
+        assert np.allclose(nodes, np.sort(0.5 * (1.0 - x)), rtol=0, atol=4e-16)
+        assert np.allclose(weights, 0.5 * w[np.argsort(0.5 * (1.0 - x))], rtol=0, atol=4e-16)
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_report_bookkeeping(self, N, gn_report_n2, gn_report_n3, gn_report_n4):
@@ -799,10 +830,10 @@ class TestGNShooting:
         assert GN_BRACKET[0] < rep.q0 < GN_BRACKET[1]
         assert rep.maximizer_profile.is_nonincreasing
         payload = rep.to_json_dict()
-        assert payload["q0"] == rep.q0 and payload["grid_ratio"] == rep.grid_ratio
+        assert payload == {"N": N, "bgn_estimate": rep.bgn_estimate, "q0": rep.q0, "residual": rep.residual, "iterations": 3}
 
     @pytest.mark.parametrize(
-        "N, q0, bgn", [(2, 2.2062045694037806, 0.1709193295098344), (3, 2.426110583677655, 0.31426646368830174)]
+        "N, q0, bgn", [(2, 2.2062045694037806, 0.17092023052462535), (3, 2.426110583677655, 0.3142674409885343)]
     )
     def test_q0_and_bgn_estimate_are_pinned(self, N, q0, bgn, gn_report_n2, gn_report_n3):
         # exact values, so any change to the arithmetic of the shots at N = 2, 3 shows here

@@ -20,8 +20,8 @@ from mtlab import (
     sample_profile,
     sphere_area,
 )
-from mtlab.radial import N_MAX, _cell_slopes, _edge_values, pl_norm_pow
-from conftest import random_monotone_profile, smooth_bump_profile
+from mtlab.radial import N_MAX, _cell_slopes
+from conftest import edge_values, pl_norm_pow, random_monotone_profile, smooth_bump_profile
 
 
 def cubic(r):
@@ -325,7 +325,7 @@ class TestCachedGeometry:
         grid = _CACHE_GRIDS[kind](3)
         assert (grid.cell_widths.size == grid.n_nodes) == (kind == "composite-gauss")
         values = np.random.default_rng(3).random(grid.n_nodes)
-        reference = np.diff(_edge_values(grid, values)) / grid.cell_widths
+        reference = np.diff(edge_values(grid, values)) / grid.cell_widths
         assert _cell_slopes(grid, values).tobytes() == reference.tobytes()
 
     def test_rescaled_grid_gets_its_own_cache(self):
@@ -353,6 +353,8 @@ def _pl_reference(u, p):
 
 
 class TestPLNormPow:
+    """The float Gauss rule of the GN ratio (`maximize._pl_norm_pows`) on profiles' PL interpolants."""
+
     @pytest.mark.parametrize("N", [2, 3, 4])
     @pytest.mark.parametrize("p", [1, 2, 4, 9])
     def test_constant_profile_closed_form(self, N, p):
