@@ -10,10 +10,12 @@ reports the N >= 3 ledger and the e^5 chain, while the N = 2 ratio 39/40 and
 C_3^2 = 27/32 are checked by acceptance criterion 01 through `n2_cubic_exact`
 and `c_n_value`.
 
-numpy loads on first use, so `mt --version`, `bgn`, `g-test`, `alpha0` and
-`verify-appendix` never load it, and starts OpenBLAS with one thread, so every
-command runs in one thread.  A caller who sets OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS, or who imports numpy first, keeps that.
+numpy loads on first use, so `mt --version`, `bgn`, `g-test`, `alpha0`,
+`verify-appendix` and an `alpha-star` whose cells the g-test decides never
+load it, and starts OpenBLAS with one thread, so every command runs in one
+thread.  A caller who sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS, or who imports numpy first, keeps that.  Only the appendix
+ledger loads `decimal` and `fractions`.
 """
 
 import importlib.util

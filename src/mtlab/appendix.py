@@ -28,6 +28,8 @@ Everything with integer gamma arguments is computed in exact rational
 arithmetic (`fractions.Fraction`); the log comparisons run at 50
 significant digits in the standard library's `decimal`, from one table
 of logs that takes one `ln` per prime and sums prime logs for composites.
+Each function imports `fractions` and `decimal` itself, so only the
+commands that compute with them (`mt verify-appendix`) load them.
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError
 from .maximize import gn_ratio
 from .radial import RadialProfile
+
+if TYPE_CHECKING:
+    from decimal import Decimal
+    from fractions import Fraction
 
 __all__ = [
     "gamma_exact",
@@ -64,6 +69,8 @@ E_TERMS = 20
 
 def gamma_exact(n: int) -> Fraction:
     """Gamma(n) = (n-1)! for integer n >= 1, exactly."""
+    from fractions import Fraction
+
     if n < 1 or n != int(n):
         raise InvalidParameterError(f"gamma_exact needs an integer >= 1, got {n}")
     return Fraction(math.factorial(n - 1))
@@ -98,16 +105,22 @@ def c_n_pow_exact(N: int) -> Fraction:
     """C_N^{N-1} = (N-1)! N^{N^2-2N} (N-1)^{-(N^2-N)}, exactly, for N >= 3."""
     if N < 3 or N != int(N):
         raise InvalidParameterError(f"c_n_pow_exact needs an integer N >= 3, got {N}")
+    from fractions import Fraction
+
     return Fraction(math.factorial(N - 1)) * Fraction(N) ** (N * N - 2 * N) / Fraction(N - 1) ** (N * N - N)
 
 
 def _ln(q: Fraction) -> Decimal:
     """log q in the caller's context: one ln of the quotient rounded to its precision."""
+    from decimal import Decimal
+
     return (Decimal(q.numerator) / q.denominator).ln()
 
 
 def c_n_value(N: int) -> tuple[float, Fraction]:
     """(C_N as a float, C_N^{N-1} as an exact rational)."""
+    from decimal import Context, localcontext
+
     exact_pow = c_n_pow_exact(N)
     with localcontext(Context(prec=DPS)):
         value = (_ln(exact_pow) / (N - 1)).exp()
@@ -119,6 +132,8 @@ def e_upper_rational() -> Fraction:
 
     sum_{k > K} 1/k! < 1/(K! K), so the bound is exact-arithmetic valid.
     """
+    from fractions import Fraction
+
     partial = sum(Fraction(1, math.factorial(k)) for k in range(E_TERMS + 1))
     return partial + Fraction(1, math.factorial(E_TERMS) * E_TERMS)
 
@@ -130,6 +145,9 @@ def exp5_claims() -> dict:
     rationals, a rational e-upper-bound fifth power below 729/4, and the
     50-digit float comparison for the report.
     """
+    from decimal import Context, Decimal, localcontext
+    from fractions import Fraction
+
     bound = Fraction(729, 4)
     crude = Fraction(14, 5) ** 5
     e_up = e_upper_rational()
@@ -189,6 +207,8 @@ class ClaimLedger:
 def _ln_table(n: int) -> list[Decimal]:
     """log k for k in [0, n] (entry 0 unused) in the caller's context: one ln per prime; a composite
     adds the logs of its smallest prime factor and its cofactor."""
+    from decimal import Decimal
+
     ln = [Decimal(0)] * (n + 1)
     for k in range(2, n + 1):
         p = next((q for q in range(2, math.isqrt(k) + 1) if k % q == 0), k)
@@ -206,6 +226,8 @@ def claim_ledger(n_max: int = 1000) -> ClaimLedger:
     """
     if n_max < 3:
         raise InvalidParameterError(f"n_max must be >= 3, got {n_max}")
+    from decimal import Context, Decimal, localcontext
+
     rows = []
     max_err = 0.0
     with localcontext(Context(prec=DPS)):

@@ -303,7 +303,8 @@ def bracket_alpha_star(
     """
     opts = opts or BracketOptions()
     alpha_lo, alpha_hi = opts.alpha_range(a, b, N)
-    grid = tuple(float(x) for x in np.linspace(alpha_lo, alpha_hi, opts.count))
+    step = (alpha_hi - alpha_lo) / (opts.count - 1)  # np.linspace's points, bit for bit, without loading numpy
+    grid = tuple(alpha_lo + i * step for i in range(opts.count - 1)) + (alpha_hi,)
     bgn = cached_gn_report(N).bgn_estimate
 
     certified: list[bool] = []

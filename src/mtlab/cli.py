@@ -33,6 +33,7 @@ from .radial import (
     N_MAX,
     build_grid,
     check_dimension,
+    check_radius,
     critical_exponent,
     grad_norm_pow,
     lp_norm_pow,
@@ -225,7 +226,7 @@ def _report(args, payload: dict, human_lines: list[str]) -> int:
 
 
 def _make_options(args, allow_infinite: bool = False) -> MaximizeOptions:
-    """The maximize_d options of the flags; its grid is built here, so an r_max past 2^{1000/N} is a usage error."""
+    """The maximize_d options of the flags; its grid's r_max is checked here, so one past 2^{1000/N} is a usage error."""
     opts = MaximizeOptions(
         r_max=args.r_max,
         n_nodes=args.n_nodes,
@@ -234,7 +235,7 @@ def _make_options(args, allow_infinite: bool = False) -> MaximizeOptions:
         seed=args.seed,
         allow_infinite_regime=allow_infinite,
     )
-    build_grid(args.N, opts.r_max, opts.n_nodes, opts.scheme)
+    check_radius(opts.r_max, args.N)
     return opts
 
 

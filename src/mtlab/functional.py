@@ -143,8 +143,11 @@ def _tail_kernel(k: int) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
 
 
 def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    acc = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
+    if len(coeffs) == 1:  # k = 2's head
+        return np.full_like(x, coeffs[0])
+    acc = x * coeffs[0]
+    acc += coeffs[1]
+    for c in coeffs[2:]:
         acc *= x
         acc += c
     return acc

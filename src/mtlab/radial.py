@@ -38,6 +38,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
+from itertools import groupby
 
 from . import _numpy as np
 from .errors import GridOverflowError, InvalidParameterError, SeriesOverflowError
@@ -49,6 +50,7 @@ __all__ = [
     "critical_exponent",
     "check_dimension",
     "check_grid",
+    "check_radius",
     "build_grid",
     "equal_mass_grid",
     "lp_norm_pow",
@@ -64,6 +66,16 @@ GRID_SCHEMES = ("composite-gauss", "graded")
 
 #: Gauss points per cell of the composite grids.
 DEFAULT_CELL_ORDER = 3
+
+#: numpy's leggauss(q) nodes and weights on [-1, 1], bit for bit, for the only cell sizes _cell_counts gives from
+#: 16 nodes on (q and q+1 for q = DEFAULT_CELL_ORDER); leggauss would load numpy.polynomial and call LAPACK.
+GAUSS_RULES = {
+    3: ((-0.7745966692414834, 0.0, 0.7745966692414834), (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
+    4: (
+        (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526),
+        (0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357),
+    ),
+}
 
 #: The largest dimension any function accepts; check_dimension says why.
 N_MAX = 57
@@ -91,6 +103,12 @@ def check_dimension(N) -> None:
 def max_radius(N: int) -> float:
     """2^{1000/N}, the largest r_max of any grid in R^N: r^N = 2^1000 leaves masses and moments finite."""
     return 2.0 ** (1000 / N)
+
+
+def check_radius(r_max: float, N: int) -> None:
+    """Reject an r_max past max_radius(N), for every grid and for a grid request checked before it is built."""
+    if not r_max <= max_radius(N):
+        raise InvalidParameterError(f"r_max {r_max!r} exceeds 2^(1000/N) = {max_radius(N):.6g}")
 
 
 def check_grid(r_max: float, n_nodes: int, scheme: str) -> None:
@@ -142,8 +160,7 @@ class RadialGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         check_dimension(self.N)
-        if not self.r_max <= self.max_radius:
-            raise InvalidParameterError(f"r_max {self.r_max!r} exceeds 2^(1000/N) = {self.max_radius:.6g}")
+        check_radius(self.r_max, self.N)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size < 2:
             raise InvalidParameterError("nodes and weights must be 1D arrays of equal length >= 2")
         if not (np.all(np.diff(nodes) > 0) and nodes[0] > 0 and nodes[-1] <= self.r_max):
@@ -252,14 +269,17 @@ def _cell_counts(n_nodes: int) -> list[int]:
 
 
 def _gauss_on_cells(edges: np.ndarray, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    from numpy.polynomial.legendre import leggauss
-
-    rules = {q: leggauss(q) for q in set(counts)}
+    """Each cell's GAUSS_RULES[q] rule mapped onto it, one broadcast per run of equal q (the q+1 cells come last)."""
+    a, b = edges[:-1], edges[1:]
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
     nodes, weights = [], []
-    for a, b, q in zip(edges[:-1], edges[1:], counts):
-        x, w = rules[q]
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
+    start = 0
+    for q, run in groupby(counts):
+        stop = start + len(list(run))
+        x, w = GAUSS_RULES[q]
+        nodes.append((half[start:stop, None] * x + mid[start:stop, None]).ravel())
+        weights.append((half[start:stop, None] * w).ravel())
+        start = stop
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -276,7 +296,8 @@ def build_grid(
     graded: cell widths grow geometrically by `grading` away from the
         origin (clusters nodes where concentrating profiles live), same
         per-cell Gauss rule.
-    The cache sees normalized arguments (40 and 40.0 give one grid); r_max past 2^{1000/N} is refused.
+    Each cell's rule comes from GAUSS_RULES, numpy's leggauss values, so no grid loads numpy.polynomial or solves an
+    eigenproblem.  The cache sees normalized arguments (40 and 40.0 give one grid); r_max past 2^{1000/N} is refused.
     """
     check_dimension(N)
     check_grid(r_max, n_nodes, scheme)

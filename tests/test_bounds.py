@@ -350,6 +350,21 @@ class TestBracketAlphaStar:
             )
         assert err.value.grid is not None
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.floats(1e-6, 12.0),
+        width=st.floats(1e-12, 12.0),
+        count=st.integers(2, 200),
+    )
+    def test_alpha_grid_is_linspace_to_the_bit(self, lo, width, count):
+        # the grid is formed in floats so a cell the g-test decides loads no numpy; np.linspace is the oracle
+        hi = min(lo + width, critical_exponent(2))
+        assume(lo < hi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mtlab.bounds, "_certify_cell", lambda *args: (True, None))
+            grid = bracket_alpha_star(2.0, 8.0, 2, BracketOptions(alpha_min=lo, alpha_max=hi, count=count)).grid
+        assert np.array(grid).tobytes() == np.linspace(lo, hi, count).tobytes()
+
     def test_bisection_refines(self, no_g_test):
         coarse = light_bracket_opts(alpha_min=0.3, alpha_max=3.0, count=5)
         refined = light_bracket_opts(alpha_min=0.3, alpha_max=3.0, count=5, bisect_iters=3)

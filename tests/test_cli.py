@@ -707,7 +707,8 @@ def test_cold_maximize_runs_one_thread_and_draws_nothing(tmp_path, caller_thread
         assert threads == {_cold_footprint(control, env)}
 
 
-#: Commands that compute in Python floats and decimals, with the arguments the benchmark gives them.
+#: Commands that compute in Python floats and decimals, with the arguments the benchmark gives them, and an
+#: alpha-star whose every cell the g-test decides (a > N').
 NUMPY_FREE = {
     "version": ["--version"],
     "bgn-N2": ["bgn", "--N", "2"],
@@ -715,6 +716,7 @@ NUMPY_FREE = {
     "g-test": ["g-test", "--N", "2", "--alpha", "4", "--a", "2", "--b", "8"],
     "alpha0": ["alpha0", "--N", "2", "--a", "2", "--b", "2"],
     "verify-appendix": ["verify-appendix", "--n-max", "1000", "--format", "json"],
+    "alpha-star-g-test": ["alpha-star", "--N", "2", "--a", "3", "--b", "2"],
 }
 
 
@@ -740,6 +742,36 @@ def test_cold_command_never_loads_numpy(argv):
     seen = _cold_footprint(script, dict(os.environ))
     code, out = _stdout_of(argv)
     assert seen == {"code": 0, "out": out, "numpy": False} and code == 0
+
+
+def test_cold_commands_load_only_what_they_compute_with(tmp_path):
+    # grids take their Gauss rules from a table, not numpy.polynomial; only the appendix ledger loads decimal and
+    # fractions, so it runs last
+    grid = ["--n-nodes", "128"]
+    commands = [
+        ["eval", "--N", "2", "--alpha", "3", "--a", "3", "--b", "2"] + grid,
+        ["maximize", "--N", "2", "--alpha", "3", "--a", "3", "--b", "2"] + grid,
+        ["bgn", "--N", "2", "--profile-out", str(tmp_path / "gn.csv")],
+        ["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--count", "3"] + grid,
+        SWEEP + grid,
+        PHASE_MAP + grid,
+        ["verify-appendix", "--n-max", "50"],
+    ]
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import mtlab.cli\n"
+        "seen = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        code = mtlab.cli.main(argv)\n"
+        "    seen.append([argv[0], code] + [m for m in ('numpy.polynomial', 'decimal', 'fractions') if m in sys.modules])\n"
+        "print(json.dumps({'seen': seen, 'numpy': 'numpy._core' in sys.modules}))\n"
+    )
+    assert _cold_footprint(script, dict(os.environ)) == {
+        "seen": [[argv[0], 0] for argv in commands[:-1]] + [["verify-appendix", 0, "decimal", "fractions"]],
+        "numpy": True,
+    }
 
 
 def test_lazy_numpy_is_the_one_numpy():

@@ -24,7 +24,7 @@ from mtlab import (
     phi,
     sample_profile,
 )
-from mtlab.functional import EXP_ARG_LIMIT, _phi_tail, _tail_kernel, _tail_ratio
+from mtlab.functional import EXP_ARG_LIMIT, _horner, _phi_tail, _tail_kernel, _tail_ratio
 from mtlab.maximize import GN_R_MAX
 from mtlab.radial import N_MAX, max_radius
 from mtlab.scaling import rescale_to_norms
@@ -117,6 +117,17 @@ class TestPhiPsi:
         ts = np.geomspace(1e-3, 700.0, 50)
         assert _tail_ratio(ts, k) == pytest.approx(_phi_tail(ts, k) / ts**k, rel=1e-14)
         assert np.all(np.diff(_tail_ratio(ts, k)) > 0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 19, N_MAX - 1])
+    def test_horner_matches_the_filled_start_to_the_bit(self, k):
+        # the reference starts from an array filled with the lead coefficient: one array op more per tail
+        ts = np.concatenate([[0.0, 5e-324], np.geomspace(1e-12, 700.0, 200)])
+        for coeffs in _tail_kernel(k)[1:]:
+            acc = np.full_like(ts, coeffs[0])
+            for c in coeffs[1:]:
+                acc *= ts
+                acc += c
+            assert _horner(ts, coeffs).tobytes() == acc.tobytes()
 
     def test_vectorized(self):
         out = phi(np.array([0.0, 1.0, 2.0]), 2)

@@ -20,12 +20,32 @@ from mtlab import (
     sample_profile,
     sphere_area,
 )
-from mtlab.radial import N_MAX, _cell_slopes
+from mtlab.radial import DEFAULT_CELL_ORDER, GAUSS_RULES, N_MAX, _cell_counts, _cell_slopes
 from conftest import edge_values, pl_norm_pow, random_monotone_profile, smooth_bump_profile
 
 
 def cubic(r):
     return np.maximum(0.0, 1.0 - r) ** 3
+
+
+def _per_cell_grid(r_max, n_nodes, scheme, grading):
+    """build_grid's nodes and weights by a loop over the cells with leggauss's rules: the reference."""
+    from numpy.polynomial.legendre import leggauss
+
+    counts = _cell_counts(n_nodes)
+    if scheme == "composite-gauss":
+        edges = np.linspace(0.0, r_max, len(counts) + 1)
+    else:
+        widths = grading ** np.arange(len(counts))
+        edges = np.concatenate([[0.0], np.cumsum(widths / widths.sum() * r_max)])
+        edges[-1] = r_max
+    nodes, weights = [], []
+    for a, b, q in zip(edges[:-1], edges[1:], counts):
+        x, w = leggauss(q)
+        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
+        weights.append(0.5 * (b - a) * w)
+    weights = np.concatenate(weights)
+    return np.concatenate(nodes), weights * (r_max / weights.sum())
 
 
 class TestGridConstruction:
@@ -52,6 +72,35 @@ class TestGridConstruction:
         gaps = np.diff(g.nodes)
         cell_means = gaps[: 3 * 79].reshape(79, 3).mean(axis=1)
         assert np.all(np.diff(cell_means) > 0)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_gauss_rules_are_leggauss_to_the_bit(self, q):
+        # the table keeps numpy.polynomial and LAPACK out of every grid; leggauss is imported here only
+        from numpy.polynomial.legendre import leggauss
+
+        found = tuple(tuple(float(v) for v in a) for a in leggauss(q))
+        assert [np.array(a).tobytes() for a in GAUSS_RULES[q]] == [np.array(a).tobytes() for a in found], (
+            f"regenerate GAUSS_RULES; the entry is now\n    {q}: {found!r},"
+        )
+
+    @given(st.integers(16, 10**6))
+    def test_cells_take_only_the_tabulated_rules(self, n_nodes):
+        counts = _cell_counts(n_nodes)
+        assert set(counts) <= {DEFAULT_CELL_ORDER, DEFAULT_CELL_ORDER + 1} <= set(GAUSS_RULES)
+        assert sum(counts) == n_nodes and counts == sorted(counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(2, 5),
+        r_max=st.floats(0.1, 200.0),
+        n_nodes=st.integers(16, 2048),
+        scheme=st.sampled_from(["composite-gauss", "graded"]),
+        grading=st.floats(1.0, 1.3),
+    )
+    def test_grid_matches_the_per_cell_loop_to_the_bit(self, N, r_max, n_nodes, scheme, grading):
+        g = build_grid(N, r_max, n_nodes, scheme, grading)
+        nodes, weights = _per_cell_grid(r_max, n_nodes, scheme, grading)
+        assert g.nodes.tobytes() == nodes.tobytes() and g.weights.tobytes() == weights.tobytes()
 
     def test_parameter_errors(self):
         with pytest.raises(InvalidParameterError):
