@@ -222,17 +222,14 @@ def alpha0_nonexistence(a: float, b: float, N: int, gn_c: float) -> BoundReport:
 
 @dataclass(frozen=True)
 class BracketOptions:
-    """alpha grid, bisection steps and maximize_d options of bracket_alpha_star; every cell runs the g-test first."""
+    """alpha range, bisection steps and maximize_d options of bracket_alpha_star; every probe runs the g-test first."""
 
     alpha_min: float | None = None
     alpha_max: float | None = None
-    count: int = 12
-    bisect_iters: int = 0
+    bisect_iters: int = 4
     maximize_opts: MaximizeOptions = field(default_factory=MaximizeOptions)
 
     def __post_init__(self):
-        if self.count < 2:
-            raise InvalidParameterError(f"count must be >= 2, got {self.count}")
         if self.bisect_iters < 0:
             raise InvalidParameterError(f"bisect_iters must be >= 0, got {self.bisect_iters}")
 
@@ -257,11 +254,12 @@ class BracketOptions:
 class BracketReport:
     """One-sided bracket for the attainment threshold.
 
-    alpha_star <= alpha_high is numerically certified (a feasible profile
-    exceeds the lower bound there); alpha_low, a heuristic floor, is the
-    largest alpha tried below it that failed to certify (a grid point or a
-    bisection midpoint), 0.0 if the first grid point certifies.  No verdict
-    is ever claimed at the bracket edges themselves.
+    alpha_star <= alpha_high is numerically certified (the g-test holds, or a
+    feasible profile exceeds the lower bound there); alpha_low, a heuristic
+    floor, is the largest alpha probed below it that failed to certify
+    (alpha_min or a bisection probe), 0.0 if alpha_min certifies.  `probes`
+    holds every alpha tried, in order.  No verdict is ever claimed at the
+    bracket edges themselves.
     """
 
     a: float
@@ -269,9 +267,13 @@ class BracketReport:
     N: int
     alpha_low: float
     alpha_high: float
-    grid: tuple[float, ...]
-    certified: tuple[bool, ...]
+    probes: tuple[float, ...]
     bgn_estimate: float
+
+    @property
+    def grid(self) -> tuple[float, ...]:
+        """The probes, under the name perfbench/tracing.py counts as bracket cells."""
+        return self.probes
 
     def to_json_dict(self) -> dict:
         return dict(vars(self), semantics="alpha_star <= alpha_high certified; alpha_low heuristic only")
@@ -293,42 +295,43 @@ def bracket_alpha_star(
     N: int,
     opts: BracketOptions | None = None,
 ) -> BracketReport:
-    """Bracket the attainment threshold on an alpha grid, one-sided.
+    """Bracket the attainment threshold by bisection, one-sided.
 
-    Scans alpha ascending, each cell by the g-test on cached_gn_report(N)
-    and, where that gives no verdict, maximize_d, warm-chaining the best
-    profile between cells (evaluating a lower cell's maximizer at a higher
-    alpha never lowers the normalized value, so certification is monotone
-    along the scan).  Optional bisection tightens [alpha_low, alpha_high].
+    Certification is monotone in alpha (a profile's normalized value never
+    falls as alpha grows), so one certified alpha bounds alpha_star above.
+    alpha_min is probed first: if it certifies, [0, alpha_min] is bisected;
+    else, if alpha_max certifies, [alpha_min, alpha_max] is; else
+    BracketNotFoundError.  Each probe is the g-test on cached_gn_report(N)
+    and, where that gives no verdict, maximize_d warm-started from the
+    latest maximize_d profile; bisect_iters probes follow the ends.
     """
     opts = opts or BracketOptions()
     alpha_lo, alpha_hi = opts.alpha_range(a, b, N)
-    step = (alpha_hi - alpha_lo) / (opts.count - 1)  # np.linspace's points, bit for bit, without loading numpy
-    grid = tuple(alpha_lo + i * step for i in range(opts.count - 1)) + (alpha_hi,)
     bgn = cached_gn_report(N).bgn_estimate
-
-    certified: list[bool] = []
+    probes: list[float] = []
     chained: tuple = ()
-    for alpha in grid:
+
+    def certifies(alpha: float) -> bool:
+        nonlocal chained
+        probes.append(alpha)
         ok, report = _certify_cell(MTParams(N=N, alpha=alpha, a=a, b=b), opts, bgn, chained)
-        certified.append(ok)
         if report is not None:
             chained = (report.best_profile,)
-    if True not in certified:
+        return ok
+
+    if certifies(alpha_lo):
+        alpha_low, alpha_high = 0.0, alpha_lo
+    elif certifies(alpha_hi):
+        alpha_low, alpha_high = alpha_lo, alpha_hi
+    else:
         raise BracketNotFoundError(
-            f"no alpha in [{alpha_lo:.6g}, {alpha_hi:.6g}] certified attainment for "
-            f"(a={a}, b={b}, N={N})",
-            grid=grid,
+            f"neither end of [{alpha_lo:.6g}, {alpha_hi:.6g}] certified attainment for (a={a}, b={b}, N={N})"
         )
-    first = certified.index(True)
-    alpha_high = grid[first]
-    alpha_low = grid[first - 1] if first else 0.0
     for _ in range(opts.bisect_iters):
         if alpha_high - alpha_low < 1e-12:
             break
         mid = 0.5 * (alpha_low + alpha_high)
-        ok, _ = _certify_cell(MTParams(N=N, alpha=mid, a=a, b=b), opts, bgn, chained)
-        if ok:
+        if certifies(mid):
             alpha_high = mid
         else:
             alpha_low = mid
@@ -338,7 +341,6 @@ def bracket_alpha_star(
         N=N,
         alpha_low=alpha_low,
         alpha_high=alpha_high,
-        grid=grid,
-        certified=tuple(certified),
+        probes=tuple(probes),
         bgn_estimate=bgn,
     )

@@ -19,7 +19,7 @@ from .bounds import (
     bracket_alpha_star,
     g_function_test,
 )
-from .errors import BracketNotFoundError, InvalidParameterError, MTLabError
+from .errors import InvalidParameterError, MTLabError
 from .functional import (
     MTParams,
     constraint_value,
@@ -173,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(sp, ["N", "a", "b"])
     sp.add_argument("--alpha-min", type=float, default=None)
     sp.add_argument("--alpha-max", type=float, default=None)
-    sp.add_argument("--count", type=int, default=_SCAN.count, help="alpha grid points (default %(default)s)")
-    sp.add_argument("--bisect", type=int, default=_SCAN.bisect_iters, help="bisection steps (default %(default)s)")
+    sp.add_argument("--bisect", type=int, default=_SCAN.bisect_iters, help="bracket halvings (default %(default)s)")
     _add_grid_args(sp)
     _add_common_args(sp, restarts=True)
 
@@ -361,20 +360,15 @@ def _cmd_alpha_star(args) -> int:
         opts = BracketOptions(
             alpha_min=args.alpha_min,
             alpha_max=args.alpha_max,
-            count=args.count,
             bisect_iters=args.bisect,
             maximize_opts=_make_options(args),
         )
         opts.alpha_range(args.a, args.b, args.N)
-    try:
-        report = bracket_alpha_star(args.a, args.b, args.N, opts)
-    except BracketNotFoundError as exc:
-        _emit(json.dumps({"error": str(exc), "grid": list(exc.grid or ())}, indent=2), args.out)
-        return 1
+    report = bracket_alpha_star(args.a, args.b, args.N, opts)
     payload = report.to_json_dict()
     human = [
         f"alpha_high (threshold is certified <= this): {report.alpha_high:.12g}",
-        f"alpha_low (largest uncertified alpha tried below alpha_high, 0 if none; heuristic): {report.alpha_low:.12g}",
+        f"alpha_low (largest uncertified alpha probed below alpha_high, 0 if none; heuristic): {report.alpha_low:.12g}",
         f"alpha_N: {critical_exponent(args.N):.12g}",
         DISCLAIMER,
     ]

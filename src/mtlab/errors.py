@@ -32,7 +32,3 @@ class GridOverflowError(MTLabError, ValueError):
 
 class BracketNotFoundError(MTLabError, RuntimeError):
     """No parameter value in the searched range certified the tested property."""
-
-    def __init__(self, message, grid=None):
-        super().__init__(message)
-        self.grid = grid

@@ -28,12 +28,7 @@ from mtlab.radial import N_MAX
 
 
 def light_bracket_opts(**kw):
-    defaults = dict(
-        count=6,
-        maximize_opts=MaximizeOptions(restarts=6, n_nodes=256, seed=3),
-    )
-    defaults.update(kw)
-    return BracketOptions(**defaults)
+    return BracketOptions(maximize_opts=MaximizeOptions(restarts=6, n_nodes=256, seed=3), **kw)
 
 
 @pytest.fixture
@@ -284,15 +279,12 @@ class TestBgnCondition:
 
 class TestBracketAlphaStar:
     def test_supercritical_a_brackets_low(self, no_g_test):
-        report = bracket_alpha_star(
-            3.0, 2.0, 2, light_bracket_opts(alpha_min=0.3, alpha_max=2.0, count=7)
-        )
+        report = bracket_alpha_star(3.0, 2.0, 2, light_bracket_opts(alpha_min=0.3, alpha_max=2.0))
         assert report.alpha_high <= 1.0
         assert report.alpha_low < report.alpha_high
 
     def test_conjugate_a_large_b(self, gn_report_n2):
-        opts = light_bracket_opts(count=8)
-        report = bracket_alpha_star(2.0, 8.0, 2, opts)
+        report = bracket_alpha_star(2.0, 8.0, 2, light_bracket_opts())
         assert report.alpha_high < critical_exponent(2)
         # consistency with the closed-form non-attainment bound
         alpha0 = alpha0_nonexistence(2.0, 8.0, 2, 1.0 / gn_report_n2.bgn_estimate).values["alpha0"]
@@ -303,13 +295,18 @@ class TestBracketAlphaStar:
             raise AssertionError("maximize_d ran at a cell the g-test certified")
 
         monkeypatch.setattr(mtlab.bounds, "maximize_d", refuse)
-        report = bracket_alpha_star(2.0, 8.0, 2, light_bracket_opts(alpha_min=4.0, alpha_max=6.0, count=2))
-        assert report.certified == (True, True)
-        assert report.bgn_estimate == gn_report_n2.bgn_estimate
+        # above the g-threshold at a = N', and at a > N' where the g-test certifies every bisection probe too
+        for a, b, alpha_min, bisect_iters in [(2.0, 8.0, 4.0, 0), (3.0, 2.0, None, 6)]:
+            opts = light_bracket_opts(alpha_min=alpha_min, bisect_iters=bisect_iters)
+            report = bracket_alpha_star(a, b, 2, opts)
+            assert report.alpha_low == 0.0 and len(report.probes) == bisect_iters + 1
+            assert report.alpha_high == report.probes[-1] == opts.alpha_range(a, b, 2)[0] / 2**bisect_iters
+            assert report.bgn_estimate == gn_report_n2.bgn_estimate
 
-    @pytest.mark.parametrize("a, alpha_min", [(2.0, 6.0), (0.5, 12.0)])
+    @pytest.mark.parametrize("a, alpha_min", [(2.0, 1.0), (0.5, 6.0)])
     def test_infinite_supremum_cell_runs_nothing_and_is_not_certified(self, monkeypatch, a, alpha_min):
-        # at alpha_N with b > N nothing is attained: neither the g-test nor maximize_d runs there
+        # at alpha_N with b > N nothing is attained: neither the g-test nor maximize_d runs there, so with an
+        # alpha_min that fails no end certifies
         a_N = critical_exponent(2)
         alphas = []
         g_test, maximize = mtlab.bounds.g_function_test, mtlab.bounds.maximize_d
@@ -324,53 +321,71 @@ class TestBracketAlphaStar:
 
         monkeypatch.setattr(mtlab.bounds, "g_function_test", spy_g_test)
         monkeypatch.setattr(mtlab.bounds, "maximize_d", spy_maximize)
-        report = bracket_alpha_star(a, 8.0, 2, light_bracket_opts(alpha_min=alpha_min, alpha_max=a_N, count=2))
-        assert report.certified == (True, False) and report.alpha_high == alpha_min
-        assert alphas and a_N not in alphas
+        with pytest.raises(BracketNotFoundError):
+            bracket_alpha_star(a, 8.0, 2, light_bracket_opts(alpha_min=alpha_min, alpha_max=a_N))
+        assert alphas == [alpha_min, alpha_min]
 
     def test_monotone_in_parameters(self, no_g_test):
         highs = {}
         for a, b in [(2.5, 2.0), (3.5, 3.0)]:
-            rep = bracket_alpha_star(
-                a, b, 2, light_bracket_opts(alpha_min=0.3, alpha_max=3.0, count=7)
-            )
+            rep = bracket_alpha_star(a, b, 2, light_bracket_opts(alpha_min=0.3, alpha_max=3.0))
             highs[(a, b)] = rep.alpha_high
-        grid_step = (3.0 - 0.3) / 6
-        assert highs[(3.5, 3.0)] <= highs[(2.5, 2.0)] + grid_step + 1e-12
+        width = (3.0 - 0.3) / 2**4
+        assert highs[(3.5, 3.0)] <= highs[(2.5, 2.0)] + width + 1e-12
 
-    @pytest.mark.parametrize("kw", [{"count": 1}, {"bisect_iters": -1}], ids=["count", "bisect_iters"])
+    @pytest.mark.parametrize("kw", [{"bisect_iters": -1}], ids=["bisect_iters"])
     def test_options_rejected_when_built(self, kw):
         with pytest.raises(InvalidParameterError):
             BracketOptions(**kw)
 
     def test_not_found(self, no_g_test):
-        with pytest.raises(BracketNotFoundError) as err:
-            bracket_alpha_star(
-                2.0, 2.0, 2, light_bracket_opts(alpha_min=0.01, alpha_max=0.05, count=3)
-            )
-        assert err.value.grid is not None
+        with pytest.raises(BracketNotFoundError, match=r"\[0\.01, 0\.05\] .* \(a=2\.0, b=2\.0, N=2\)"):
+            bracket_alpha_star(2.0, 2.0, 2, light_bracket_opts(alpha_min=0.01, alpha_max=0.05))
 
     @settings(max_examples=300, deadline=None)
     @given(
         lo=st.floats(1e-6, 12.0),
         width=st.floats(1e-12, 12.0),
-        count=st.integers(2, 200),
+        theta=st.floats(0.0, 13.0),
+        k=st.integers(0, 8),
     )
-    def test_alpha_grid_is_linspace_to_the_bit(self, lo, width, count):
-        # the grid is formed in floats so a cell the g-test decides loads no numpy; np.linspace is the oracle
+    def test_bisection_brackets_a_threshold(self, lo, width, theta, k):
+        # a stub certificate that holds exactly from theta on: the bracket holds theta, is at most range / 2^k
+        # wide, and alpha_high is a probe that certified
         hi = min(lo + width, critical_exponent(2))
         assume(lo < hi)
+        probed = []
+
+        def threshold(p, *args):
+            probed.append((p.alpha, p.alpha >= theta))
+            return p.alpha >= theta, None
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mtlab.bounds, "_certify_cell", lambda *args: (True, None))
-            grid = bracket_alpha_star(2.0, 8.0, 2, BracketOptions(alpha_min=lo, alpha_max=hi, count=count)).grid
-        assert np.array(grid).tobytes() == np.linspace(lo, hi, count).tobytes()
+            mp.setattr(mtlab.bounds, "_certify_cell", threshold)
+            try:
+                report = bracket_alpha_star(2.0, 8.0, 2, BracketOptions(alpha_min=lo, alpha_max=hi, bisect_iters=k))
+            except BracketNotFoundError:
+                assert theta > hi and probed == [(lo, False), (hi, False)]
+                return
+        assert theta <= hi and len(probed) <= k + 2 and report.probes == tuple(alpha for alpha, _ in probed)
+        assert (report.alpha_high, True) in probed and theta <= report.alpha_high
+        if report.alpha_low != 0.0:
+            assert (report.alpha_low, False) in probed and report.alpha_low < theta
+        if probed[0][1]:  # alpha_min certified, so [0, alpha_min] was bisected
+            assert theta <= lo and report.alpha_high <= lo
+            span = lo
+        else:
+            assert report.alpha_low >= lo
+            span = hi - lo
+        ulp = math.ulp(hi) * (k + 1)  # each midpoint rounds once
+        assert report.alpha_high - report.alpha_low <= max(span / 2**k + ulp, 1e-12)
 
     def test_bisection_refines(self, no_g_test):
-        coarse = light_bracket_opts(alpha_min=0.3, alpha_max=3.0, count=5)
-        refined = light_bracket_opts(alpha_min=0.3, alpha_max=3.0, count=5, bisect_iters=3)
+        coarse = light_bracket_opts(alpha_min=0.3, alpha_max=3.0, bisect_iters=0)
+        refined = light_bracket_opts(alpha_min=0.3, alpha_max=3.0, bisect_iters=3)
         r1 = bracket_alpha_star(3.0, 2.0, 2, coarse)
         r2 = bracket_alpha_star(3.0, 2.0, 2, refined)
-        assert (r2.alpha_high - r2.alpha_low) <= (r1.alpha_high - r1.alpha_low)
+        assert (r2.alpha_high - r2.alpha_low) == pytest.approx((r1.alpha_high - r1.alpha_low) / 2**3, rel=1e-12)
 
 
 class TestLowerBoundChain:
@@ -419,9 +434,9 @@ class TestCertificationAgreement:
         assert (row.verdict == VERDICT_CERTIFIED) is expected
 
         bracket = bracket_alpha_star(
-            a, b, N, BracketOptions(alpha_min=alpha, alpha_max=3.0, count=2, maximize_opts=opts)
+            a, b, N, BracketOptions(alpha_min=alpha, alpha_max=3.0, bisect_iters=0, maximize_opts=opts)
         )
-        assert bracket.certified[0] is expected
+        assert (bracket.alpha_low, bracket.alpha_high) == ((0.0, alpha) if expected else (alpha, 3.0))
 
 
 class TestBoundReportSerialization:

@@ -78,7 +78,7 @@ class TestParsing:
         args = parser.parse_args(["alpha-star", *problem])
         bracket = mtlab.BracketOptions()
         assert (args.alpha_min, args.alpha_max) == (bracket.alpha_min, bracket.alpha_max)
-        assert (args.count, args.bisect) == (bracket.count, bracket.bisect_iters)
+        assert args.bisect == bracket.bisect_iters
         assert _make_options(args) == bracket.maximize_opts
 
     def test_grid_schemes_are_every_grid_scheme_choice(self):
@@ -310,20 +310,34 @@ class TestBounds:
         assert payload["values"]["max_g"] > 1.0 and payload["verdict"] == "infinite-sup-regime"
 
     @pytest.mark.parametrize(
-        "extra, certified",
+        "extra, maximized, bracket",
         [
-            (["--a", "2", "--count", "3"], [False, True, False]),
-            (["--a", "0.5", "--alpha-min", "12", "--count", "2"], [True, False]),
+            (["--a", "2"], [mtlab.critical_exponent(2) / 50], None),
+            (["--a", "0.5", "--alpha-min", "12", "--bisect", "0"], [12.0], [0.0, 12.0]),
         ],
         ids=["a-conjugate", "a-small"],
     )
-    def test_alpha_star_does_not_certify_the_infinite_supremum_cell(self, capsys, extra, certified):
-        # the alpha_N cell with b > N is not certified, and no maximize_d runs there to refuse it
+    def test_alpha_star_does_not_certify_the_infinite_supremum_cell(
+        self, capsys, monkeypatch, extra, maximized, bracket
+    ):
+        # the alpha_N end with b > N is not certified, and no maximize_d runs there to refuse it; at a = N' the
+        # default alpha_min fails too, so no end certifies (exit 1)
+        maximize, alphas = mtlab.bounds.maximize_d, []
+
+        def spy(p, *args, **kwargs):
+            alphas.append(p.alpha)
+            return maximize(p, *args, **kwargs)
+
+        monkeypatch.setattr(mtlab.bounds, "maximize_d", spy)
         alpha = repr(mtlab.critical_exponent(2))
         argv = ["alpha-star", "--N", "2", "--b", "8", "--alpha-max", alpha, "--restarts", "2", *extra]
         code, out, err = run_cli(capsys, *argv)
-        assert code == 0, err
-        assert json.loads(out)["certified"] == certified
+        assert alphas == maximized
+        if bracket is None:
+            assert code == 1 and out == "" and err.startswith("computation failed: neither end of [0.251327, 12.5664]")
+        else:
+            assert code == 0, err
+            assert [json.loads(out)[key] for key in ("alpha_low", "alpha_high")] == bracket
 
     def test_alpha0(self, capsys):
         code, out, _ = run_cli(capsys, "alpha0", "--N", "2", "--a", "2", "--b", "2", "--gn-c", "3")
@@ -365,7 +379,7 @@ class TestBounds:
     def test_alpha_star_bracket(self, capsys):
         code, out, _ = run_cli(
             capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "8",
-            "--alpha-min", "2.0", "--alpha-max", "6.0", "--count", "5",
+            "--alpha-min", "2.0", "--alpha-max", "6.0",
             "--restarts", "6", "--n-nodes", "256",
         )
         assert code == 0
@@ -374,8 +388,8 @@ class TestBounds:
         assert "certified" in payload["semantics"]
 
     def test_alpha_star_above_the_conjugate_exponent_brackets_from_zero(self, capsys):
-        # at a > N' the g-test certifies the first grid cell, alpha_N / 50, so alpha_low is 0.0 and each of the
-        # six bisection midpoints certifies too
+        # at a > N' the g-test certifies alpha_min, alpha_N / 50, so alpha_low is 0.0 and each of the six
+        # bisection midpoints certifies too
         code, out, err = run_cli(capsys, "alpha-star", "--N", "2", "--a", "3", "--b", "2", "--bisect", "6")
         assert code == 0, err
         payload = json.loads(out)
@@ -383,15 +397,14 @@ class TestBounds:
         assert payload["alpha_high"] == pytest.approx(mtlab.critical_exponent(2) / 50 / 2**6, rel=1e-15)
 
     def test_alpha_star_not_found_exit_code(self, capsys):
-        # no cell certifies: exit 1, and the scanned grid goes to stdout beside the error
-        code, out, _ = run_cli(
+        # neither end certifies: exit 1 like every failed computation, with the range and the problem on stderr
+        code, out, err = run_cli(
             capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "2",
-            "--alpha-min", "0.01", "--alpha-max", "0.05", "--count", "3",
+            "--alpha-min", "0.01", "--alpha-max", "0.05",
             "--restarts", "2", "--n-nodes", "128",
         )
-        assert code == 1
-        payload = json.loads(out)
-        assert set(payload) == {"error", "grid"} and payload["grid"] == pytest.approx([0.01, 0.03, 0.05])
+        assert code == 1 and out == ""
+        assert err == "computation failed: neither end of [0.01, 0.05] certified attainment for (a=2.0, b=2.0, N=2)\n"
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -417,16 +430,15 @@ class TestBounds:
         st.floats(-1.3, 1.5),
         st.floats(0.005, 0.99),
         st.floats(0.01, 1.0),
-        st.integers(2, 3),
         st.integers(0, 2),
     )
-    def test_alpha_star_every_failure_maps_to_an_exit_code(self, N, log_a, log_b, lo, width, count, bisect):
+    def test_alpha_star_every_failure_maps_to_an_exit_code(self, N, log_a, log_b, lo, width, bisect):
         # the alpha range is alpha_N times [lo, hi], hi = lo + width (1 - lo)
         alpha_n = mtlab.critical_exponent(N)
         argv = [
             "alpha-star", "--N", str(N), "--a", repr(10.0**log_a), "--b", repr(10.0**log_b),
             "--alpha-min", repr(lo * alpha_n), "--alpha-max", repr((lo + width * (1.0 - lo)) * alpha_n),
-            "--count", str(count), "--bisect", str(bisect), "--n-nodes", "64", "--restarts", "2",
+            "--bisect", str(bisect), "--n-nodes", "64", "--restarts", "2",
         ]
         assert run_strict(argv)[0] in (0, 1, 2)
 
@@ -435,12 +447,11 @@ class TestBounds:
         "extra, reason",
         [
             (["--alpha-min", "6", "--alpha-max", "3"], "alpha_min must be below alpha_max"),
-            (["--count", "1"], "count must be >= 2"),
-            (["--count", "0"], "count must be >= 2"),
+            (["--count", "3"], "unrecognized arguments: --count 3"),
             (["--alpha-min", "12.4"], "alpha_min must be below alpha_max"),
             (["--a", "-1"], "constraint powers must be positive"),
         ],
-        ids=["reversed-range", "count-1", "count-0", "min-above-default-max", "negative-a"],
+        ids=["reversed-range", "count", "min-above-default-max", "negative-a"],
     )
     def test_alpha_star_usage_errors(self, capsys, extra, reason):
         code, out, err = run_cli(capsys, "alpha-star", "--N", "2", "--a", "2", "--b", "8", *extra)
@@ -518,7 +529,7 @@ AT_DIMENSION = {
     "bgn": [],
     "g-test": ["--alpha", _LIMIT_ALPHA, "--a", "1", "--b", "57"],
     "alpha0": ["--a", "1", "--b", "2"],
-    "alpha-star": ["--a", "1", "--b", "114", "--count", "2", *_SMALL],
+    "alpha-star": ["--a", "1", "--b", "114", "--bisect", "0", *_SMALL],
     "sweep": ["--axis", "alpha", "--min", "5", "--max", "15", "--count", "2", "--a", "1", "--b", "57", *_SMALL],
     "phase-map": [
         "--alpha", "15", "--a-min", "0.5", "--a-max", "1", "--a-count", "2",
@@ -680,7 +691,7 @@ def test_cold_maximize_runs_one_thread_and_draws_nothing(tmp_path, caller_thread
     # numpy loads lazily on the first command that computes with it; each command then counts the threads
     commands = [
         ["maximize", "--N", "2", "--alpha", "3", "--a", "3", "--b", "2", "--n-nodes", "128"],
-        ["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--count", "3", "--n-nodes", "128"],
+        ["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--bisect", "0", "--n-nodes", "128"],
         SWEEP + ["--n-nodes", "128"],
     ]
     script = (
@@ -752,7 +763,7 @@ def test_cold_commands_load_only_what_they_compute_with(tmp_path):
         ["eval", "--N", "2", "--alpha", "3", "--a", "3", "--b", "2"] + grid,
         ["maximize", "--N", "2", "--alpha", "3", "--a", "3", "--b", "2"] + grid,
         ["bgn", "--N", "2", "--profile-out", str(tmp_path / "gn.csv")],
-        ["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--count", "3"] + grid,
+        ["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--bisect", "0"] + grid,
         SWEEP + grid,
         PHASE_MAP + grid,
         ["verify-appendix", "--n-max", "50"],

@@ -260,15 +260,15 @@ class TestUniformBoundEnvelope:
 def _cli_alpha_star(alpha):
     from mtlab.cli import main
 
-    argv = ["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--alpha-min", "12", "--alpha-max", repr(alpha), "--count", "2"]
+    argv = ["alpha-star", "--N", "2", "--a", "2", "--b", "8", "--alpha-min", "12", "--alpha-max", repr(alpha), "--bisect", "0"]
     code = main(argv)
     if code == 2:
         raise InvalidParameterError("usage error")
     assert code == 0
 
 
-#: Every place that checks alpha against alpha_N; the g-test certifies both
-#: bracket grid points at b = 8, so the bracket gates run no maximize_d.
+#: Every place that checks alpha against alpha_N; the g-test certifies the
+#: bracket's alpha_min = 12 at b = 8, so the bracket gates run no maximize_d.
 ALPHA_GATES = {
     "MTParams": lambda alpha: MTParams(N=2, alpha=alpha, a=2.0, b=2.0),
     "universal_lower_bound": lambda alpha: mtlab.universal_lower_bound(alpha, 2),
@@ -279,7 +279,7 @@ ALPHA_GATES = {
         N=2, axes=(mtlab.AxisSpec("b", 2.0, 8.0, 2),), fixed={"alpha": alpha, "a": 2.0}
     ),
     "bracket_alpha_star": lambda alpha: mtlab.bracket_alpha_star(
-        2.0, 8.0, 2, mtlab.BracketOptions(alpha_min=12.0, alpha_max=alpha, count=2)
+        2.0, 8.0, 2, mtlab.BracketOptions(alpha_min=12.0, alpha_max=alpha, bisect_iters=0)
     ),
     "cli-alpha-star": _cli_alpha_star,
 }
